@@ -58,8 +58,6 @@ from .step import (
     NoSupportersError,
     Subproblem,
     corrected_solution,
-    score_general,
-    score_interior,
     subset_oracle,
     unconstrained_level,
     unconstrained_solution,
@@ -106,8 +104,6 @@ __all__ = [
     "render_profile",
     "replay_record",
     "run_election",
-    "score_general",
-    "score_interior",
     "select_winner",
     "solver_instance_record",
     "subset_oracle",

@@ -104,7 +104,7 @@ def _trace_rows(profile, result, decimals: int, show_uncorrected: bool) -> list[
         if show_uncorrected:
             # the raw equality-constrained shares, before any clamping;
             # computed at the loads the election actually reached
-            shares = unconstrained_solution(Subproblem(profile, loads, sol.candidate))
+            shares = unconstrained_solution(Subproblem(profile, loads, sol.candidate)).x
         else:
             shares = sol.x
         row = [str(rec.seat_index), sol.candidate]
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[m.value for m in Method],
     )
-    elect.add_argument("--seats", type=int, required=True)
+    elect.add_argument("--seats", type=_positive_int, required=True)
     elect.add_argument(
         "--mode", choices=[m.value for m in Mode], default=Mode.CANDIDATE.value
     )
@@ -265,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     probe = sub.add_parser("probe", help="support-monotonicity probe")
     probe.add_argument("profile", help="profile path, or - for stdin")
     probe.add_argument("--party", required=True)
-    probe.add_argument("--seats", type=int, required=True)
+    probe.add_argument("--seats", type=_positive_int, required=True)
     probe.add_argument("--delta", type=_rational, default=Fraction(1))
     probe.set_defaults(func=cmd_probe)
 
     sweep = sub.add_parser("sweep", help="two-party seat-share sweep")
     sweep.add_argument("--zeta", type=_rational, required=True)
-    sweep.add_argument("--seats", type=int, required=True)
+    sweep.add_argument("--seats", type=_positive_int, required=True)
     sweep.add_argument("--alphas", type=_alpha_range, required=True,
                        metavar="FROM:TO:STEPS")
     sweep.add_argument(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .model import (
     Backend,
@@ -38,6 +38,7 @@ from .step import (
     _score,
     corrected_solution,
     unconstrained_level,
+    unconstrained_solution,
 )
 
 
@@ -81,30 +82,6 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
     ) - n * n / profile.total_weight
 
 
-def _seq_solution(sub: Subproblem) -> StepSolution:
-    # The max-load method moves every supporter to the common level; along
-    # its own runs that level never undercuts a supporter's load, which we
-    # assert rather than assume.
-    level = unconstrained_level(sub)
-    x: list[Rational] = [0] * len(sub.profile.types)
-    for k in sub.supporters:
-        share = level - sub.loads.values[k]
-        if share < 0:
-            if not isinstance(share, float) or share < -1e-9:
-                raise AssertionError(
-                    f"negative share {share} for supporter type {k} of "
-                    f"{sub.candidate!r}: max-load positivity violated"
-                )
-        x[k] = share
-    return StepSolution(
-        candidate=sub.candidate,
-        x=tuple(x),
-        level=level,
-        score=_score(sub, x),
-        corrected=False,
-    )
-
-
 def select_winner(
     profile: Profile,
     loads: LoadVector,
@@ -130,7 +107,18 @@ def select_winner(
             sol = corrected_solution(sub)
             scored.append((sol.score, name, sol))
         else:
-            sol = _seq_solution(sub)
+            sol = unconstrained_solution(sub)
+            # The max-load method moves every supporter to the common level;
+            # along its own runs that level never undercuts a supporter's
+            # load, which we assert rather than assume.
+            for k in sub.supporters:
+                share = sol.x[k]
+                if share < 0:
+                    if not isinstance(share, float) or share < -1e-9:
+                        raise AssertionError(
+                            f"negative share {share} for supporter type {k} of "
+                            f"{sub.candidate!r}: max-load positivity violated"
+                        )
             scored.append((sol.level, name, sol))
     if not scored:
         raise ElectionConfigError("no eligible candidate with support")

@@ -10,7 +10,7 @@ every algorithm tolerates, but parsing always yields exact rationals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -98,13 +98,28 @@ class Profile:
     """An approval profile: voter types in input order.
 
     ``candidates`` is the union of all approval sets in first-appearance
-    order; ``total_weight`` is the exact sum of type weights.  Immutable and
-    safe to share across threads.
+    order; ``total_weight`` is the exact sum of type weights.  The supporter
+    index behind :meth:`supporters` is built once, at construction; it takes
+    no part in equality and is never mutated, so the profile stays immutable
+    and safe to share across threads.
     """
 
     types: tuple[VoterType, ...]
     candidates: tuple[CandidateId, ...]
     total_weight: Rational
+    _supporters: dict[CandidateId, tuple[tuple[int, ...], Rational]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        indices: dict[CandidateId, list[int]] = {name: [] for name in self.candidates}
+        for k, t in enumerate(self.types):
+            for name in t.approvals:
+                indices[name].append(k)
+        # sum() in ascending type order: bit-identical to summing a scan
+        index = {name: (tuple(ks), sum(self.types[k].weight for k in ks))
+                 for name, ks in indices.items()}
+        object.__setattr__(self, "_supporters", index)
 
     @classmethod
     def from_types(cls, types: Iterable[VoterType]) -> "Profile":
@@ -120,13 +135,10 @@ class Profile:
 
     def supporters(self, candidate: CandidateId) -> tuple[tuple[int, ...], Rational]:
         """Indices of types approving ``candidate`` and their combined weight."""
-        if candidate not in self.candidates:
-            raise UnknownCandidateError(f"unknown candidate: {candidate!r}")
-        indices = tuple(
-            k for k, t in enumerate(self.types) if candidate in t.approvals
-        )
-        weight = sum(self.types[k].weight for k in indices)
-        return indices, weight
+        try:
+            return self._supporters[candidate]
+        except KeyError:
+            raise UnknownCandidateError(f"unknown candidate: {candidate!r}") from None
 
     def is_closed_list(self) -> bool:
         """True when every voter type approves exactly one candidate."""

@@ -5,12 +5,18 @@ Given current per-type loads ``r`` and a candidate ``i``, the seat shares
 
     x_k >= 0,   x_k = 0 for non-supporters,   sum_k u_k * x_k = 1.
 
-Dropping the nonnegativity constraint gives a closed-form solution where all
-supporters end at a common load level; that solution can go negative for
-supporters whose load already exceeds the level.  Three solvers are provided:
+One production solver elects: :func:`corrected_solution` solves with the
+equality constraint alone, clamps every negative share to zero and re-solves
+on the remaining supporters until all shares are feasible.
 
-* :func:`corrected_solution` — the production path: iteratively clamp every
-  negative share to zero and re-solve on the remaining supporters.
+The equality-constrained solve on its own is :func:`unconstrained_solution`:
+every supporter ends at the common level of :func:`unconstrained_level`, and
+shares go negative for supporters whose load already exceeds it.  The max-load
+rule (seq-Phragmén) elects by this level, and the CLI's ``--show-uncorrected``
+trace prints its raw shares.
+
+Two oracles verify the production solver and never elect:
+
 * :func:`waterfill_solution` — exact minimizer by water-filling: raise the
   lowest loads to a common level until the unit budget is spent.
 * :func:`subset_oracle` — brute force over all supporter subsets.
@@ -22,7 +28,6 @@ All functions are pure; callers may evaluate candidates in parallel.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .model import (
@@ -41,11 +46,14 @@ class NoSupportersError(ValueError):
 class Subproblem:
     """A candidate's seat-distribution subproblem at the current loads.
 
-    Resolves the supporter index set and its combined weight once, up front;
+    Resolves the supporter index set, its combined weight and the
+    ``(type index, weight, load)`` entries of the supporters once, up front;
     a candidate without supporters is rejected here, before any solving.
     """
 
-    __slots__ = ("profile", "loads", "candidate", "supporters", "supporter_weight")
+    __slots__ = (
+        "profile", "loads", "candidate", "supporters", "supporter_weight", "entries"
+    )
 
     def __init__(self, profile: Profile, loads: LoadVector, candidate: CandidateId):
         supporters, weight = profile.supporters(candidate)
@@ -58,11 +66,9 @@ class Subproblem:
         self.candidate = candidate
         self.supporters = supporters
         self.supporter_weight = weight
-
-    def _weights_loads(self):
-        types = self.profile.types
-        values = self.loads.values
-        return [(k, types[k].weight, values[k]) for k in self.supporters]
+        self.entries = tuple(
+            (k, profile.types[k].weight, loads.values[k]) for k in supporters
+        )
 
 
 def unconstrained_level(sub: Subproblem) -> Rational:
@@ -72,54 +78,33 @@ def unconstrained_level(sub: Subproblem) -> Rational:
     is also the winning score of the max-load sequential method, which moves
     every supporter to exactly this level.
     """
-    carried = sum(u * r for _, u, r in sub._weights_loads())
+    carried = sum(u * r for _, u, r in sub.entries)
     return (carried + 1) / sub.supporter_weight
 
 
-def unconstrained_solution(sub: Subproblem) -> tuple[Rational, ...]:
-    """Seat shares from the equality-constrained solve: may contain negatives."""
-    level = unconstrained_level(sub)
-    x: list[Rational] = [0] * len(sub.profile.types)
-    for k, _, r in sub._weights_loads():
-        x[k] = level - r
-    return tuple(x)
+def unconstrained_solution(sub: Subproblem) -> StepSolution:
+    """The equality-constrained solve: every supporter moves to the common level.
 
-
-def score_interior(sub: Subproblem) -> Rational:
-    """Closed-form score ``w_i*level**2 - sum(u*r**2)`` over supporters.
-
-    Valid only when the unconstrained solution is already nonnegative; after
-    clamping, the common-level identity it is derived from no longer holds
-    and :func:`score_general` must be used instead.
+    Shares may be negative for supporters whose load already exceeds
+    :func:`unconstrained_level`; no constraint is enforced, so ``corrected``
+    is false.
     """
     level = unconstrained_level(sub)
-    return sub.supporter_weight * level * level - sum(
-        u * r * r for _, u, r in sub._weights_loads()
+    x: list[Rational] = [0] * len(sub.profile.types)
+    for k, _, r in sub.entries:
+        x[k] = level - r
+    return StepSolution(
+        candidate=sub.candidate,
+        x=tuple(x),
+        level=level,
+        score=_score(sub, x),
+        corrected=False,
     )
 
 
 def _score(sub: Subproblem, x: Sequence[Rational]) -> Rational:
-    return sum(u * (2 * r * x[k] + x[k] * x[k]) for k, u, r in sub._weights_loads())
-
-
-def score_general(sub: Subproblem, x: Sequence[Rational]) -> Rational:
-    """Score ``sum(u*(2*r*x + x*x))`` of an arbitrary feasible distribution.
-
-    Validates feasibility exactly: zero off the supporter set, nonnegative,
-    and unit total weighted mass.
-    """
-    if len(x) != len(sub.profile.types):
-        raise ValueError("distribution length does not match profile")
-    support = set(sub.supporters)
-    for k, xk in enumerate(x):
-        if k not in support and xk != 0:
-            raise ValueError(f"nonzero share for non-supporter type {k}")
-        if xk < 0:
-            raise ValueError(f"negative share for type {k}")
-    mass = sum(sub.profile.types[k].weight * x[k] for k in sub.supporters)
-    if mass != 1:
-        raise ValueError(f"shares must distribute exactly one seat, got mass {mass}")
-    return _score(sub, x)
+    """Objective ``sum(u*(2*r*x + x*x))`` of the shares ``x``, share by share."""
+    return sum(u * (2 * r * x[k] + x[k] * x[k]) for k, u, r in sub.entries)
 
 
 def corrected_solution(sub: Subproblem) -> StepSolution:
@@ -131,8 +116,7 @@ def corrected_solution(sub: Subproblem) -> StepSolution:
     because each round strictly shrinks the active set and the minimum-load
     supporter always keeps a positive share.
     """
-    entries = sub._weights_loads()
-    active = list(entries)
+    active = list(sub.entries)
     rounds: list[frozenset[int]] = []
     while True:
         carried = sum(u * r for _, u, r in active)
@@ -167,7 +151,7 @@ def waterfill_solution(sub: Subproblem) -> StepSolution:
     strictly convex on the feasible set, so this level is the unique
     minimizer's.
     """
-    entries = sorted(sub._weights_loads(), key=lambda e: (e[2], e[0]))
+    entries = sorted(sub.entries, key=lambda e: (e[2], e[0]))
     blocks: list[list[tuple[int, Rational, Rational]]] = []
     for entry in entries:
         if blocks and blocks[-1][0][2] == entry[2]:
@@ -216,7 +200,7 @@ def subset_oracle(sub: Subproblem, cap: int = SUBSET_ORACLE_CAP) -> StepSolution
     then the lexicographically smallest index tuple, so the result is
     deterministic even on degenerate instances.
     """
-    entries = sub._weights_loads()
+    entries = sub.entries
     m = len(entries)
     if m > cap:
         raise ValueError(

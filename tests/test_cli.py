@@ -1,8 +1,12 @@
+import hashlib
 import json
+import random
 
 import pytest
 
+from varphragmen.analysis import random_profile
 from varphragmen.cli import main
+from varphragmen.model import parse_profile, render_profile
 
 from conftest import PROFILE_12, PROFILE_13
 
@@ -144,7 +148,19 @@ def test_elect_exit_codes(capsys, p12_path, tmp_path):
     code, _, err = run_cli(
         capsys, "elect", "--method", "var-phragmen", "--seats", "0", p12_path
     )
-    assert code == 3
+    assert code == 2
+    assert "seats" in err
+
+    code, _, err = run_cli(
+        capsys, "probe", "--party", "a1", "--seats", "0", p12_path
+    )
+    assert code == 2
+    assert "seats" in err
+
+    code, _, err = run_cli(
+        capsys, "sweep", "--zeta", "0", "--seats", "0", "--alphas", "0:1:2"
+    )
+    assert code == 2
     assert "seats" in err
 
     bad = tmp_path / "bad.txt"
@@ -265,3 +281,49 @@ def test_cli_output_is_deterministic(capsys, p12_path):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# golden bytes
+
+#: SHA-256 over the ``elect`` runs of :func:`golden_runs`, pinned so that a
+#: refactor cannot change any output byte, error text or exit code unnoticed.
+GOLDEN_ELECT_SHA256 = (
+    "de27742a9959dba70cd27d2199ba967265030cb1d41bd730614993aa188eb8cc"
+)
+
+
+def golden_runs(tmp_path):
+    rng = random.Random(20260810)
+    # the closed-list profile is the only one the highest-averages methods
+    # accept; every other profile pins their exit-3 error text
+    texts = [PROFILE_12, PROFILE_13, "10 : A\n5 : B\n3 : C\n2 : A\n"]
+    texts += [render_profile(random_profile(rng)) for _ in range(5)]
+    for idx, text in enumerate(texts):
+        path = tmp_path / f"golden-{idx}.txt"
+        path.write_text(text)
+        n_candidates = len(parse_profile(text).candidates)
+        for method in ("var-phragmen", "seq-phragmen", "sainte-lague", "dhondt"):
+            for mode, seats in (("candidate", n_candidates), ("party", 6)):
+                for backend in ("exact", "float64"):
+                    for fmt in (
+                        ("--format", "json"),
+                        ("--trace", "--format", "csv"),
+                        ("--show-uncorrected",),
+                    ):
+                        yield (
+                            "elect", "--method", method, "--mode", mode,
+                            "--seats", str(seats), "--backend", backend, *fmt,
+                            str(path),
+                        )
+
+
+def test_elect_golden_bytes(capsys, tmp_path):
+    digest = hashlib.sha256()
+    runs = 0
+    for argv in golden_runs(tmp_path):
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+        runs += 1
+    assert runs == 8 * 4 * 2 * 2 * 3
+    assert digest.hexdigest() == GOLDEN_ELECT_SHA256

@@ -154,3 +154,15 @@ def test_render_parse_round_trip(profile):
 def test_supporter_weights_sum_identity(profile):
     total = sum(profile.supporters(name)[1] for name in profile.candidates)
     assert total == sum(t.weight * len(t.approvals) for t in profile.types)
+    as_floats = Profile.from_types(
+        VoterType(float(t.weight), t.approvals) for t in profile.types
+    )
+    for prof in (profile, as_floats):
+        for name in prof.candidates:
+            # the index agrees with a brute-force scan, float64 bits included
+            indices, weight = prof.supporters(name)
+            scan = [k for k, t in enumerate(prof.types) if name in t.approvals]
+            assert list(indices) == sorted(indices) == scan
+            expected = sum(prof.types[k].weight for k in indices)
+            assert type(weight) is type(expected)
+            assert repr(weight) == repr(expected)

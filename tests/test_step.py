@@ -16,13 +16,12 @@ from varphragmen import (
     merge_duplicate_types,
     parse_profile,
     run_election,
-    score_general,
-    score_interior,
     subset_oracle,
     unconstrained_level,
     unconstrained_solution,
     waterfill_solution,
 )
+from varphragmen.step import _score
 
 
 def sub_for(profile, loads, candidate):
@@ -31,6 +30,13 @@ def sub_for(profile, loads, candidate):
 
 def zero(profile):
     return LoadVector.zero(profile)
+
+
+def closed_form_score(sub):
+    """``w_i*level**2 - sum(u*r**2)``: the score when no share is clamped."""
+    level = unconstrained_level(sub)
+    carried_sq = sum(u * r * r for _, u, r in sub.entries)
+    return sub.supporter_weight * level * level - carried_sq
 
 
 # ---------------------------------------------------------------------------
@@ -49,19 +55,21 @@ def test_level_profile12_seat3(profile12, loads12_after_seat2):
 
 
 def test_unconstrained_solution_can_go_negative(profile12, loads12_after_seat2):
-    x = unconstrained_solution(sub_for(profile12, loads12_after_seat2, "a2"))
-    assert x == (F(47, 400), F(-23, 400), 0)  # 0.1175, -0.0575
+    sol = unconstrained_solution(sub_for(profile12, loads12_after_seat2, "a2"))
+    assert sol.x == (F(47, 400), F(-23, 400), 0)  # 0.1175, -0.0575
+    assert sol.level == F(87, 400)
+    assert not sol.corrected
 
 
 def test_unconstrained_solution_zero_loads(profile12):
-    x = unconstrained_solution(sub_for(profile12, zero(profile12), "a1"))
+    x = unconstrained_solution(sub_for(profile12, zero(profile12), "a1")).x
     assert x == (F(1, 10), F(1, 10), 0)
 
 
 def test_single_supporter_forced_solution():
     profile = parse_profile("4 : P\n")
     loads = LoadVector(values=(F(3, 7),), seats_assigned=0)
-    x = unconstrained_solution(sub_for(profile, loads, "P"))
+    x = unconstrained_solution(sub_for(profile, loads, "P")).x
     assert x == (F(1, 4),)
 
 
@@ -75,9 +83,11 @@ def test_no_supporters_rejected(profile12):
 
 def test_score_interior_zero_loads(profile12):
     loads = zero(profile12)
-    assert score_interior(sub_for(profile12, loads, "a1")) == F(1, 10)
-    assert score_interior(sub_for(profile12, loads, "b")) == F(1, 4)
-    assert score_interior(sub_for(profile12, loads, "c")) == F(1, 3)
+    for name, score in (("a1", F(1, 10)), ("b", F(1, 4)), ("c", F(1, 3))):
+        sub = sub_for(profile12, loads, name)
+        assert unconstrained_solution(sub).score == score
+        assert corrected_solution(sub).score == score
+        assert closed_form_score(sub) == score
 
 
 @pytest.mark.parametrize("prior_seats", [0, 1, 2, 3])
@@ -86,36 +96,30 @@ def test_score_interior_closed_list_divisor_form(prior_seats):
     # quotient in disguise
     profile = parse_profile("4 : P\n")
     loads = LoadVector(values=(F(prior_seats, 4),), seats_assigned=prior_seats)
-    score = score_interior(sub_for(profile, loads, "P"))
-    assert score == F(2 * prior_seats + 1, 4)
+    sub = sub_for(profile, loads, "P")
+    assert unconstrained_solution(sub).score == F(2 * prior_seats + 1, 4)
+    assert corrected_solution(sub).score == F(2 * prior_seats + 1, 4)
 
 
 def test_score_general_corrected_instance(profile12, loads12_after_seat2):
     sub = sub_for(profile12, loads12_after_seat2, "a2")
-    assert score_general(sub, (F(1, 9), 0, 0)) == F(14, 45)
+    assert _score(sub, (F(1, 9), 0, 0)) == F(14, 45)
+    assert corrected_solution(sub).score == F(14, 45)
 
 
 def test_score_general_single_type(profile12):
     sub = sub_for(profile12, zero(profile12), "c")
-    assert score_general(sub, (0, 0, F(1, 3))) == F(1, 3)
+    assert _score(sub, (0, 0, F(1, 3))) == F(1, 3)
+    assert corrected_solution(sub).score == F(1, 3)
 
 
 def test_score_general_matches_interior_on_unconstrained(profile12, loads12_after_seat1):
     for name in ("a2", "b", "c"):
         sub = sub_for(profile12, loads12_after_seat1, name)
-        x = unconstrained_solution(sub)
-        assert min(x) >= 0
-        assert score_general(sub, x) == score_interior(sub)
-
-
-def test_score_general_rejects_infeasible(profile12, loads12_after_seat2):
-    sub = sub_for(profile12, loads12_after_seat2, "a2")
-    with pytest.raises(ValueError):
-        score_general(sub, (F(1, 9), 0, F(1, 9)))  # nonzero off support
-    with pytest.raises(ValueError):
-        score_general(sub, (F(47, 400), F(-23, 400), 0))  # negative
-    with pytest.raises(ValueError):
-        score_general(sub, (F(1, 10), 0, 0))  # mass != 1
+        sol = unconstrained_solution(sub)
+        assert min(sol.x) >= 0
+        assert sol.score == _score(sub, sol.x) == closed_form_score(sub)
+        assert corrected_solution(sub) == sol
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +137,7 @@ def test_corrected_solution_profile12_seat3(profile12, loads12_after_seat2):
 def test_corrected_solution_interior_case(profile12):
     sub = sub_for(profile12, zero(profile12), "a1")
     sol = corrected_solution(sub)
-    assert sol.x == unconstrained_solution(sub)
+    assert sol == unconstrained_solution(sub)
     assert not sol.corrected
     assert sol.clamp_rounds == ()
 
@@ -251,8 +255,10 @@ def test_three_solvers_agree(state):
     assert a.score == b.score == c.score
     assert a.corrected == b.corrected == c.corrected
     if not a.corrected:
-        # interior case: the closed-form score applies and must agree
-        assert a.score == score_interior(sub)
+        # interior case: the equality-constrained solve is already feasible,
+        # and the closed-form score applies
+        assert a == unconstrained_solution(sub)
+        assert a.score == closed_form_score(sub)
 
 
 @settings(deadline=None, max_examples=80)
@@ -274,7 +280,8 @@ def test_waterfill_minimizes_over_random_feasible_points(state, data):
     x = [0] * len(profile.types)
     for k, t in zip(sub.supporters, ticks):
         x[k] = F(t) / mass
-    assert score_general(sub, x) >= best.score
+    assert sum(t.weight * xk for t, xk in zip(profile.types, x)) == 1
+    assert _score(sub, x) >= best.score
 
 
 @settings(deadline=None, max_examples=80)
