@@ -51,30 +51,25 @@ PARTY_POOL = tuple("ABCDEF")
 # random instance generation (fixed-seed PRNG; weights are uniform integers)
 
 def random_profile(
-    rng: random.Random,
-    max_types: int = 8,
-    max_candidates: int = 6,
-    max_weight: int = 100,
+    rng: random.Random, max_types: int = 8, max_candidates: int = 6
 ) -> Profile:
     pool = PARTY_POOL[: rng.randint(1, max_candidates)]
     types = []
     for _ in range(rng.randint(1, max_types)):
         approvals = tuple(sorted(rng.sample(pool, rng.randint(1, len(pool)))))
-        types.append(VoterType(Fraction(rng.randint(1, max_weight)), approvals))
+        types.append(VoterType(Fraction(rng.randint(1, 100)), approvals))
     return Profile.from_types(types)
 
 
-def random_closed_list_profile(
-    rng: random.Random, max_parties: int = 6, max_weight: int = 1000
-) -> Profile:
-    parties = PARTY_POOL[: rng.randint(2, max_parties)]
+def random_closed_list_profile(rng: random.Random) -> Profile:
+    parties = PARTY_POOL[: rng.randint(2, len(PARTY_POOL))]
     types = []
     for party in parties:
-        types.append(VoterType(Fraction(rng.randint(1, max_weight)), (party,)))
+        types.append(VoterType(Fraction(rng.randint(1, 1000)), (party,)))
         if rng.random() < 0.3:
             # a second type for the same party: closed lists need not be
             # pre-merged, supporter weights still add up
-            types.append(VoterType(Fraction(rng.randint(1, max_weight)), (party,)))
+            types.append(VoterType(Fraction(rng.randint(1, 1000)), (party,)))
     return Profile.from_types(types)
 
 
@@ -132,13 +127,7 @@ def closed_list_sequences(
     return out
 
 
-def check_closed_list_equivalence(
-    seed: int,
-    trials: int,
-    max_parties: int = 6,
-    max_weight: int = 1000,
-    max_seats: int = 12,
-) -> EquivalenceReport:
+def check_closed_list_equivalence(seed: int, trials: int) -> EquivalenceReport:
     """Compare election runs against highest-averages on random closed lists."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -146,8 +135,8 @@ def check_closed_list_equivalence(
     passes = 0
     failures: list[dict] = []
     for _ in range(trials):
-        profile = random_closed_list_profile(rng, max_parties, max_weight)
-        seats = rng.randint(1, max_seats)
+        profile = random_closed_list_profile(rng)
+        seats = rng.randint(1, 12)
         trial_failures = []
         for pair, (got, want) in closed_list_sequences(profile, seats).items():
             if got != want:
@@ -352,7 +341,6 @@ def replay_record(record: dict) -> dict:
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    base_profile: Profile
     party: CandidateId
     seats: int
     delta: Fraction
@@ -392,7 +380,6 @@ def monotonicity_probe(
         )
     after = run_election(augmented, config).seat_counts.get(party, 0)
     return MonotonicityReport(
-        base_profile=profile,
         party=party,
         seats=seats,
         delta=delta,
@@ -460,14 +447,13 @@ def sweep_seat_share(
     alphas: Iterable[Fraction],
     seats: int,
     backend: Backend = Backend.EXACT,
-    party: CandidateId = "A",
     zeta: Fraction | None = None,
 ) -> SweepResult:
-    """Seat share of ``party`` across a family of profiles indexed by alpha.
+    """Seat share of party ``A`` across a family of profiles indexed by alpha.
 
     Each sample runs a variance-criterion party-mode election of ``seats``
-    seats; the share is the exact fraction of seats won.  A party absent
-    from a sampled profile simply scores zero.
+    seats; the share is the exact fraction of seats won.  A sampled profile
+    without party ``A`` simply scores zero.
     """
     ordered = sorted(alphas)
     for a in ordered:
@@ -477,5 +463,5 @@ def sweep_seat_share(
     points = []
     for a in ordered:
         result = run_election(family(a), config)
-        points.append((a, Fraction(result.seat_counts.get(party, 0), seats)))
+        points.append((a, Fraction(result.seat_counts.get("A", 0), seats)))
     return SweepResult(points=tuple(points), n=seats, zeta=zeta)

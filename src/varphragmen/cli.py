@@ -10,9 +10,9 @@ Subcommands:
   ``oracle-agreement``.
 
 Exit codes: 0 success (including reported findings), 1 a check campaign
-found equivalence failures, 2 usage or profile parse errors, 3 infeasible
-election configuration.  Findings and counterexamples are saved as
-self-contained JSON files that replay with ``analysis.replay_record``.
+found equivalence failures, 2 usage, profile parse or output-file errors,
+3 infeasible election configuration.  Findings and counterexamples are saved
+as self-contained JSON files that replay with ``analysis.replay_record``.
 """
 
 from __future__ import annotations
@@ -139,24 +139,20 @@ def cmd_elect(args: argparse.Namespace) -> int:
         backend=Backend(args.backend),
     )
     result = run_election(profile, config)
-    trace = args.trace or args.show_uncorrected
     if args.format == "json":
         payload = election_json(
             profile, result, backend=args.backend, decimals=args.decimals
         )
         print(json.dumps(payload, indent=2))
-    elif trace:
+        return 0
+    if args.trace or args.show_uncorrected:
         rows = _trace_rows(profile, result, args.decimals, args.show_uncorrected)
-        if args.format == "csv":
-            print(_csv_dump(rows), end="")
-        else:
-            print(render_table(rows))
     else:
         rows = _counts_rows(profile, result)
-        if args.format == "csv":
-            print(_csv_dump(rows), end="")
-        else:
-            print(render_table(rows))
+    if args.format == "csv":
+        print(_csv_dump(rows), end="")
+    else:
+        print(render_table(rows))
     return 0
 
 
@@ -318,7 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ElectionConfigError, UnknownCandidateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an OSError here comes from writing output (a file, a records
+        # directory or stdout): unreadable profiles raise ProfileParseError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -89,9 +89,6 @@ class VoterType:
         if len(set(self.approvals)) != len(self.approvals):
             raise ValueError(f"duplicate candidate in approval set: {self.approvals}")
 
-    def approval_set(self) -> frozenset[CandidateId]:
-        return frozenset(self.approvals)
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -211,7 +208,7 @@ def merge_duplicate_types(profile: Profile) -> Profile:
     merged: dict[frozenset[CandidateId], VoterType] = {}
     order: list[frozenset[CandidateId]] = []
     for t in profile.types:
-        key = t.approval_set()
+        key = frozenset(t.approvals)
         if key in merged:
             prev = merged[key]
             merged[key] = VoterType(prev.weight + t.weight, prev.approvals)

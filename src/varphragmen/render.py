@@ -7,8 +7,6 @@ used throughout the trace tables).
 
 from __future__ import annotations
 
-import decimal
-from fractions import Fraction
 from typing import Sequence
 
 from .model import (
@@ -24,14 +22,14 @@ def decimal_str(value: Rational, decimals: int = 4) -> str:
     """Render a value with a fixed number of decimals, rounding half-to-even."""
     if decimals < 1:
         raise ValueError("decimals must be >= 1")
-    quantum = decimal.Decimal(1).scaleb(-decimals)
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimals + 30
-        if isinstance(value, Fraction):
-            d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
-        else:
-            d = decimal.Decimal(value)
-        return str(d.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN))
+    # num/den rounded half-to-even in exact integer arithmetic; the sign comes
+    # from num, so a negative value that rounds to zero still prints "-"
+    num, den = value.as_integer_ratio()
+    units, rest = divmod(num * 10**decimals, den)
+    if 2 * rest > den or 2 * rest == den and units % 2:
+        units += 1
+    digits = str(abs(units)).rjust(decimals + 1, "0")
+    return f"{'-' if num < 0 else ''}{digits[:-decimals]}.{digits[-decimals:]}"
 
 
 def type_label(profile: Profile, index: int) -> str:
@@ -39,15 +37,15 @@ def type_label(profile: Profile, index: int) -> str:
     return f"{rational_str(t.weight)} : {', '.join(t.approvals)}"
 
 
-def render_table(rows: Sequence[Sequence[str]], right_align_from: int = 2) -> str:
-    """Fixed-width table; first columns left-aligned, numeric columns right."""
+def render_table(rows: Sequence[Sequence[str]]) -> str:
+    """Fixed-width table; the first two columns left-aligned, the rest right."""
     if not rows:
         return ""
     width = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = []
     for row in rows:
         cells = [
-            cell.ljust(width[i]) if i < right_align_from else cell.rjust(width[i])
+            cell.ljust(width[i]) if i < 2 else cell.rjust(width[i])
             for i, cell in enumerate(row)
         ]
         lines.append("  ".join(cells).rstrip())

@@ -5,6 +5,11 @@ Given current per-type loads ``r`` and a candidate ``i``, the seat shares
 
     x_k >= 0,   x_k = 0 for non-supporters,   sum_k u_k * x_k = 1.
 
+Every solver returns the same shape of solution, assembled in one place by
+:func:`_solution`: the supporters of an active set move to one common level,
+``x_k = level - r_k``, and every other share is zero.  The solvers differ
+only in how they choose that level and that active set.
+
 One production solver elects: :func:`corrected_solution` solves with the
 equality constraint alone, clamps every negative share to zero and re-solves
 on the remaining supporters until all shares are feasible.
@@ -15,7 +20,8 @@ shares go negative for supporters whose load already exceeds it.  The max-load
 rule (seq-Phragmén) elects by this level, and the CLI's ``--show-uncorrected``
 trace prints its raw shares.
 
-Two oracles verify the production solver and never elect:
+Two oracles verify the production solver and never elect; each chooses its
+level and active set independently:
 
 * :func:`waterfill_solution` — exact minimizer by water-filling: raise the
   lowest loads to a common level until the unit budget is spent.
@@ -28,7 +34,7 @@ All functions are pure; callers may evaluate candidates in parallel.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     CandidateId,
@@ -51,9 +57,7 @@ class Subproblem:
     a candidate without supporters is rejected here, before any solving.
     """
 
-    __slots__ = (
-        "profile", "loads", "candidate", "supporters", "supporter_weight", "entries"
-    )
+    __slots__ = ("profile", "candidate", "supporters", "supporter_weight", "entries")
 
     def __init__(self, profile: Profile, loads: LoadVector, candidate: CandidateId):
         supporters, weight = profile.supporters(candidate)
@@ -62,7 +66,6 @@ class Subproblem:
         if len(loads.values) != len(profile.types):
             raise ValueError("load vector length does not match profile")
         self.profile = profile
-        self.loads = loads
         self.candidate = candidate
         self.supporters = supporters
         self.supporter_weight = weight
@@ -89,22 +92,33 @@ def unconstrained_solution(sub: Subproblem) -> StepSolution:
     :func:`unconstrained_level`; no constraint is enforced, so ``corrected``
     is false.
     """
-    level = unconstrained_level(sub)
+    return _solution(sub, unconstrained_level(sub), sub.entries, corrected=False)
+
+
+def _score(sub: Subproblem, x: Sequence[Rational]) -> Rational:
+    """Objective ``sum(u*(2*r*x + x*x))`` of the shares ``x``, share by share."""
+    return sum(u * (2 * r * x[k] + x[k] * x[k]) for k, u, r in sub.entries)
+
+
+def _solution(
+    sub: Subproblem,
+    level: Rational,
+    active: Iterable[tuple[int, Rational, Rational]],
+    corrected: bool,
+    clamp_rounds: tuple[frozenset[int], ...] = (),
+) -> StepSolution:
+    """Move the ``active`` entries to ``level``; every other share is int ``0``."""
     x: list[Rational] = [0] * len(sub.profile.types)
-    for k, _, r in sub.entries:
+    for k, _, r in active:
         x[k] = level - r
     return StepSolution(
         candidate=sub.candidate,
         x=tuple(x),
         level=level,
         score=_score(sub, x),
-        corrected=False,
+        corrected=corrected,
+        clamp_rounds=clamp_rounds,
     )
-
-
-def _score(sub: Subproblem, x: Sequence[Rational]) -> Rational:
-    """Objective ``sum(u*(2*r*x + x*x))`` of the shares ``x``, share by share."""
-    return sum(u * (2 * r * x[k] + x[k] * x[k]) for k, u, r in sub.entries)
 
 
 def corrected_solution(sub: Subproblem) -> StepSolution:
@@ -127,17 +141,7 @@ def corrected_solution(sub: Subproblem) -> StepSolution:
             break
         rounds.append(negative)
         active = [(k, u, r) for k, u, r in active if k not in negative]
-    x: list[Rational] = [0] * len(sub.profile.types)
-    for k, _, r in active:
-        x[k] = level - r
-    return StepSolution(
-        candidate=sub.candidate,
-        x=tuple(x),
-        level=level,
-        score=_score(sub, x),
-        corrected=bool(rounds),
-        clamp_rounds=tuple(rounds),
-    )
+    return _solution(sub, level, active, bool(rounds), tuple(rounds))
 
 
 def waterfill_solution(sub: Subproblem) -> StepSolution:
@@ -169,22 +173,10 @@ def waterfill_solution(sub: Subproblem) -> StepSolution:
         if pos + 1 == len(blocks) or level <= blocks[pos + 1][0][2]:
             break
 
-    x: list[Rational] = [0] * len(sub.profile.types)
-    binding = False
-    for k, _, r in entries:
-        if r < level:
-            x[k] = level - r
-        elif r > level:
-            # r == level would leave the unconstrained solution at exactly
-            # zero, which is not a binding constraint.
-            binding = True
-    return StepSolution(
-        candidate=sub.candidate,
-        x=tuple(x),
-        level=level,
-        score=_score(sub, x),
-        corrected=binding,
-    )
+    active = [(k, u, r) for k, u, r in entries if r < level]
+    # r == level would leave the unconstrained solution at exactly zero,
+    # which is not a binding constraint.
+    return _solution(sub, level, active, any(r > level for _, _, r in entries))
 
 
 #: Enumerating more supporter types than this is rejected (2**12 subsets).
@@ -223,13 +215,4 @@ def subset_oracle(sub: Subproblem, cap: int = SUBSET_ORACLE_CAP) -> StepSolution
             best = (chosen, level)
     assert best is not None  # the singleton of the min-load type is always feasible
     chosen, level = best
-    x: list[Rational] = [0] * len(sub.profile.types)
-    for k, _, r in chosen:
-        x[k] = level - r
-    return StepSolution(
-        candidate=sub.candidate,
-        x=tuple(x),
-        level=level,
-        score=_score(sub, x),
-        corrected=len(chosen) != m,
-    )
+    return _solution(sub, level, chosen, corrected=len(chosen) != m)

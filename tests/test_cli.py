@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from varphragmen.analysis import random_closed_list_profile
 from varphragmen.analysis import random_profile
 from varphragmen.cli import main
 from varphragmen.model import parse_profile, render_profile
@@ -181,6 +182,18 @@ def test_elect_exit_codes(capsys, p12_path, tmp_path):
     assert code == 2
 
 
+def test_elect_huge_values_render(capsys, tmp_path):
+    path = tmp_path / "tiny-weight.txt"
+    path.write_text("1/10000000000000000000000000000000000000000 : a\n")
+    for fmt in (("--trace",), ("--format", "json")):
+        code, out, err = run_cli(
+            capsys, "elect", "--method", "var-phragmen", "--seats", "1", *fmt,
+            str(path),
+        )
+        assert (code, err) == (0, "")
+        assert "1" + "0" * 40 + ".0000" in out
+
+
 # ---------------------------------------------------------------------------
 # probe
 
@@ -233,6 +246,16 @@ def test_sweep_to_file(capsys, tmp_path):
     lines = target.read_text().splitlines()
     assert lines[0] == "alpha,share"
     assert len(lines) == 6
+
+
+def test_sweep_unwritable_out(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "sweep", "--zeta", "0", "--seats", "2", "--alphas", "0:1:2",
+        "--out", str(tmp_path / "missing" / "sweep.csv"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "sweep.csv" in err
 
 
 def test_sweep_malformed_alphas(capsys):
@@ -327,3 +350,37 @@ def test_elect_golden_bytes(capsys, tmp_path):
         runs += 1
     assert runs == 8 * 4 * 2 * 2 * 3
     assert digest.hexdigest() == GOLDEN_ELECT_SHA256
+
+
+#: SHA-256 over the runs of :func:`other_golden_runs` and the profiles drawn by
+#: the random generators, pinning ``probe``, ``sweep``, ``check`` and the
+#: campaign generators the way :data:`GOLDEN_ELECT_SHA256` pins ``elect``.
+GOLDEN_OTHER_SHA256 = (
+    "f025f4e7318eb8dc4bbd9dfcc528b8ff52cdf56d714b92d683a7443be166486b"
+)
+
+
+def other_golden_runs(tmp_path):
+    path = tmp_path / "p13.txt"
+    path.write_text(PROFILE_13)
+    for delta in ("0", "1", "5/2"):
+        yield ("probe", "--party", "A", "--seats", "3", "--delta", delta, str(path))
+    for backend in ("exact", "float64"):
+        yield ("sweep", "--zeta", "376/1000", "--seats", "40", "--alphas", "0:1:10",
+               "--backend", backend)
+    for campaign in ("closed-list-equiv", "oracle-agreement"):
+        yield ("check", campaign, "--seed", "20260810", "--trials", "40",
+               "--out", str(tmp_path / "records"))
+
+
+def test_other_commands_golden_bytes(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for argv in other_golden_runs(tmp_path):
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+    rng = random.Random(20260810)
+    for draw in range(5):
+        generate = random_closed_list_profile if draw % 2 else random_profile
+        digest.update(render_profile(generate(rng)).encode())
+    assert not (tmp_path / "records").exists()
+    assert digest.hexdigest() == GOLDEN_OTHER_SHA256

@@ -45,3 +45,12 @@ def test_render_table_alignment():
     assert lines[0].startswith("Seat  Winner")
     assert lines[1].split() == ["1", "a1", "0.1000"]
     assert render_table([]) == ""
+
+
+def test_decimal_str_is_exact():
+    # more integer digits than any fixed working precision holds
+    assert decimal_str(10**40) == "1" + "0" * 40 + ".0000"
+    # one exact rounding, not a rounded quotient rounded again
+    assert decimal_str(F(1, 20000) + F(1, 10**40)) == "0.0001"
+    # a negative value that rounds to zero keeps its sign
+    assert decimal_str(F(-1, 10**6)) == "-0.0000"
