@@ -10,10 +10,6 @@ cross-check the correction against two independent exact oracles.
 
 from .analysis import (
     CampaignCaps,
-    EquivalenceReport,
-    MonotonicityReport,
-    OracleAgreementReport,
-    SweepResult,
     TwoPartyFamily,
     check_closed_list_equivalence,
     compare_solvers_over_election,
@@ -37,15 +33,11 @@ from .engine import (
 )
 from .model import (
     Backend,
-    CandidateId,
-    ElectionResult,
     LoadVector,
     Method,
     Mode,
     Profile,
     ProfileParseError,
-    SeatRecord,
-    StepSolution,
     UnknownCandidateError,
     VoterType,
     merge_duplicate_types,
@@ -55,7 +47,6 @@ from .model import (
     render_profile,
 )
 from .step import (
-    NoSupportersError,
     Subproblem,
     corrected_solution,
     subset_oracle,
@@ -69,23 +60,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Backend",
     "CampaignCaps",
-    "CandidateId",
     "ElectionConfigError",
-    "ElectionResult",
-    "EquivalenceReport",
     "LoadVector",
     "Method",
     "MethodConfig",
     "Mode",
-    "MonotonicityReport",
-    "NoSupportersError",
-    "OracleAgreementReport",
     "Profile",
     "ProfileParseError",
-    "SeatRecord",
-    "StepSolution",
     "Subproblem",
-    "SweepResult",
     "TwoPartyFamily",
     "UnknownCandidateError",
     "VerificationError",

@@ -58,7 +58,7 @@ def random_profile(
     for _ in range(rng.randint(1, max_types)):
         approvals = tuple(sorted(rng.sample(pool, rng.randint(1, len(pool)))))
         types.append(VoterType(Fraction(rng.randint(1, 100)), approvals))
-    return Profile.from_types(types)
+    return Profile(types)
 
 
 def random_closed_list_profile(rng: random.Random) -> Profile:
@@ -70,7 +70,7 @@ def random_closed_list_profile(rng: random.Random) -> Profile:
             # a second type for the same party: closed lists need not be
             # pre-merged, supporter weights still add up
             types.append(VoterType(Fraction(rng.randint(1, 1000)), (party,)))
-    return Profile.from_types(types)
+    return Profile(types)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +375,7 @@ def monotonicity_probe(
     if delta == 0:
         augmented = profile
     else:
-        augmented = Profile.from_types(
-            (*profile.types, VoterType(delta, (party,)))
-        )
+        augmented = Profile((*profile.types, VoterType(delta, (party,))))
     after = run_election(augmented, config).seat_counts.get(party, 0)
     return MonotonicityReport(
         party=party,
@@ -417,7 +415,7 @@ class TwoPartyFamily:
             ((1 - self.alpha) * (1 - self.zeta), ("B",)),
             (self.zeta, ("A", "B")),
         )
-        return Profile.from_types(
+        return Profile(
             VoterType(w, approvals) for w, approvals in weights if w > 0
         )
 

@@ -90,10 +90,9 @@ def select_winner(
 ) -> tuple[CandidateId, StepSolution, list[CandidateId]]:
     """Pick the next seat's winner among ``eligible`` candidates.
 
-    Candidates without supporters (including names absent from the profile)
-    are silently skipped.  Returns the winner, its seat distribution and the
-    full list of candidates tied at the optimum; ties resolve to the
-    lexicographically smallest name.
+    Names absent from the profile are silently skipped.  Returns the winner,
+    its seat distribution and the full list of candidates tied at the
+    optimum; ties resolve to the lexicographically smallest name.
     """
     if method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
         raise ValueError(f"select_winner does not handle {method.value}")
@@ -128,7 +127,7 @@ def select_winner(
 
 
 def _float_profile(profile: Profile) -> Profile:
-    return Profile.from_types(
+    return Profile(
         VoterType(weight=float(t.weight), approvals=t.approvals)
         for t in profile.types
     )
@@ -269,15 +268,18 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
     for rec in result.records:
         seat = rec.seat_index
         sol = rec.solution
-        sub = Subproblem(profile, loads, sol.candidate)
-        support = set(sub.supporters)
 
         def problem(msg: str) -> None:
             problems.append(f"seat {seat} ({sol.candidate}): {msg}")
 
+        if sol.candidate not in counts:
+            problem("winner is not a candidate of the profile")
+            continue
         if len(sol.x) != len(types):
             problem("distribution length mismatch")
             continue
+        sub = Subproblem(profile, loads, sol.candidate)
+        support = set(sub.supporters)
         mass = sum(t.weight * xk for t, xk in zip(types, sol.x))
         if mass != 1:
             problem(f"seat mass {mass} != 1")
@@ -301,7 +303,7 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
         after_mass = sum(t.weight * r for t, r in zip(types, expected_after.values))
         if after_mass != seat:
             problem(f"total load mass {after_mass} != {seat} seats")
-        if rec.variance_after != variance(profile, expected_after):
+        elif rec.variance_after != variance(profile, expected_after):
             problem("variance_after does not match direct evaluation")
         if rec.variance_after != before_sq + sol.score - Fraction(seat * seat, 1) / w:
             problem("variance_after violates the score bookkeeping identity")
@@ -310,8 +312,6 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
             eligible = [c for c in profile.candidates if c not in elected]
         else:
             eligible = list(profile.candidates)
-        if sol.candidate not in eligible:
-            problem("winner was not eligible")
         optimum: dict[CandidateId, Rational] = {}
         for name in eligible:
             rival = Subproblem(profile, loads, name)
@@ -322,8 +322,10 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
             else:
                 # larger quotient is better: compare on the reciprocal
                 optimum[name] = quotient_rule(counts[name]) / party_weight[name]
-        best = min(optimum.values())
-        if optimum[sol.candidate] != best:
+        best = min(optimum.values(), default=None)
+        if sol.candidate not in optimum:
+            problem("winner was not eligible")
+        elif optimum[sol.candidate] != best:
             problem(
                 f"winner is not optimal: {optimum[sol.candidate]} vs best {best}"
             )

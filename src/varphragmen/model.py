@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 CandidateId = str
 
@@ -41,9 +41,7 @@ class UnknownCandidateError(ValueError):
 
 def rational_str(value: Rational) -> str:
     """Render a value exactly: ``p/q`` (or ``p``) for rationals, repr for floats."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # str(x) == repr(x) for every float
 
 
 def parse_rational(text: str) -> Fraction:
@@ -92,43 +90,39 @@ class VoterType:
 
 @dataclass(frozen=True)
 class Profile:
-    """An approval profile: voter types in input order.
+    """An approval profile, built from its voter types alone.
 
-    ``candidates`` is the union of all approval sets in first-appearance
-    order; ``total_weight`` is the exact sum of type weights.  The supporter
-    index behind :meth:`supporters` is built once, at construction; it takes
-    no part in equality and is never mutated, so the profile stays immutable
-    and safe to share across threads.
+    ``types`` (any nonempty iterable, stored as a tuple in input order)
+    determines the rest, derived in one pass at construction: ``candidates``,
+    the union of all approval sets in first-appearance order; ``total_weight``,
+    the exact sum of type weights; and the supporter index behind
+    :meth:`supporters`.  The index takes no part in equality and is never
+    mutated, so the profile stays immutable and safe to share across threads.
     """
 
     types: tuple[VoterType, ...]
-    candidates: tuple[CandidateId, ...]
-    total_weight: Rational
+    candidates: tuple[CandidateId, ...] = field(init=False)
+    total_weight: Rational = field(init=False)
     _supporters: dict[CandidateId, tuple[tuple[int, ...], Rational]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        indices: dict[CandidateId, list[int]] = {name: [] for name in self.candidates}
-        for k, t in enumerate(self.types):
-            for name in t.approvals:
-                indices[name].append(k)
-        # sum() in ascending type order: bit-identical to summing a scan
-        index = {name: (tuple(ks), sum(self.types[k].weight for k in ks))
-                 for name, ks in indices.items()}
-        object.__setattr__(self, "_supporters", index)
-
-    @classmethod
-    def from_types(cls, types: Iterable[VoterType]) -> "Profile":
-        types = tuple(types)
+        types = tuple(self.types)
         if not types:
             raise ProfileParseError("profile contains no voter types")
-        seen: dict[CandidateId, None] = {}
-        for t in types:
+        # insertion order of the dict is first-appearance order
+        indices: dict[CandidateId, list[int]] = {}
+        for k, t in enumerate(types):
             for name in t.approvals:
-                seen.setdefault(name)
-        total = sum(t.weight for t in types)
-        return cls(types=types, candidates=tuple(seen), total_weight=total)
+                indices.setdefault(name, []).append(k)
+        # sum() in ascending type order: bit-identical to summing a scan
+        index = {name: (tuple(ks), sum(types[k].weight for k in ks))
+                 for name, ks in indices.items()}
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "candidates", tuple(indices))
+        object.__setattr__(self, "total_weight", sum(t.weight for t in types))
+        object.__setattr__(self, "_supporters", index)
 
     def supporters(self, candidate: CandidateId) -> tuple[tuple[int, ...], Rational]:
         """Indices of types approving ``candidate`` and their combined weight."""
@@ -187,7 +181,7 @@ def parse_profile(text: str) -> Profile:
                 line_no,
             )
         types.append(VoterType(weight=weight, approvals=tuple(names)))
-    return Profile.from_types(types)
+    return Profile(types)
 
 
 def render_profile(profile: Profile) -> str:
@@ -206,16 +200,15 @@ def merge_duplicate_types(profile: Profile) -> Profile:
     first occurrence.
     """
     merged: dict[frozenset[CandidateId], VoterType] = {}
-    order: list[frozenset[CandidateId]] = []
     for t in profile.types:
         key = frozenset(t.approvals)
         if key in merged:
+            # replacing a value keeps the key's first position
             prev = merged[key]
             merged[key] = VoterType(prev.weight + t.weight, prev.approvals)
         else:
             merged[key] = t
-            order.append(key)
-    return Profile.from_types(merged[key] for key in order)
+    return Profile(merged.values())
 
 
 @dataclass(frozen=True)

@@ -45,24 +45,19 @@ from .model import (
 )
 
 
-class NoSupportersError(ValueError):
-    """The candidate has no approving voter type."""
-
-
 class Subproblem:
     """A candidate's seat-distribution subproblem at the current loads.
 
     Resolves the supporter index set, its combined weight and the
-    ``(type index, weight, load)`` entries of the supporters once, up front;
-    a candidate without supporters is rejected here, before any solving.
+    ``(type index, weight, load)`` entries of the supporters once, up front.
+    Every candidate of a profile has at least one supporter; a name outside
+    the profile raises ``UnknownCandidateError`` from :meth:`Profile.supporters`.
     """
 
     __slots__ = ("profile", "candidate", "supporters", "supporter_weight", "entries")
 
     def __init__(self, profile: Profile, loads: LoadVector, candidate: CandidateId):
         supporters, weight = profile.supporters(candidate)
-        if not supporters:
-            raise NoSupportersError(f"candidate {candidate!r} has no supporters")
         if len(loads.values) != len(profile.types):
             raise ValueError("load vector length does not match profile")
         self.profile = profile

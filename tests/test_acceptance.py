@@ -243,7 +243,7 @@ def test_criterion_9_scale_invariance():
         config = MethodConfig(Method.VAR_PHRAGMEN, mode, seats)
         baseline = run_election(profile, config).winners
         for c in (F(2), F(3), F(7, 2)):
-            scaled = Profile.from_types(
+            scaled = Profile(
                 VoterType(t.weight * c, t.approvals) for t in profile.types
             )
             assert run_election(scaled, config).winners == baseline

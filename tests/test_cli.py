@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import varphragmen.analysis
 from varphragmen.analysis import random_closed_list_profile
-from varphragmen.analysis import random_profile
+from varphragmen.analysis import random_profile, replay_record
 from varphragmen.cli import main
 from varphragmen.model import parse_profile, render_profile
 
@@ -182,6 +188,24 @@ def test_elect_exit_codes(capsys, p12_path, tmp_path):
     assert code == 2
 
 
+def test_process_exit_codes(p12_path, tmp_path):
+    # the real process: entrypoint() and the __main__ guard turn main()'s
+    # return value into the exit status
+    src = str(Path(varphragmen.analysis.__file__).parents[1])
+
+    def elect(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "varphragmen.cli", "elect",
+             "--method", "var-phragmen", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).returncode
+
+    assert elect("--seats", "3", p12_path) == 0
+    assert elect("--seats", "3", str(tmp_path / "missing.txt")) == 2
+    assert elect("--seats", "9", p12_path) == 3
+
+
 def test_elect_huge_values_render(capsys, tmp_path):
     path = tmp_path / "tiny-weight.txt"
     path.write_text("1/10000000000000000000000000000000000000000 : a\n")
@@ -288,6 +312,51 @@ def test_check_oracle_agreement(capsys, tmp_path):
     assert code == 0
     assert "agree" in out
     assert list(tmp_path.iterdir()) == []  # nothing to save when all agree
+
+
+def test_check_oracle_agreement_saves_disagreements(capsys, tmp_path, monkeypatch):
+    waterfill = varphragmen.analysis.waterfill_solution
+
+    def skewed(sub):
+        sol = waterfill(sub)
+        return replace(sol, level=sol.level + 1) if sub.candidate == "A" else sol
+
+    monkeypatch.setattr(varphragmen.analysis, "waterfill_solution", skewed)
+    code, out, _ = run_cli(
+        capsys, "check", "oracle-agreement", "--seed", "3", "--trials", "4",
+        "--out", str(tmp_path),
+    )
+    assert code == 0  # a disagreement is a finding, not a failure
+    assert "found 9 disagreement(s):" in out
+    saved = sorted(tmp_path.iterdir())
+    assert [p.name for p in saved] == [
+        f"oracle-disagreement-{idx:03d}.json" for idx in range(1, 10)
+    ]
+    records = [json.loads(p.read_text()) for p in saved]
+    assert all(replay_record(r)["matches_recorded"] for r in records)
+    monkeypatch.undo()
+    assert not any(replay_record(r)["matches_recorded"] for r in records)
+
+
+def test_check_closed_list_equiv_saves_failures(capsys, tmp_path, monkeypatch):
+    apportion = varphragmen.analysis.apportion_sequence
+    monkeypatch.setattr(
+        varphragmen.analysis,
+        "apportion_sequence",
+        lambda *args: apportion(*args)[::-1],
+    )
+    code, out, _ = run_cli(
+        capsys, "check", "closed-list-equiv", "--seed", "3", "--trials", "5",
+        "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert "9 failing sequence pair(s)" in out
+    saved = sorted(tmp_path.iterdir())
+    assert [p.name for p in saved] == [
+        f"closed-list-failure-{idx:03d}.json" for idx in range(1, 10)
+    ]
+    for path in saved:
+        assert replay_record(json.loads(path.read_text()))["matches_recorded"]
 
 
 def test_check_bogus_subcommand(capsys):

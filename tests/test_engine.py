@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from varphragmen import (
     Mode,
     Profile,
     Subproblem,
+    VerificationError,
     VoterType,
     apportion_sequence,
     corrected_solution,
@@ -19,10 +21,13 @@ from varphragmen import (
     parse_profile,
     run_election,
     select_winner,
+    unconstrained_solution,
     variance,
     verify_election,
 )
 from varphragmen.analysis import random_profile
+
+from conftest import PROFILE_12
 
 
 def var_config(mode=Mode.CANDIDATE, seats=3, backend=Backend.EXACT):
@@ -283,6 +288,106 @@ def test_conservation_and_verify_on_random_runs():
                 )
                 assert mass == rec.seat_index
             verify_election(profile, result)
+
+
+# ---------------------------------------------------------------------------
+# verify_election reports every kind of corruption
+
+def _with_record(result, seat, **changes):
+    records = list(result.records)
+    records[seat - 1] = replace(records[seat - 1], **changes)
+    return replace(result, records=tuple(records))
+
+
+def _with_solution(result, seat, **changes):
+    solution = replace(result.records[seat - 1].solution, **changes)
+    return _with_record(result, seat, solution=solution)
+
+
+def _reseat(profile, result, seat, candidate, solve=corrected_solution):
+    """``result`` with one seat given to ``candidate``, bookkeeping consistent."""
+    if seat > 1:
+        before = result.records[seat - 2].loads_after
+    else:
+        before = LoadVector.zero(profile)
+    solution = solve(Subproblem(profile, before, candidate))
+    after = before.add(solution.x)
+    return _with_record(
+        result,
+        seat,
+        solution=solution,
+        loads_after=after,
+        variance_after=variance(profile, after),
+        tied_with=(candidate,),
+    )
+
+
+def _extra_seat(profile, result):
+    """A fifth candidate-mode seat from a profile of four candidates."""
+    full = run_election(profile, var_config(seats=4))
+    last = full.records[-1]
+    return replace(full, records=full.records + (replace(last, seat_index=5),))
+
+
+VERIFIED_RUNS = {
+    "var": (PROFILE_12, MethodConfig(Method.VAR_PHRAGMEN, Mode.CANDIDATE, 3)),
+    "seq": (PROFILE_12, MethodConfig(Method.SEQ_PHRAGMEN, Mode.CANDIDATE, 3)),
+    "sl": ("5: A\n3: B\n", MethodConfig(Method.SAINTE_LAGUE, Mode.PARTY, 2)),
+}
+
+CORRUPTIONS = [
+    ("var", lambda p, r: _with_solution(r, 1, candidate="z"),
+     "seat 1 (z): winner is not a candidate of the profile"),
+    ("var", lambda p, r: _with_solution(r, 1, x=(F(1, 10), F(1, 10))),
+     "seat 1 (a1): distribution length mismatch"),
+    ("var", lambda p, r: _with_solution(r, 1, x=(F(1, 5), F(1, 5), 0)),
+     "seat 1 (a1): seat mass 2 != 1"),
+    ("var", lambda p, r: _with_solution(r, 1, x=(F(1, 5), F(1, 5), 0)),
+     "seat 1 (a1): total load mass 2 != 1 seats"),
+    ("var", lambda p, r: _with_solution(r, 1, x=(F(11, 90), F(-1, 10), 0)),
+     "seat 1 (a1): negative share x[1] = -1/10"),
+    ("var", lambda p, r: _with_solution(r, 1, x=(F(1, 10), 0, F(1, 30))),
+     "seat 1 (a1): nonzero share for non-supporter type 2"),
+    ("var", lambda p, r: _with_solution(r, 1, level=F(1, 5)),
+     "seat 1 (a1): positive-share type 0 misses the common level"),
+    ("var", lambda p, r: _with_solution(r, 1, x=(F(1, 9), 0, 0), level=F(1, 9)),
+     "seat 1 (a1): zero-share type 1 sits below the common level"),
+    ("var", lambda p, r: _with_solution(r, 1, score=F(1)),
+     "seat 1 (a1): recorded score 1 != recomputed"),
+    ("var", lambda p, r: _with_record(r, 1, loads_after=LoadVector.zero(p)),
+     "seat 1 (a1): loads_after does not equal loads_before + x"),
+    ("var", lambda p, r: _with_record(r, 2, variance_after=F(1)),
+     "seat 2 (b): variance_after does not match direct evaluation"),
+    ("var", lambda p, r: _with_record(r, 2, variance_after=F(1)),
+     "seat 2 (b): variance_after violates the score bookkeeping identity"),
+    ("var", lambda p, r: _reseat(p, r, 2, "a1"),
+     "seat 2 (a1): winner was not eligible"),
+    ("var", _extra_seat,
+     "seat 5 (c): winner was not eligible"),
+    ("var", lambda p, r: _reseat(p, r, 1, "b"),
+     "seat 1 (b): winner is not optimal: 1/4 vs best 1/10"),
+    ("var", lambda p, r: _with_record(r, 1, tied_with=("a1",)),
+     "seat 1 (a1): tied_with ('a1',) != recomputed ('a1', 'a2')"),
+    ("seq", lambda p, r: _reseat(p, r, 1, "b", unconstrained_solution),
+     "seat 1 (b): winner is not optimal: 1/4 vs best 1/10"),
+    ("sl", lambda p, r: _reseat(p, r, 1, "B"),
+     "seat 1 (B): winner is not optimal: 1/3 vs best 1/5"),
+]
+
+
+@pytest.mark.parametrize(
+    "run, corrupt, message",
+    CORRUPTIONS,
+    ids=[f"{run}-{message}" for run, _, message in CORRUPTIONS],
+)
+def test_verify_election_reports_each_corruption(run, corrupt, message):
+    text, config = VERIFIED_RUNS[run]
+    profile = parse_profile(text)
+    result = run_election(profile, config)
+    verify_election(profile, result)
+    with pytest.raises(VerificationError) as info:
+        verify_election(profile, corrupt(profile, result))
+    assert message in str(info.value).splitlines()
 
 
 # ---------------------------------------------------------------------------

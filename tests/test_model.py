@@ -126,6 +126,8 @@ def test_int_weights_are_normalized_to_fractions():
 def test_rational_str_and_parse_rational():
     assert rational_str(Fraction(7, 40)) == "7/40"
     assert rational_str(Fraction(3)) == "3"
+    for value in (0.1, 1e-300, 1e22, -0.0, 5e-324, float("inf")):
+        assert rational_str(value) == repr(value)
     assert parse_rational("7/40") == Fraction(7, 40)
     assert parse_rational("0.376") == Fraction(47, 125)
     with pytest.raises(ValueError):
@@ -142,7 +144,7 @@ voter_types = st.builds(
     weight=st.fractions(min_value=Fraction(1, 97), max_value=1000),
     approvals=st.lists(names, min_size=1, max_size=5, unique=True).map(tuple),
 )
-profiles = st.lists(voter_types, min_size=1, max_size=6).map(Profile.from_types)
+profiles = st.lists(voter_types, min_size=1, max_size=6).map(Profile)
 
 
 @given(profiles)
@@ -154,7 +156,7 @@ def test_render_parse_round_trip(profile):
 def test_supporter_weights_sum_identity(profile):
     total = sum(profile.supporters(name)[1] for name in profile.candidates)
     assert total == sum(t.weight * len(t.approvals) for t in profile.types)
-    as_floats = Profile.from_types(
+    as_floats = Profile(
         VoterType(float(t.weight), t.approvals) for t in profile.types
     )
     for prof in (profile, as_floats):

@@ -8,7 +8,6 @@ from varphragmen import (
     MethodConfig,
     Method,
     Mode,
-    NoSupportersError,
     Profile,
     Subproblem,
     VoterType,
@@ -224,7 +223,7 @@ voter_types = st.builds(
     weight=st.integers(min_value=1, max_value=100).map(F),
     approvals=st.lists(names, min_size=1, max_size=5, unique=True).map(tuple),
 )
-profiles = st.lists(voter_types, min_size=1, max_size=6).map(Profile.from_types)
+profiles = st.lists(voter_types, min_size=1, max_size=6).map(Profile)
 
 
 @st.composite
@@ -319,7 +318,7 @@ def test_merge_invariance_for_election_loads():
 @given(election_states(), st.sampled_from([F(2), F(3), F(7, 2), F(1, 5)]))
 def test_scaling_weights_scales_scores_inversely(state, c):
     profile, loads, candidate = state
-    scaled_profile = Profile.from_types(
+    scaled_profile = Profile(
         VoterType(t.weight * c, t.approvals) for t in profile.types
     )
     scaled_loads = LoadVector(
