@@ -10,7 +10,7 @@ candidate name everywhere, and all tied candidates are reported on the seat
 record.
 
 Elections are independent of each other and may run in parallel; a run only
-ever builds fresh immutable load vectors.
+ever builds fresh immutable load vectors, and its solution cache is its own.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, MutableMapping
 
 from .model import (
     Backend,
@@ -68,18 +68,25 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
     """Load variance multiplied by the total weight: ``sum(u*r*r) - n*n/w``.
 
     Requires a consistent load vector (``sum(u*r) == seats_assigned``); the
-    check uses a tolerance only when float loads are involved.
+    check uses a tolerance only when float loads are involved.  Both sums
+    skip the types with a zero load and add the rest left to right in type
+    order, each ``u*r`` computed once.  Loads and weights are nonnegative, so
+    a partial sum is never ``-0.0``, and adding an exact or float zero to it
+    changes no value or bit: the result equals the full scan exactly.
     """
-    mass = sum(t.weight * r for t, r in zip(profile.types, loads.values))
+    mass = squares = 0
+    for t, r in zip(profile.types, loads.values):
+        if r:
+            weighted = t.weight * r
+            mass += weighted
+            squares += weighted * r  # (u*r)*r is how u*r*r evaluates
     n = loads.seats_assigned
     exact = isinstance(mass, (Fraction, int))
     if exact and mass != n:
         raise ValueError(f"inconsistent loads: total mass {mass} != {n} seats")
     if not exact and not math.isclose(mass, n, rel_tol=1e-9, abs_tol=1e-9):
         raise ValueError(f"inconsistent loads: total mass {mass} != {n} seats")
-    return sum(
-        t.weight * r * r for t, r in zip(profile.types, loads.values)
-    ) - n * n / profile.total_weight
+    return squares - n * n / profile.total_weight
 
 
 def select_winner(
@@ -87,43 +94,64 @@ def select_winner(
     loads: LoadVector,
     eligible: Iterable[CandidateId],
     method: Method,
+    cache: MutableMapping[CandidateId, tuple[Rational, StepSolution]] | None = None,
 ) -> tuple[CandidateId, StepSolution, list[CandidateId]]:
     """Pick the next seat's winner among ``eligible`` candidates.
 
     Names absent from the profile are silently skipped.  Returns the winner,
     its seat distribution and the full list of candidates tied at the
     optimum; ties resolve to the lexicographically smallest name.
+
+    ``cache`` maps a candidate to its ``(key, solution)`` at ``loads``: the
+    score (var-Phragmén) or level (seq-Phragmén) and the :class:`StepSolution`
+    it came from.  Candidates found there are not re-solved, and every
+    candidate solved afresh is stored there.  A solution depends only on its
+    own supporters' loads, so an entry stays exact until one of them changes;
+    evicting it then is the caller's job.  Ties are gathered from the keys of
+    all eligible candidates, cached or fresh.
     """
     if method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
         raise ValueError(f"select_winner does not handle {method.value}")
+    if cache is None:
+        cache = {}
     known = set(profile.candidates)
     scored: list[tuple[Rational, CandidateId, StepSolution]] = []
     for name in sorted(set(eligible)):
         if name not in known:
             continue
-        sub = Subproblem(profile, loads, name)
-        if method is Method.VAR_PHRAGMEN:
-            sol = corrected_solution(sub)
-            scored.append((sol.score, name, sol))
-        else:
-            sol = unconstrained_solution(sub)
-            # The max-load method moves every supporter to the common level;
-            # along its own runs that level never undercuts a supporter's
-            # load, which we assert rather than assume.
-            for k in sub.supporters:
-                share = sol.x[k]
-                if share < 0:
-                    if not isinstance(share, float) or share < -1e-9:
-                        raise AssertionError(
-                            f"negative share {share} for supporter type {k} of "
-                            f"{sub.candidate!r}: max-load positivity violated"
-                        )
-            scored.append((sol.level, name, sol))
+        entry = cache.get(name)
+        if entry is None:
+            entry = cache[name] = _solve(profile, loads, name, method)
+        key, sol = entry
+        scored.append((key, name, sol))
     if not scored:
         raise ElectionConfigError("no eligible candidate with support")
     best_key, winner, solution = min(scored, key=lambda item: (item[0], item[1]))
     tied = [name for key, name, _ in scored if key == best_key]
     return winner, solution, tied
+
+
+def _solve(
+    profile: Profile, loads: LoadVector, name: CandidateId, method: Method
+) -> tuple[Rational, StepSolution]:
+    """One candidate's ``(key, solution)`` for :func:`select_winner`."""
+    sub = Subproblem(profile, loads, name)
+    if method is Method.VAR_PHRAGMEN:
+        sol = corrected_solution(sub)
+        return sol.score, sol
+    sol = unconstrained_solution(sub)
+    # The max-load method moves every supporter to the common level; along
+    # its own runs that level never undercuts a supporter's load, which we
+    # assert rather than assume.
+    for k in sub.supporters:
+        share = sol.x[k]
+        if share < 0:
+            if not isinstance(share, float) or share < -1e-9:
+                raise AssertionError(
+                    f"negative share {share} for supporter type {k} of "
+                    f"{sub.candidate!r}: max-load positivity violated"
+                )
+    return sol.level, sol
 
 
 def _float_profile(profile: Profile) -> Profile:
@@ -143,6 +171,15 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
     Candidate mode removes each winner from further eligibility; party mode
     keeps every candidate re-electable.  The highest-averages methods demand
     a closed-list profile and party mode.
+
+    For the Phragmén methods, each candidate's ``(key, solution)`` is cached
+    across seats (see :func:`select_winner`), so a seat re-solves only the
+    candidates whose supporters' loads changed.  After each seat, every
+    candidate approved by a type with a nonzero share in the winner's
+    distribution is evicted; ``VoterType.approvals`` is the type-to-candidate
+    index.  Solutions are deterministic functions of the supporters' loads,
+    so the results are identical, float bits included, to re-solving every
+    candidate at every seat.
     """
     if config.seats < 1:
         raise ElectionConfigError(f"seats must be >= 1, got {config.seats}")
@@ -167,6 +204,7 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
         party_weight = _party_weights(work)
 
     loads = LoadVector.zero(work)
+    solved: dict[CandidateId, tuple[Rational, StepSolution]] = {}
     counts: dict[CandidateId, int] = {name: 0 for name in work.candidates}
     elected: set[CandidateId] = set()
     records: list[SeatRecord] = []
@@ -176,7 +214,9 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
         else:
             eligible = contenders
         if quotient_rule is None:
-            winner, solution, tied = select_winner(work, loads, eligible, config.method)
+            winner, solution, tied = select_winner(
+                work, loads, eligible, config.method, solved
+            )
         else:
             quotients = {
                 name: party_weight[name] / quotient_rule(counts[name])
@@ -187,6 +227,11 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
             winner = tied[0]
             solution = corrected_solution(Subproblem(work, loads, winner))
         loads = loads.add(solution.x)
+        for k, share in enumerate(solution.x):
+            if share:
+                # this type's load moved: its candidates must be re-solved
+                for name in work.types[k].approvals:
+                    solved.pop(name, None)
         records.append(
             SeatRecord(
                 seat_index=seat,
@@ -254,7 +299,9 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
     Raises :class:`VerificationError` listing all violations: seat mass,
     nonnegativity, common-level structure, load bookkeeping, variance
     identities, recorded score, and the winner's optimality against every
-    candidate that was eligible at that seat.
+    candidate that was eligible at that seat.  Every eligible candidate is
+    solved afresh at every seat, without :func:`run_election`'s cache, so
+    the check is independent of it.
     """
     problems: list[str] = []
     types = profile.types

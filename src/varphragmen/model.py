@@ -71,7 +71,11 @@ class Backend(str, Enum):
 
 @dataclass(frozen=True)
 class VoterType:
-    """A group of identical ballots: a positive weight and an approval set."""
+    """A group of identical ballots: a positive weight and an approval set.
+
+    Candidate names match ``[A-Za-z0-9_-]+``, the names the profile text
+    format can carry, so every profile renders and parses back unchanged.
+    """
 
     weight: Rational
     approvals: tuple[CandidateId, ...]
@@ -86,6 +90,11 @@ class VoterType:
             raise ValueError("voter type must approve at least one candidate")
         if len(set(self.approvals)) != len(self.approvals):
             raise ValueError(f"duplicate candidate in approval set: {self.approvals}")
+        for name in self.approvals:
+            # any other name would be saved as one election and read back
+            # as another
+            if not _NAME_RE.fullmatch(name):
+                raise ValueError(f"invalid candidate name: {name!r}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -25,6 +26,7 @@ from varphragmen import (
     variance,
     verify_election,
 )
+from varphragmen import engine
 from varphragmen.analysis import random_profile
 
 from conftest import PROFILE_12
@@ -288,6 +290,89 @@ def test_conservation_and_verify_on_random_runs():
                 )
                 assert mass == rec.seat_index
             verify_election(profile, result)
+
+
+# ---------------------------------------------------------------------------
+# cached rescoring against a per-seat reference
+
+def sparse_profile(rng, n_types=60, n_candidates=30):
+    """Many small approval sets, so most candidates keep their solution."""
+    pool = [f"c{i:02d}" for i in range(n_candidates)]
+    return Profile(
+        VoterType(F(rng.randint(1, 100)), tuple(rng.sample(pool, rng.randint(1, 3))))
+        for _ in range(n_types)
+    )
+
+
+def seat_states(profile, result):
+    """The loads and eligible candidates before each seat of ``result``."""
+    loads = LoadVector.zero(profile)
+    elected = set()
+    for rec in result.records:
+        if result.mode is Mode.CANDIDATE:
+            eligible = [c for c in profile.candidates if c not in elected]
+        else:
+            eligible = list(profile.candidates)
+        yield rec, loads, eligible
+        loads = rec.loads_after
+        elected.add(rec.solution.candidate)
+
+
+def test_cached_election_matches_per_seat_reference():
+    rng = random.Random(20260810)
+    profiles = [random_profile(rng) for _ in range(12)]
+    profiles += [sparse_profile(rng) for _ in range(3)]
+    methods = (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN)
+    for profile, method, mode, backend in product(profiles, methods, Mode, Backend):
+        seats = min(8, len(profile.candidates)) if mode is Mode.CANDIDATE else 8
+        result = run_election(profile, MethodConfig(method, mode, seats, backend))
+        exact = backend is Backend.EXACT
+        work = profile if exact else engine._float_profile(profile)
+        for rec, loads, eligible in seat_states(work, result):
+            # no cache: every eligible candidate solved afresh
+            winner, solution, tied = select_winner(work, loads, eligible, method)
+            assert rec.solution.candidate == winner
+            # repr tells int 0, Fraction and float bits apart
+            assert repr(rec.solution) == repr(solution)
+            assert rec.tied_with == tuple(tied)
+            # left to right over every type, zero loads included
+            squares = 0
+            for t, r in zip(work.types, rec.loads_after.values):
+                squares += t.weight * r * r
+            full_scan = squares - rec.seat_index**2 / work.total_weight
+            assert repr(rec.variance_after) == repr(full_scan)
+        if exact:
+            verify_election(profile, result)
+
+
+@pytest.mark.parametrize("mode", [Mode.CANDIDATE, Mode.PARTY])
+def test_rescoring_touches_only_changed_types(monkeypatch, mode):
+    profile = sparse_profile(random.Random(5))
+    seats = 12
+    solved = []
+
+    def counting(sub):
+        solved.append(sub.candidate)
+        return corrected_solution(sub)
+
+    monkeypatch.setattr(engine, "corrected_solution", counting)
+    result = run_election(profile, var_config(mode, seats))
+    expected = 0
+    previous = None
+    for rec, _, eligible in seat_states(profile, result):
+        if previous is None:
+            expected += len(eligible)
+        else:
+            moved = {
+                name
+                for k, share in enumerate(previous.x)
+                if share > 0
+                for name in profile.types[k].approvals
+            }
+            expected += len(moved.intersection(eligible))
+        previous = rec.solution
+    assert len(solved) == expected
+    assert len(solved) < len(profile.candidates) * seats
 
 
 # ---------------------------------------------------------------------------

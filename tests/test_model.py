@@ -118,6 +118,14 @@ def test_voter_type_validation():
         VoterType(Fraction(1), ("a", "a"))
 
 
+@pytest.mark.parametrize("name", ["a b", "x#y", "", "a\n"])
+def test_voter_type_rejects_names_the_text_format_cannot_carry(name):
+    # "1 : a b, c" would read back as three candidates, "x#y" as "x"
+    with pytest.raises(ValueError, match="invalid candidate name") as info:
+        VoterType(Fraction(1), (name, "c"))
+    assert repr(name) in str(info.value)
+
+
 def test_int_weights_are_normalized_to_fractions():
     t = VoterType(3, ("a",))
     assert isinstance(t.weight, Fraction)
