@@ -42,7 +42,7 @@ from .model import (
     rational_str,
     render_profile,
 )
-from .step import Subproblem, corrected_solution, subset_oracle, waterfill_solution
+from .step import ExactSubproblem, corrected_solution, subset_oracle, waterfill_solution
 
 PARTY_POOL = tuple("ABCDEF")
 
@@ -207,7 +207,7 @@ def solver_instance_record(
     The record is self-contained: :func:`replay_record` reparses the profile
     and loads from it and recomputes every solver from scratch.
     """
-    sub = Subproblem(profile, loads, candidate)
+    sub = ExactSubproblem(profile, loads, candidate)
     return {
         "kind": "solver-instance",
         "profile": render_profile(profile),
@@ -254,7 +254,7 @@ def compare_solvers_over_election(
         for name in profile.candidates:
             if mode is Mode.CANDIDATE and name in elected:
                 continue
-            sub = Subproblem(profile, loads, name)
+            sub = ExactSubproblem(profile, loads, name)
             trio = (
                 corrected_solution(sub),
                 waterfill_solution(sub),

@@ -34,6 +34,8 @@ from .model import (
     VoterType,
 )
 from .step import (
+    ExactSubproblem,
+    Products,
     Subproblem,
     _score,
     corrected_solution,
@@ -67,8 +69,11 @@ class MethodConfig:
 def variance(profile: Profile, loads: LoadVector) -> Rational:
     """Load variance multiplied by the total weight: ``sum(u*r*r) - n*n/w``.
 
-    Requires a consistent load vector (``sum(u*r) == seats_assigned``); the
-    check uses a tolerance only when float loads are involved.  Both sums
+    The direct evaluation: the float lane of :func:`run_election` and
+    :func:`verify_election` call it after every seat, while the exact lane
+    keeps both sums running instead.  Requires a consistent load vector
+    (``sum(u*r) == seats_assigned``); the check uses a tolerance only when
+    float loads are involved.  Both sums
     skip the types with a zero load and add the rest left to right in type
     order, each ``u*r`` computed once.  Loads and weights are nonnegative, so
     a partial sum is never ``-0.0``, and adding an exact or float zero to it
@@ -89,12 +94,77 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
     return squares - n * n / profile.total_weight
 
 
+class _ShareLane:
+    """Share-by-share arithmetic: the float64 lane, and the uncached reference.
+
+    Subproblems are plain :class:`Subproblem` instances, which compute each
+    ``u*r`` afresh and score share by share; the variance is rescanned after
+    every seat.  Float rounding may leave a max-load share a hair below
+    zero, so that check has an absolute tolerance of 1e-9 for floats.
+    """
+
+    def __init__(self, profile: Profile):
+        self.profile = profile
+
+    def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
+        return Subproblem(self.profile, loads, name)
+
+    @staticmethod
+    def negative(share: Rational) -> bool:
+        return share < 0 and (not isinstance(share, float) or share < -1e-9)
+
+    def variance_after(
+        self, loads: LoadVector, moved: Iterable[int], score: Rational
+    ) -> Rational:
+        return variance(self.profile, loads)
+
+
+class _ExactLane:
+    """Exact arithmetic with per-type products kept with the run's loads.
+
+    ``products[k]`` is ``(u*r, u*r*r)`` at the current load of type ``k``;
+    after each seat only the types whose load moved are recomputed.  Solves
+    read their supporters' products (:class:`ExactSubproblem`) and score in
+    closed form.  The lane keeps ``sum(u*r*r)`` running by adding each
+    seat's score, and ``sum(u*r)`` by the moved products, which must equal
+    the number of seats exactly: the consistency check of :func:`variance`.
+    """
+
+    def __init__(self, profile: Profile):
+        self.profile = profile
+        self.products: list[Products] = [(0, 0)] * len(profile.types)
+        self.mass: Rational = 0
+        self.squares: Rational = 0
+
+    def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
+        return ExactSubproblem(self.profile, loads, name, self.products)
+
+    @staticmethod
+    def negative(share: Rational) -> bool:
+        return share < 0
+
+    def variance_after(
+        self, loads: LoadVector, moved: Iterable[int], score: Rational
+    ) -> Rational:
+        types, values, products = self.profile.types, loads.values, self.products
+        for k in moved:
+            weighted = types[k].weight * values[k]
+            self.mass += weighted - products[k][0]
+            products[k] = (weighted, weighted * values[k])
+        n = loads.seats_assigned
+        if self.mass != n:
+            raise ValueError(f"inconsistent loads: total mass {self.mass} != {n} seats")
+        self.squares += score
+        return self.squares - n * n / self.profile.total_weight
+
+
 def select_winner(
     profile: Profile,
     loads: LoadVector,
     eligible: Iterable[CandidateId],
     method: Method,
     cache: MutableMapping[CandidateId, tuple[Rational, StepSolution]] | None = None,
+    lane: _ShareLane | _ExactLane | None = None,
 ) -> tuple[CandidateId, StepSolution, list[CandidateId]]:
     """Pick the next seat's winner among ``eligible`` candidates.
 
@@ -109,11 +179,16 @@ def select_winner(
     own supporters' loads, so an entry stays exact until one of them changes;
     evicting it then is the caller's job.  Ties are gathered from the keys of
     all eligible candidates, cached or fresh.
+
+    ``lane`` is the arithmetic :func:`run_election` chose for its backend;
+    without one, every candidate is solved share by share, the reference.
     """
     if method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
         raise ValueError(f"select_winner does not handle {method.value}")
     if cache is None:
         cache = {}
+    if lane is None:
+        lane = _ShareLane(profile)
     known = set(profile.candidates)
     scored: list[tuple[Rational, CandidateId, StepSolution]] = []
     for name in sorted(set(eligible)):
@@ -121,7 +196,7 @@ def select_winner(
             continue
         entry = cache.get(name)
         if entry is None:
-            entry = cache[name] = _solve(profile, loads, name, method)
+            entry = cache[name] = _solve(lane, loads, name, method)
         key, sol = entry
         scored.append((key, name, sol))
     if not scored:
@@ -132,10 +207,10 @@ def select_winner(
 
 
 def _solve(
-    profile: Profile, loads: LoadVector, name: CandidateId, method: Method
+    lane: _ShareLane | _ExactLane, loads: LoadVector, name: CandidateId, method: Method
 ) -> tuple[Rational, StepSolution]:
     """One candidate's ``(key, solution)`` for :func:`select_winner`."""
-    sub = Subproblem(profile, loads, name)
+    sub = lane.subproblem(loads, name)
     if method is Method.VAR_PHRAGMEN:
         sol = corrected_solution(sub)
         return sol.score, sol
@@ -145,12 +220,11 @@ def _solve(
     # assert rather than assume.
     for k in sub.supporters:
         share = sol.x[k]
-        if share < 0:
-            if not isinstance(share, float) or share < -1e-9:
-                raise AssertionError(
-                    f"negative share {share} for supporter type {k} of "
-                    f"{sub.candidate!r}: max-load positivity violated"
-                )
+        if lane.negative(share):
+            raise AssertionError(
+                f"negative share {share} for supporter type {k} of "
+                f"{sub.candidate!r}: max-load positivity violated"
+            )
     return sol.level, sol
 
 
@@ -180,10 +254,23 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
     index.  Solutions are deterministic functions of the supporters' loads,
     so the results are identical, float bits included, to re-solving every
     candidate at every seat.
+
+    The backend picks the arithmetic lane once per run.  The exact lane
+    scores each solve in closed form from per-type ``u*r`` and ``u*r*r``
+    kept with the loads (recomputed for the moved types only), and records
+    ``variance_after`` as ``S - n*n/w`` with ``S`` the running sum of the
+    winners' scores.  The float lane scores share by share and rescans the
+    variance (:func:`variance`), so its bits do not depend on the closed
+    form.  In rationals the two scores are equal, and :func:`verify_election`
+    re-checks every exact-lane score against the share-by-share reference.
     """
     if config.seats < 1:
         raise ElectionConfigError(f"seats must be >= 1, got {config.seats}")
-    work = profile if config.backend is Backend.EXACT else _float_profile(profile)
+    if config.backend is Backend.EXACT:
+        work, lane = profile, _ExactLane(profile)
+    else:
+        work = _float_profile(profile)
+        lane = _ShareLane(work)
     contenders = list(work.candidates)
     if config.mode is Mode.CANDIDATE and config.seats > len(contenders):
         raise ElectionConfigError(
@@ -215,7 +302,7 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
             eligible = contenders
         if quotient_rule is None:
             winner, solution, tied = select_winner(
-                work, loads, eligible, config.method, solved
+                work, loads, eligible, config.method, solved, lane
             )
         else:
             quotients = {
@@ -225,19 +312,19 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
             top = max(quotients.values())
             tied = sorted(name for name, q in quotients.items() if q == top)
             winner = tied[0]
-            solution = corrected_solution(Subproblem(work, loads, winner))
+            solution = corrected_solution(lane.subproblem(loads, winner))
         loads = loads.add(solution.x)
-        for k, share in enumerate(solution.x):
-            if share:
-                # this type's load moved: its candidates must be re-solved
-                for name in work.types[k].approvals:
-                    solved.pop(name, None)
+        moved = [k for k, share in enumerate(solution.x) if share]
+        for k in moved:
+            # this type's load moved: its candidates must be re-solved
+            for name in work.types[k].approvals:
+                solved.pop(name, None)
         records.append(
             SeatRecord(
                 seat_index=seat,
                 solution=solution,
                 loads_after=loads,
-                variance_after=variance(work, loads),
+                variance_after=lane.variance_after(loads, moved, solution.score),
                 tied_with=tuple(tied),
             )
         )

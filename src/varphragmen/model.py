@@ -237,12 +237,20 @@ class LoadVector:
         return cls(values=(0,) * len(profile.types), seats_assigned=0)
 
     def add(self, x: Sequence[Rational]) -> "LoadVector":
+        """The loads after one more seat distributed as ``x``.
+
+        Int ``0`` shares (the placeholders off the active set) are skipped:
+        adding one changes neither the value nor the type of a load.  Every
+        other share is added, zeros included, since a float ``0.0`` turns an
+        int ``0`` load into a float.
+        """
         if len(x) != len(self.values):
             raise ValueError("seat distribution length does not match load vector")
-        return LoadVector(
-            values=tuple(r + xi for r, xi in zip(self.values, x)),
-            seats_assigned=self.seats_assigned + 1,
-        )
+        values = list(self.values)
+        for k, xi in enumerate(x):
+            if xi or type(xi) is not int:
+                values[k] += xi
+        return LoadVector(values=tuple(values), seats_assigned=self.seats_assigned + 1)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,22 @@ One production solver elects: :func:`corrected_solution` solves with the
 equality constraint alone, clamps every negative share to zero and re-solves
 on the remaining supporters until all shares are feasible.
 
+The subproblem's class is the arithmetic lane; the solvers' level and
+active-set loop is the same in both, and only the carried load and the
+scoring tail differ:
+
+* :class:`Subproblem` computes each ``u*r`` afresh and scores a solution
+  share by share with :func:`_score`.  The float64 lane elects with it, so
+  float bits stay those of the share-by-share sum, and it is the reference
+  everywhere else: the two oracles always score through :func:`_score`, and
+  so does the engine's uncached verifier.
+* :class:`ExactSubproblem` reads ``u*r`` and ``u*r*r`` from per-type
+  products and scores in closed form.  Every active supporter ends at the
+  common level, so the increase of ``sum(u*r*r)`` is
+  ``sum(u*(level**2 - r**2)) = level*(carried + 1) - sum(u*r*r)`` over the
+  active set, where ``carried = sum(u*r)`` there.  This is exact in
+  rationals only, which is why the float lane does not use it.
+
 The equality-constrained solve on its own is :func:`unconstrained_solution`:
 every supporter ends at the common level of :func:`unconstrained_level`, and
 shares go negative for supporters whose load already exceeds it.  The max-load
@@ -45,6 +61,10 @@ from .model import (
 )
 
 
+#: A type's ``(u*r, u*r*r)`` at some loads: what the exact lane caches.
+Products = tuple[Rational, Rational]
+
+
 class Subproblem:
     """A candidate's seat-distribution subproblem at the current loads.
 
@@ -52,6 +72,9 @@ class Subproblem:
     ``(type index, weight, load)`` entries of the supporters once, up front.
     Every candidate of a profile has at least one supporter; a name outside
     the profile raises ``UnknownCandidateError`` from :meth:`Profile.supporters`.
+
+    This is the share-by-share lane (see the module docstring); its
+    subclass :class:`ExactSubproblem` is the exact lane.
     """
 
     __slots__ = ("profile", "candidate", "supporters", "supporter_weight", "entries")
@@ -68,6 +91,69 @@ class Subproblem:
             (k, profile.types[k].weight, loads.values[k]) for k in supporters
         )
 
+    def carried(self, active: Iterable[tuple[int, Rational, Rational]]) -> Rational:
+        """``sum(u*r)`` over the ``active`` entries, each product computed afresh."""
+        return sum(u * r for _, u, r in active)
+
+    def solution(
+        self,
+        level: Rational,
+        carried: Rational,
+        active: Sequence[tuple[int, Rational, Rational]],
+        clamp_rounds: tuple[frozenset[int], ...] = (),
+    ) -> StepSolution:
+        """Move ``active`` (carrying ``carried``) to ``level``; score share by share."""
+        return _solution(self, level, active, bool(clamp_rounds), clamp_rounds)
+
+
+class ExactSubproblem(Subproblem):
+    """The exact lane's subproblem: cached products and a closed-form score.
+
+    ``products[k]`` is ``(u_k*r_k, u_k*r_k*r_k)`` at the subproblem's loads,
+    for every supporter ``k``.  The engine passes the per-type products it
+    keeps with the run's loads; without them, they are computed here for the
+    supporters.  Exact arithmetic only: in floats the closed form rounds
+    differently from the share-by-share score.
+    """
+
+    __slots__ = ("products",)
+
+    def __init__(
+        self,
+        profile: Profile,
+        loads: LoadVector,
+        candidate: CandidateId,
+        products: Sequence[Products] | dict[int, Products] | None = None,
+    ):
+        super().__init__(profile, loads, candidate)
+        if products is None:
+            products = {k: (u * r, u * r * r) for k, u, r in self.entries}
+        self.products = products
+
+    def carried(self, active: Iterable[tuple[int, Rational, Rational]]) -> Rational:
+        """``sum(u*r)`` over the ``active`` entries, from the cached products."""
+        products = self.products
+        return sum(products[k][0] for k, _, _ in active)
+
+    def solution(
+        self,
+        level: Rational,
+        carried: Rational,
+        active: Sequence[tuple[int, Rational, Rational]],
+        clamp_rounds: tuple[frozenset[int], ...] = (),
+    ) -> StepSolution:
+        """Move ``active`` to ``level``; score ``level*(carried + 1) - sum(u*r*r)``."""
+        products = self.products
+        squares = sum(products[k][1] for k, _, _ in active)
+        return StepSolution(
+            candidate=self.candidate,
+            x=_shares(self, level, active),
+            level=level,
+            score=level * (carried + 1) - squares,
+            corrected=bool(clamp_rounds),
+            clamp_rounds=clamp_rounds,
+        )
+
 
 def unconstrained_level(sub: Subproblem) -> Rational:
     """Common post-seat load of all supporters when negativity is ignored.
@@ -76,8 +162,7 @@ def unconstrained_level(sub: Subproblem) -> Rational:
     is also the winning score of the max-load sequential method, which moves
     every supporter to exactly this level.
     """
-    carried = sum(u * r for _, u, r in sub.entries)
-    return (carried + 1) / sub.supporter_weight
+    return (sub.carried(sub.entries) + 1) / sub.supporter_weight
 
 
 def unconstrained_solution(sub: Subproblem) -> StepSolution:
@@ -87,12 +172,26 @@ def unconstrained_solution(sub: Subproblem) -> StepSolution:
     :func:`unconstrained_level`; no constraint is enforced, so ``corrected``
     is false.
     """
-    return _solution(sub, unconstrained_level(sub), sub.entries, corrected=False)
+    carried = sub.carried(sub.entries)
+    return sub.solution((carried + 1) / sub.supporter_weight, carried, sub.entries)
 
 
 def _score(sub: Subproblem, x: Sequence[Rational]) -> Rational:
-    """Objective ``sum(u*(2*r*x + x*x))`` of the shares ``x``, share by share."""
+    """Objective ``sum(u*(2*r*x + x*x))`` of the shares ``x``, share by share.
+
+    The reference score: independent of the level and of any cached product.
+    """
     return sum(u * (2 * r * x[k] + x[k] * x[k]) for k, u, r in sub.entries)
+
+
+def _shares(
+    sub: Subproblem, level: Rational, active: Iterable[tuple[int, Rational, Rational]]
+) -> tuple[Rational, ...]:
+    """Move the ``active`` entries to ``level``; every other share is int ``0``."""
+    x: list[Rational] = [0] * len(sub.profile.types)
+    for k, _, r in active:
+        x[k] = level - r
+    return tuple(x)
 
 
 def _solution(
@@ -102,13 +201,11 @@ def _solution(
     corrected: bool,
     clamp_rounds: tuple[frozenset[int], ...] = (),
 ) -> StepSolution:
-    """Move the ``active`` entries to ``level``; every other share is int ``0``."""
-    x: list[Rational] = [0] * len(sub.profile.types)
-    for k, _, r in active:
-        x[k] = level - r
+    """The solution moving ``active`` to ``level``, scored share by share."""
+    x = _shares(sub, level, active)
     return StepSolution(
         candidate=sub.candidate,
-        x=tuple(x),
+        x=x,
         level=level,
         score=_score(sub, x),
         corrected=corrected,
@@ -124,19 +221,23 @@ def corrected_solution(sub: Subproblem) -> StepSolution:
     ``clamp_rounds``) and the solve repeats on the remainder.  Terminates
     because each round strictly shrinks the active set and the minimum-load
     supporter always keeps a positive share.
+
+    The subproblem's lane supplies the carried load and scores the result:
+    in closed form (:class:`ExactSubproblem`) or share by share with the
+    reference :func:`_score` (:class:`Subproblem`, the float64 lane).
     """
-    active = list(sub.entries)
+    active: Sequence[tuple[int, Rational, Rational]] = sub.entries
+    weight = sub.supporter_weight
     rounds: list[frozenset[int]] = []
     while True:
-        carried = sum(u * r for _, u, r in active)
-        weight = sum(u for _, u, _ in active)
+        carried = sub.carried(active)
         level = (carried + 1) / weight
-        negative = frozenset(k for k, _, r in active if level - r < 0)
+        negative = [k for k, _, r in active if r > level]
         if not negative:
-            break
-        rounds.append(negative)
-        active = [(k, u, r) for k, u, r in active if k not in negative]
-    return _solution(sub, level, active, bool(rounds), tuple(rounds))
+            return sub.solution(level, carried, active, tuple(rounds))
+        rounds.append(frozenset(negative))
+        active = [entry for entry in active if entry[0] not in rounds[-1]]
+        weight = sum(u for _, u, _ in active)
 
 
 def waterfill_solution(sub: Subproblem) -> StepSolution:

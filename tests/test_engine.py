@@ -26,7 +26,7 @@ from varphragmen import (
     variance,
     verify_election,
 )
-from varphragmen import engine
+from varphragmen import engine, step
 from varphragmen.analysis import random_profile
 
 from conftest import PROFILE_12
@@ -373,6 +373,45 @@ def test_rescoring_touches_only_changed_types(monkeypatch, mode):
         previous = rec.solution
     assert len(solved) == expected
     assert len(solved) < len(profile.candidates) * seats
+
+
+EXACT_LANE_RUNS = [
+    (method, mode)
+    for method in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN)
+    for mode in Mode
+] + [(Method.SAINTE_LAGUE, Mode.PARTY), (Method.DHONDT, Mode.PARTY)]
+
+
+@pytest.mark.parametrize("method, mode", EXACT_LANE_RUNS)
+def test_exact_lane_never_scores_share_by_share(monkeypatch, method, mode):
+    profile = sparse_profile(random.Random(5))
+    if method in (Method.SAINTE_LAGUE, Method.DHONDT):
+        profile = parse_profile("5 : A\n3 : B\n2 : C\n")
+    calls = []
+
+    def counting(sub, x):
+        calls.append(sub.candidate)
+        return original(sub, x)
+
+    original = step._score
+    for module in (step, engine):
+        monkeypatch.setattr(module, "_score", counting)
+    seats = min(8, len(profile.candidates))
+    result = run_election(profile, MethodConfig(method, mode, seats))
+    assert calls == []
+    # the share-by-share reference still accepts every closed-form score
+    verify_election(profile, result)
+    assert len(calls) >= seats
+
+
+def test_exact_lane_rejects_inconsistent_loads(monkeypatch):
+    def doubled(sub):
+        sol = corrected_solution(sub)
+        return replace(sol, x=tuple(2 * share for share in sol.x))
+
+    monkeypatch.setattr(engine, "corrected_solution", doubled)
+    with pytest.raises(ValueError, match="inconsistent loads: total mass 2 != 1 seats"):
+        run_election(parse_profile(PROFILE_12), var_config())
 
 
 # ---------------------------------------------------------------------------

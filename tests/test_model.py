@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from varphragmen import (
+    LoadVector,
     Profile,
     ProfileParseError,
     UnknownCandidateError,
@@ -124,6 +125,18 @@ def test_voter_type_rejects_names_the_text_format_cannot_carry(name):
     with pytest.raises(ValueError, match="invalid candidate name") as info:
         VoterType(Fraction(1), (name, "c"))
     assert repr(name) in str(info.value)
+
+
+def test_load_vector_add_skips_only_int_zero_shares():
+    loads = LoadVector((0, 0, Fraction(1, 2), 0.5), seats_assigned=1)
+    after = loads.add((0, 0.0, Fraction(0), Fraction(1, 4)))
+    assert after.seats_assigned == 2
+    # repr tells int 0, Fraction and float apart
+    assert repr(after.values) == repr((0, 0.0, Fraction(1, 2), 0.75))
+    after = loads.add((Fraction(0), 0, 0, 0))
+    assert repr(after.values) == repr((Fraction(0), 0, Fraction(1, 2), 0.5))
+    with pytest.raises(ValueError):
+        loads.add((0, 0))
 
 
 def test_int_weights_are_normalized_to_fractions():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,7 @@ from varphragmen import (
     unconstrained_solution,
     waterfill_solution,
 )
-from varphragmen.step import _score
+from varphragmen.step import ExactSubproblem, _score
 
 
 def sub_for(profile, loads, candidate):
@@ -258,6 +259,8 @@ def test_three_solvers_agree(state):
         # and the closed-form score applies
         assert a == unconstrained_solution(sub)
         assert a.score == closed_form_score(sub)
+    # the exact lane's closed form gives the share-by-share solution
+    assert corrected_solution(ExactSubproblem(profile, loads, candidate)) == a
 
 
 @settings(deadline=None, max_examples=80)
@@ -329,3 +332,44 @@ def test_scaling_weights_scales_scores_inversely(state, c):
     scaled = corrected_solution(Subproblem(scaled_profile, scaled_loads, candidate))
     assert scaled.score == base.score / c
     assert scaled.x == tuple(xk / c for xk in base.x)
+
+
+def skewed_subproblems(rng, profiles):
+    """Exact-lane subproblems of small random profiles at skewed random loads.
+
+    The loads are squares of random rationals, about a third of them zero,
+    so that many supporters start above the unconstrained level.  They need
+    not come from an election: a subproblem only reads them.  The products
+    are a dense per-type list, the shape the engine keeps with its loads.
+    """
+    names = [f"c{i}" for i in range(4)]
+    for _ in range(profiles):
+        profile = Profile(
+            VoterType(F(rng.randint(1, 20)), tuple(rng.sample(names, rng.randint(1, 3))))
+            for _ in range(rng.randint(2, 8))
+        )
+        values = tuple(
+            0 if rng.random() < 0.3 else F(rng.randint(1, 40), rng.randint(1, 8)) ** 2 / 50
+            for _ in profile.types
+        )
+        loads = LoadVector(values, rng.randint(0, 5))
+        products = [(t.weight * r, t.weight * r * r) for t, r in zip(profile.types, values)]
+        for name in profile.candidates:
+            yield ExactSubproblem(profile, loads, name, products)
+
+
+def test_closed_form_score_on_clamped_instances():
+    instances = corrected = repeated = 0
+    for sub in skewed_subproblems(random.Random(20260810), 250):
+        sol = corrected_solution(sub)
+        assert sol.score == _score(sub, sol.x)
+        for oracle in (waterfill_solution(sub), subset_oracle(sub)):
+            assert (sol.x, sol.level, sol.score, sol.corrected) == (
+                oracle.x, oracle.level, oracle.score, oracle.corrected
+            )
+        instances += 1
+        corrected += sol.corrected
+        repeated += len(sol.clamp_rounds) > 1
+    assert instances > 800
+    assert corrected >= 200
+    assert repeated > 0
