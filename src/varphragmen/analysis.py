@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .engine import MethodConfig, apportion_sequence, run_election
+from .engine import MethodConfig, _party_weights, apportion_sequence, run_election
 from .model import (
     Backend,
     CandidateId,
@@ -114,7 +114,7 @@ def closed_list_sequences(
     profile: Profile, seats: int
 ) -> dict[str, tuple[list[CandidateId], list[CandidateId]]]:
     """Winner sequences of both equivalence pairs on a closed-list profile."""
-    votes = {name: profile.supporters(name)[1] for name in profile.candidates}
+    votes = _party_weights(profile)
     out = {}
     for election_method, divisor in _EQUIVALENCE_PAIRS:
         result = run_election(
@@ -155,19 +155,11 @@ def check_closed_list_equivalence(seed: int, trials: int) -> EquivalenceReport:
 
 @dataclass(frozen=True)
 class CampaignCaps:
+    """Size limits of the oracle campaign's random instances."""
+
     max_types: int = 8
     max_candidates: int = 6
     max_seats: int = 8
-
-    def validate(self) -> None:
-        if not 1 <= self.max_types <= 8:
-            raise ValueError(f"max_types must be in 1..8, got {self.max_types}")
-        if not 1 <= self.max_candidates <= 6:
-            raise ValueError(
-                f"max_candidates must be in 1..6, got {self.max_candidates}"
-            )
-        if not 1 <= self.max_seats <= 8:
-            raise ValueError(f"max_seats must be in 1..8, got {self.max_seats}")
 
 
 @dataclass(frozen=True)
@@ -272,9 +264,7 @@ def compare_solvers_over_election(
     return instances, disagreements
 
 
-def oracle_agreement_campaign(
-    seed: int, trials: int, caps: CampaignCaps = CampaignCaps()
-) -> OracleAgreementReport:
+def oracle_agreement_campaign(seed: int, trials: int) -> OracleAgreementReport:
     """Randomized search for a divergence between correction and oracles.
 
     A disagreement does not fail the campaign; it is reported and serialized
@@ -282,7 +272,7 @@ def oracle_agreement_campaign(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    caps.validate()
+    caps = CampaignCaps()
     rng = random.Random(seed)
     instances = 0
     disagreements: list[dict] = []
@@ -433,7 +423,6 @@ def two_party_family(zeta: Fraction) -> Callable[[Fraction], Profile]:
 class SweepResult:
     points: tuple[tuple[Fraction, Fraction], ...]
     n: int
-    zeta: Fraction | None = None
 
     @property
     def shares(self) -> tuple[Fraction, ...]:
@@ -445,7 +434,6 @@ def sweep_seat_share(
     alphas: Iterable[Fraction],
     seats: int,
     backend: Backend = Backend.EXACT,
-    zeta: Fraction | None = None,
 ) -> SweepResult:
     """Seat share of party ``A`` across a family of profiles indexed by alpha.
 
@@ -462,4 +450,4 @@ def sweep_seat_share(
     for a in ordered:
         result = run_election(family(a), config)
         points.append((a, Fraction(result.seat_counts.get("A", 0), seats)))
-    return SweepResult(points=tuple(points), n=seats, zeta=zeta)
+    return SweepResult(points=tuple(points), n=seats)

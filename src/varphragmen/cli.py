@@ -175,7 +175,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         alphas,
         args.seats,
         backend=Backend(args.backend),
-        zeta=args.zeta,
     )
     lines = ["alpha,share"]
     lines += [f"{float(a)},{float(share)}" for a, share in result.points]

@@ -10,7 +10,8 @@ candidate name everywhere, and all tied candidates are reported on the seat
 record.
 
 Elections are independent of each other and may run in parallel; a run only
-ever builds fresh immutable load vectors, and its solution cache is its own.
+ever builds fresh immutable load vectors, and its lane (arithmetic and solve
+cache) is its own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, MutableMapping
+from typing import Callable, Iterable, Mapping
 
 from .model import (
     Backend,
@@ -101,10 +102,14 @@ class _ShareLane:
     ``u*r`` afresh and score share by share; the variance is rescanned after
     every seat.  Float rounding may leave a max-load share a hair below
     zero, so that check has an absolute tolerance of 1e-9 for floats.
+
+    ``solved`` is the run's solve cache: each candidate's ``(key, solution)``
+    at the current loads, filled by :meth:`solve`, evicted by :meth:`advance`.
     """
 
     def __init__(self, profile: Profile):
         self.profile = profile
+        self.solved: dict[CandidateId, tuple[Rational, StepSolution]] = {}
 
     def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
         return Subproblem(self.profile, loads, name)
@@ -113,13 +118,49 @@ class _ShareLane:
     def negative(share: Rational) -> bool:
         return share < 0 and (not isinstance(share, float) or share < -1e-9)
 
-    def variance_after(
-        self, loads: LoadVector, moved: Iterable[int], score: Rational
-    ) -> Rational:
+    def solve(
+        self, loads: LoadVector, name: CandidateId, method: Method
+    ) -> tuple[Rational, StepSolution]:
+        """``name``'s score (var-Phragmén) or level (seq-Phragmén), and solution."""
+        entry = self.solved.get(name)
+        if entry is not None:
+            return entry
+        sub = self.subproblem(loads, name)
+        if method is Method.VAR_PHRAGMEN:
+            sol = corrected_solution(sub)
+            key = sol.score
+        else:
+            sol = unconstrained_solution(sub)
+            # The max-load method moves every supporter to the common level;
+            # along its own runs that level never undercuts a supporter's
+            # load, which we assert rather than assume.
+            for k in sub.supporters:
+                share = sol.x[k]
+                if self.negative(share):
+                    raise AssertionError(
+                        f"negative share {share} for supporter type {k} of "
+                        f"{sub.candidate!r}: max-load positivity violated"
+                    )
+            key = sol.level
+        entry = self.solved[name] = key, sol
+        return entry
+
+    def _evict(self, solution: StepSolution) -> list[int]:
+        """Evict the candidates of every type the seat moved; return those types."""
+        moved = [k for k, share in enumerate(solution.x) if share]
+        types = self.profile.types
+        for k in moved:
+            for name in types[k].approvals:
+                self.solved.pop(name, None)
+        return moved
+
+    def advance(self, loads: LoadVector, solution: StepSolution) -> Rational:
+        """Take in the seat that led to ``loads``; return the variance after it."""
+        self._evict(solution)
         return variance(self.profile, loads)
 
 
-class _ExactLane:
+class _ExactLane(_ShareLane):
     """Exact arithmetic with per-type products kept with the run's loads.
 
     ``products[k]`` is ``(u*r, u*r*r)`` at the current load of type ``k``;
@@ -131,7 +172,7 @@ class _ExactLane:
     """
 
     def __init__(self, profile: Profile):
-        self.profile = profile
+        super().__init__(profile)
         self.products: list[Products] = [(0, 0)] * len(profile.types)
         self.mass: Rational = 0
         self.squares: Rational = 0
@@ -143,18 +184,16 @@ class _ExactLane:
     def negative(share: Rational) -> bool:
         return share < 0
 
-    def variance_after(
-        self, loads: LoadVector, moved: Iterable[int], score: Rational
-    ) -> Rational:
+    def advance(self, loads: LoadVector, solution: StepSolution) -> Rational:
         types, values, products = self.profile.types, loads.values, self.products
-        for k in moved:
+        for k in self._evict(solution):
             weighted = types[k].weight * values[k]
             self.mass += weighted - products[k][0]
             products[k] = (weighted, weighted * values[k])
         n = loads.seats_assigned
         if self.mass != n:
             raise ValueError(f"inconsistent loads: total mass {self.mass} != {n} seats")
-        self.squares += score
+        self.squares += solution.score
         return self.squares - n * n / self.profile.total_weight
 
 
@@ -163,8 +202,7 @@ def select_winner(
     loads: LoadVector,
     eligible: Iterable[CandidateId],
     method: Method,
-    cache: MutableMapping[CandidateId, tuple[Rational, StepSolution]] | None = None,
-    lane: _ShareLane | _ExactLane | None = None,
+    lane: _ShareLane | None = None,
 ) -> tuple[CandidateId, StepSolution, list[CandidateId]]:
     """Pick the next seat's winner among ``eligible`` candidates.
 
@@ -172,21 +210,14 @@ def select_winner(
     its seat distribution and the full list of candidates tied at the
     optimum; ties resolve to the lexicographically smallest name.
 
-    ``cache`` maps a candidate to its ``(key, solution)`` at ``loads``: the
-    score (var-Phragmén) or level (seq-Phragmén) and the :class:`StepSolution`
-    it came from.  Candidates found there are not re-solved, and every
-    candidate solved afresh is stored there.  A solution depends only on its
-    own supporters' loads, so an entry stays exact until one of them changes;
-    evicting it then is the caller's job.  Ties are gathered from the keys of
-    all eligible candidates, cached or fresh.
-
-    ``lane`` is the arithmetic :func:`run_election` chose for its backend;
-    without one, every candidate is solved share by share, the reference.
+    ``lane`` is the arithmetic :func:`run_election` chose for its backend,
+    with its solve cache: candidates it already solved at ``loads`` are not
+    re-solved, and ties are gathered from the keys of all eligible
+    candidates, cached or fresh.  Without a lane, every candidate is solved
+    afresh, share by share: the reference.
     """
     if method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
         raise ValueError(f"select_winner does not handle {method.value}")
-    if cache is None:
-        cache = {}
     if lane is None:
         lane = _ShareLane(profile)
     known = set(profile.candidates)
@@ -194,38 +225,13 @@ def select_winner(
     for name in sorted(set(eligible)):
         if name not in known:
             continue
-        entry = cache.get(name)
-        if entry is None:
-            entry = cache[name] = _solve(lane, loads, name, method)
-        key, sol = entry
+        key, sol = lane.solve(loads, name, method)
         scored.append((key, name, sol))
     if not scored:
         raise ElectionConfigError("no eligible candidate with support")
     best_key, winner, solution = min(scored, key=lambda item: (item[0], item[1]))
     tied = [name for key, name, _ in scored if key == best_key]
     return winner, solution, tied
-
-
-def _solve(
-    lane: _ShareLane | _ExactLane, loads: LoadVector, name: CandidateId, method: Method
-) -> tuple[Rational, StepSolution]:
-    """One candidate's ``(key, solution)`` for :func:`select_winner`."""
-    sub = lane.subproblem(loads, name)
-    if method is Method.VAR_PHRAGMEN:
-        sol = corrected_solution(sub)
-        return sol.score, sol
-    sol = unconstrained_solution(sub)
-    # The max-load method moves every supporter to the common level; along
-    # its own runs that level never undercuts a supporter's load, which we
-    # assert rather than assume.
-    for k in sub.supporters:
-        share = sol.x[k]
-        if lane.negative(share):
-            raise AssertionError(
-                f"negative share {share} for supporter type {k} of "
-                f"{sub.candidate!r}: max-load positivity violated"
-            )
-    return sol.level, sol
 
 
 def _float_profile(profile: Profile) -> Profile:
@@ -236,7 +242,19 @@ def _float_profile(profile: Profile) -> Profile:
 
 
 def _party_weights(profile: Profile) -> dict[CandidateId, Rational]:
+    """Each candidate's vote total: the combined weight of its supporters."""
     return {name: profile.supporters(name)[1] for name in profile.candidates}
+
+
+def _highest_quotients(
+    votes: Mapping[CandidateId, Rational],
+    held: Mapping[CandidateId, int],
+    rule: Callable[[int], int],
+) -> list[CandidateId]:
+    """Parties tied at the highest ``votes / rule(held)``, by name: the first wins."""
+    quotients = {name: v / rule(held[name]) for name, v in votes.items()}
+    top = max(quotients.values())
+    return sorted(name for name, q in quotients.items() if q == top)
 
 
 def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
@@ -246,23 +264,20 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
     keeps every candidate re-electable.  The highest-averages methods demand
     a closed-list profile and party mode.
 
-    For the Phragmén methods, each candidate's ``(key, solution)`` is cached
-    across seats (see :func:`select_winner`), so a seat re-solves only the
-    candidates whose supporters' loads changed.  After each seat, every
-    candidate approved by a type with a nonzero share in the winner's
-    distribution is evicted; ``VoterType.approvals`` is the type-to-candidate
-    index.  Solutions are deterministic functions of the supporters' loads,
-    so the results are identical, float bits included, to re-solving every
+    Each seat picks the winner (:func:`select_winner` or
+    :func:`_highest_quotients`), adds its distribution to the loads and
+    hands the seat to the lane, which returns the variance.  The backend
+    picks the lane once per run.  Its solve cache drops every candidate
+    approved by a type the seat moved, so a seat re-solves only those; the
+    results are identical, float bits included, to re-solving every
     candidate at every seat.
 
-    The backend picks the arithmetic lane once per run.  The exact lane
-    scores each solve in closed form from per-type ``u*r`` and ``u*r*r``
-    kept with the loads (recomputed for the moved types only), and records
-    ``variance_after`` as ``S - n*n/w`` with ``S`` the running sum of the
-    winners' scores.  The float lane scores share by share and rescans the
-    variance (:func:`variance`), so its bits do not depend on the closed
-    form.  In rationals the two scores are equal, and :func:`verify_election`
-    re-checks every exact-lane score against the share-by-share reference.
+    The exact lane scores each solve in closed form from per-type ``u*r``
+    and ``u*r*r`` kept with the loads, and records ``variance_after`` as
+    ``S - n*n/w`` with ``S`` the running sum of the winners' scores.  The
+    float lane scores share by share and rescans the variance, so its bits
+    do not depend on the closed form.  :func:`verify_election` re-checks
+    every exact-lane score against the share-by-share reference.
     """
     if config.seats < 1:
         raise ElectionConfigError(f"seats must be >= 1, got {config.seats}")
@@ -291,7 +306,6 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
         party_weight = _party_weights(work)
 
     loads = LoadVector.zero(work)
-    solved: dict[CandidateId, tuple[Rational, StepSolution]] = {}
     counts: dict[CandidateId, int] = {name: 0 for name in work.candidates}
     elected: set[CandidateId] = set()
     records: list[SeatRecord] = []
@@ -302,29 +316,19 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
             eligible = contenders
         if quotient_rule is None:
             winner, solution, tied = select_winner(
-                work, loads, eligible, config.method, solved, lane
+                work, loads, eligible, config.method, lane
             )
         else:
-            quotients = {
-                name: party_weight[name] / quotient_rule(counts[name])
-                for name in eligible
-            }
-            top = max(quotients.values())
-            tied = sorted(name for name, q in quotients.items() if q == top)
+            tied = _highest_quotients(party_weight, counts, quotient_rule)
             winner = tied[0]
             solution = corrected_solution(lane.subproblem(loads, winner))
         loads = loads.add(solution.x)
-        moved = [k for k, share in enumerate(solution.x) if share]
-        for k in moved:
-            # this type's load moved: its candidates must be re-solved
-            for name in work.types[k].approvals:
-                solved.pop(name, None)
         records.append(
             SeatRecord(
                 seat_index=seat,
                 solution=solution,
                 loads_after=loads,
-                variance_after=lane.variance_after(loads, moved, solution.score),
+                variance_after=lane.advance(loads, solution),
                 tied_with=tuple(tied),
             )
         )
@@ -344,7 +348,8 @@ def apportion_sequence(
     """Award seats one by one to the party with the highest quotient.
 
     ``divisor`` selects the rule: Sainte-Laguë divides by ``2n+1``, D'Hondt
-    by ``n+1``.  Ties go to the lexicographically smallest party name.
+    by ``n+1``.  Ties go to the lexicographically smallest party name, by
+    the same quotient step as :func:`run_election`'s.
     """
     rule = HIGHEST_AVERAGES_DIVISORS.get(divisor)
     if rule is None:
@@ -358,13 +363,7 @@ def apportion_sequence(
     held = {name: 0 for name in votes}
     sequence: list[CandidateId] = []
     for _ in range(seats):
-        top = None
-        winner = None
-        for name in sorted(votes):
-            q = votes[name] / rule(held[name])
-            if top is None or q > top:
-                top = q
-                winner = name
+        winner = _highest_quotients(votes, held, rule)[0]
         sequence.append(winner)
         held[winner] += 1
     return sequence

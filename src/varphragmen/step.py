@@ -58,6 +58,7 @@ from .model import (
     Profile,
     Rational,
     StepSolution,
+    left_sum,
 )
 
 
@@ -93,7 +94,7 @@ class Subproblem:
 
     def carried(self, active: Iterable[tuple[int, Rational, Rational]]) -> Rational:
         """``sum(u*r)`` over the ``active`` entries, each product computed afresh."""
-        return sum(u * r for _, u, r in active)
+        return left_sum(u * r for _, u, r in active)
 
     def solution(
         self,
@@ -181,7 +182,7 @@ def _score(sub: Subproblem, x: Sequence[Rational]) -> Rational:
 
     The reference score: independent of the level and of any cached product.
     """
-    return sum(u * (2 * r * x[k] + x[k] * x[k]) for k, u, r in sub.entries)
+    return left_sum(u * (2 * r * x[k] + x[k] * x[k]) for k, u, r in sub.entries)
 
 
 def _shares(
@@ -237,7 +238,7 @@ def corrected_solution(sub: Subproblem) -> StepSolution:
             return sub.solution(level, carried, active, tuple(rounds))
         rounds.append(frozenset(negative))
         active = [entry for entry in active if entry[0] not in rounds[-1]]
-        weight = sum(u for _, u, _ in active)
+        weight = left_sum(u for _, u, _ in active)
 
 
 def waterfill_solution(sub: Subproblem) -> StepSolution:

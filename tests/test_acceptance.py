@@ -207,7 +207,7 @@ def test_criterion_8_sweep_smoke_and_control():
     zeta = F(376, 1000)
     smoke = sweep_seat_share(
         two_party_family(zeta), alphas, seats=1200,
-        backend=Backend.FLOAT64, zeta=zeta,
+        backend=Backend.FLOAT64,
     )
     ok = len(smoke.points) == 101
     ok &= all(0 <= share <= 1 for share in smoke.shares)
@@ -215,7 +215,7 @@ def test_criterion_8_sweep_smoke_and_control():
     control_seats = 60
     control = sweep_seat_share(
         two_party_family(F(0)), alphas, seats=control_seats,
-        backend=Backend.EXACT, zeta=F(0),
+        backend=Backend.EXACT,
     )
     for alpha, share in control.points:
         votes = {

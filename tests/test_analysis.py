@@ -6,7 +6,6 @@ import pytest
 
 from varphragmen import (
     Backend,
-    CampaignCaps,
     LoadVector,
     Method,
     TwoPartyFamily,
@@ -109,11 +108,10 @@ def test_two_party_family_drops_zero_types():
 def test_sweep_endpoints_and_midpoint():
     result = sweep_seat_share(
         two_party_family(F(0)), [F(0), F(1, 2), F(1)], seats=2,
-        backend=Backend.EXACT, zeta=F(0),
+        backend=Backend.EXACT,
     )
     assert result.shares == (0, F(1, 2), 1)
     assert result.n == 2
-    assert result.zeta == 0
 
 
 def test_sweep_orders_points_and_validates_alpha():
@@ -129,7 +127,7 @@ def test_sweep_zeta_zero_matches_sainte_lague():
     seats = 12
     alphas = [F(k, 20) for k in range(21)]
     result = sweep_seat_share(
-        two_party_family(F(0)), alphas, seats, backend=Backend.EXACT, zeta=F(0)
+        two_party_family(F(0)), alphas, seats, backend=Backend.EXACT
     )
     for alpha, share in result.points:
         votes = {
@@ -151,11 +149,6 @@ def test_campaign_small_run_agrees():
     assert report.instances > 0
     assert report.all_agree
     assert report.agreements == report.instances
-
-
-def test_campaign_caps_validated():
-    with pytest.raises(ValueError):
-        oracle_agreement_campaign(seed=1, trials=1, caps=CampaignCaps(max_types=9))
     with pytest.raises(ValueError):
         oracle_agreement_campaign(seed=1, trials=0)
 

@@ -375,6 +375,51 @@ def test_rescoring_touches_only_changed_types(monkeypatch, mode):
     assert len(solved) < len(profile.candidates) * seats
 
 
+def test_exact_lane_metamorphic_relations():
+    """Relations the exact lane must keep, checked against the lane itself.
+
+    Each run is compared with runs on transformed profiles rather than with
+    a reference solver: scaling every weight by ``c`` scales loads and
+    variances by ``1/c``; reordering the types permutes the loads; splitting
+    a type into parts with its approval set gives each part its load.  None
+    changes a winner or a tie set.  The transforms move type indices and
+    approval order, so a cache or index bug that depends on type order shows
+    up as a mismatch.
+    """
+    rng = random.Random(20260810)
+    profiles = [random_profile(rng) for _ in range(30)]
+    profiles += [sparse_profile(rng, n_types=30, n_candidates=12) for _ in range(3)]
+    for profile in profiles:
+        types = profile.types
+        c = F(rng.randint(1, 9), rng.randint(1, 9))
+        order = rng.sample(range(len(types)), len(types))
+        k = rng.randrange(len(types))
+        part = types[k].weight * F(rng.randint(1, 9), 10)
+        scaled = Profile(VoterType(c * t.weight, t.approvals) for t in types)
+        permuted = Profile(types[j] for j in order)
+        split = Profile((
+            *types[:k],
+            VoterType(part, types[k].approvals),
+            VoterType(types[k].weight - part, types[k].approvals),
+            *types[k + 1:],
+        ))
+        for method, mode in product((Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN), Mode):
+            seats = min(6, len(profile.candidates)) if mode is Mode.CANDIDATE else 6
+            config = MethodConfig(method, mode, seats)
+            runs = [run_election(p, config) for p in (profile, scaled, permuted, split)]
+            for rec, s_rec, p_rec, sp_rec in zip(*(run.records for run in runs)):
+                for other in (s_rec, p_rec, sp_rec):
+                    assert other.solution.candidate == rec.solution.candidate
+                    assert other.tied_with == rec.tied_with
+                r = rec.loads_after.values
+                assert s_rec.loads_after.values == tuple(v / c for v in r)
+                assert s_rec.variance_after == rec.variance_after / c
+                assert p_rec.loads_after.values == tuple(r[j] for j in order)
+                assert p_rec.variance_after == rec.variance_after
+                assert sp_rec.loads_after.values == (*r[:k], r[k], r[k], *r[k + 1:])
+                assert sp_rec.variance_after == rec.variance_after
+
+
 EXACT_LANE_RUNS = [
     (method, mode)
     for method in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN)
