@@ -186,6 +186,9 @@ def test_supporter_weights_sum_identity(profile):
             indices, weight = prof.supporters(name)
             scan = [k for k, t in enumerate(prof.types) if name in t.approvals]
             assert list(indices) == sorted(indices) == scan
-            expected = sum(prof.types[k].weight for k in indices)
+            # added strictly left to right, as on every Python version
+            expected = 0
+            for k in indices:
+                expected = expected + prof.types[k].weight
             assert type(weight) is type(expected)
             assert repr(weight) == repr(expected)
