@@ -22,10 +22,8 @@ from .analysis import (
 )
 from .engine import (
     ElectionConfigError,
-    MethodConfig,
     VerificationError,
     apportion_sequence,
-    highest_averages,
     run_election,
     select_winner,
     variance,
@@ -63,7 +61,6 @@ __all__ = [
     "ElectionConfigError",
     "LoadVector",
     "Method",
-    "MethodConfig",
     "Mode",
     "Profile",
     "ProfileParseError",
@@ -76,7 +73,6 @@ __all__ = [
     "check_closed_list_equivalence",
     "compare_solvers_over_election",
     "corrected_solution",
-    "highest_averages",
     "merge_duplicate_types",
     "monotonicity_probe",
     "oracle_agreement_campaign",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .engine import MethodConfig, _party_weights, apportion_sequence, run_election
+from .engine import _party_weights, apportion_sequence, run_election
 from .model import (
     Backend,
     CandidateId,
@@ -117,9 +117,7 @@ def closed_list_sequences(
     votes = _party_weights(profile)
     out = {}
     for election_method, divisor in _EQUIVALENCE_PAIRS:
-        result = run_election(
-            profile, MethodConfig(election_method, Mode.PARTY, seats)
-        )
+        result = run_election(profile, election_method, seats, mode=Mode.PARTY)
         out[f"{election_method.value}/{divisor.value}"] = (
             list(result.winners),
             apportion_sequence(votes, seats, divisor),
@@ -237,7 +235,7 @@ def compare_solvers_over_election(
     number of compared instances and the serialized records of any
     disagreements.
     """
-    result = run_election(profile, MethodConfig(Method.VAR_PHRAGMEN, mode, seats))
+    result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
     loads = LoadVector.zero(profile)
     elected: set[CandidateId] = set()
     instances = 0
@@ -360,19 +358,18 @@ def monotonicity_probe(
     delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    config = MethodConfig(Method.VAR_PHRAGMEN, Mode.PARTY, seats)
-    before = run_election(profile, config).seat_counts.get(party, 0)
+    before = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY)
     if delta == 0:
         augmented = profile
     else:
         augmented = Profile((*profile.types, VoterType(delta, (party,))))
-    after = run_election(augmented, config).seat_counts.get(party, 0)
+    after = run_election(augmented, Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY)
     return MonotonicityReport(
         party=party,
         seats=seats,
         delta=delta,
-        seats_before=before,
-        seats_after=after,
+        seats_before=before.seat_counts.get(party, 0),
+        seats_after=after.seat_counts.get(party, 0),
     )
 
 
@@ -445,9 +442,10 @@ def sweep_seat_share(
     for a in ordered:
         if not 0 <= a <= 1:
             raise ValueError(f"alpha must lie in [0, 1], got {a}")
-    config = MethodConfig(Method.VAR_PHRAGMEN, Mode.PARTY, seats, backend)
     points = []
     for a in ordered:
-        result = run_election(family(a), config)
+        result = run_election(
+            family(a), Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY, backend=backend
+        )
         points.append((a, Fraction(result.seat_counts.get("A", 0), seats)))
     return SweepResult(points=tuple(points), n=seats)

@@ -32,7 +32,7 @@ from .analysis import (
     sweep_seat_share,
     two_party_family,
 )
-from .engine import ElectionConfigError, MethodConfig, run_election
+from .engine import ElectionConfigError, run_election
 from .model import (
     Backend,
     LoadVector,
@@ -132,13 +132,13 @@ def _csv_dump(rows: list[list[str]]) -> str:
 
 def cmd_elect(args: argparse.Namespace) -> int:
     profile = parse_profile(_read_profile(args.profile))
-    config = MethodConfig(
-        method=Method(args.method),
+    result = run_election(
+        profile,
+        Method(args.method),
+        args.seats,
         mode=Mode(args.mode),
-        seats=args.seats,
         backend=Backend(args.backend),
     )
-    result = run_election(profile, config)
     if args.format == "json":
         payload = election_json(
             profile, result, backend=args.backend, decimals=args.decimals
@@ -307,15 +307,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ProfileParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ElectionConfigError, UnknownCandidateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
-        # an OSError here comes from writing output (a file, a records
-        # directory or stdout): unreadable profiles raise ProfileParseError
+        # ProfileParseError is a ValueError, unreadable profiles included;
+        # an OSError comes from writing output (a file, a records directory
+        # or stdout)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

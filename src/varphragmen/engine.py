@@ -17,7 +17,6 @@ cache) is its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -57,14 +56,6 @@ HIGHEST_AVERAGES_DIVISORS = {
     Method.SAINTE_LAGUE: lambda n: 2 * n + 1,
     Method.DHONDT: lambda n: n + 1,
 }
-
-
-@dataclass(frozen=True)
-class MethodConfig:
-    method: Method
-    mode: Mode = Mode.CANDIDATE
-    seats: int = 1
-    backend: Backend = Backend.EXACT
 
 
 def variance(profile: Profile, loads: LoadVector) -> Rational:
@@ -155,9 +146,20 @@ class _ShareLane:
         return moved
 
     def advance(self, loads: LoadVector, solution: StepSolution) -> Rational:
-        """Take in the seat that led to ``loads``; return the variance after it."""
+        """Take in the seat that led to ``loads``; return the variance after it.
+
+        Only float runs reach this (the exact lane overrides it), so a score
+        or variance that overflowed is reported here, before it is recorded.
+        """
         self._evict(solution)
-        return variance(self.profile, loads)
+        after = variance(self.profile, loads)
+        for what, value in (("score", solution.score), ("variance", after)):
+            if not math.isfinite(value):
+                raise ElectionConfigError(
+                    f"seat {loads.seats_assigned}: float64 {what} is {value}; "
+                    "use --backend exact"
+                )
+        return after
 
 
 class _ExactLane(_ShareLane):
@@ -235,10 +237,19 @@ def select_winner(
 
 
 def _float_profile(profile: Profile) -> Profile:
-    return Profile(
-        VoterType(weight=float(t.weight), approvals=t.approvals)
-        for t in profile.types
-    )
+    types = []
+    for k, t in enumerate(profile.types, start=1):
+        try:
+            weight = float(t.weight)
+        except OverflowError:
+            weight = math.inf
+        if not 0 < weight < math.inf:
+            problem = "overflows" if weight else "rounds to 0 in"
+            raise ElectionConfigError(
+                f"voter type {k} weight {problem} float64; use --backend exact"
+            )
+        types.append(VoterType(weight=weight, approvals=t.approvals))
+    return Profile(types)
 
 
 def _party_weights(profile: Profile) -> dict[CandidateId, Rational]:
@@ -257,7 +268,14 @@ def _highest_quotients(
     return sorted(name for name, q in quotients.items() if q == top)
 
 
-def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
+def run_election(
+    profile: Profile,
+    method: Method,
+    seats: int,
+    *,
+    mode: Mode = Mode.CANDIDATE,
+    backend: Backend = Backend.EXACT,
+) -> ElectionResult:
     """Run a full sequential election and return the per-seat trace.
 
     Candidate mode removes each winner from further eligibility; party mode
@@ -279,45 +297,41 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
     do not depend on the closed form.  :func:`verify_election` re-checks
     every exact-lane score against the share-by-share reference.
     """
-    if config.seats < 1:
-        raise ElectionConfigError(f"seats must be >= 1, got {config.seats}")
-    if config.backend is Backend.EXACT:
+    if seats < 1:
+        raise ElectionConfigError(f"seats must be >= 1, got {seats}")
+    if backend is Backend.EXACT:
         work, lane = profile, _ExactLane(profile)
     else:
         work = _float_profile(profile)
         lane = _ShareLane(work)
     contenders = list(work.candidates)
-    if config.mode is Mode.CANDIDATE and config.seats > len(contenders):
+    if mode is Mode.CANDIDATE and seats > len(contenders):
         raise ElectionConfigError(
-            f"cannot fill {config.seats} seats from {len(contenders)} candidates "
+            f"cannot fill {seats} seats from {len(contenders)} candidates "
             "in candidate mode"
         )
-    quotient_rule = HIGHEST_AVERAGES_DIVISORS.get(config.method)
+    quotient_rule = HIGHEST_AVERAGES_DIVISORS.get(method)
     if quotient_rule is not None:
         if not work.is_closed_list():
             raise ElectionConfigError(
-                f"{config.method.value} requires a closed-list profile "
+                f"{method.value} requires a closed-list profile "
                 "(every ballot approves exactly one party)"
             )
-        if config.mode is not Mode.PARTY:
-            raise ElectionConfigError(
-                f"{config.method.value} runs in party mode only"
-            )
+        if mode is not Mode.PARTY:
+            raise ElectionConfigError(f"{method.value} runs in party mode only")
         party_weight = _party_weights(work)
 
     loads = LoadVector.zero(work)
     counts: dict[CandidateId, int] = {name: 0 for name in work.candidates}
     elected: set[CandidateId] = set()
     records: list[SeatRecord] = []
-    for seat in range(1, config.seats + 1):
-        if config.mode is Mode.CANDIDATE:
+    for seat in range(1, seats + 1):
+        if mode is Mode.CANDIDATE:
             eligible = [name for name in contenders if name not in elected]
         else:
             eligible = contenders
         if quotient_rule is None:
-            winner, solution, tied = select_winner(
-                work, loads, eligible, config.method, lane
-            )
+            winner, solution, tied = select_winner(work, loads, eligible, method, lane)
         else:
             tied = _highest_quotients(party_weight, counts, quotient_rule)
             winner = tied[0]
@@ -335,10 +349,7 @@ def run_election(profile: Profile, config: MethodConfig) -> ElectionResult:
         counts[winner] += 1
         elected.add(winner)
     return ElectionResult(
-        method=config.method,
-        mode=config.mode,
-        records=tuple(records),
-        seat_counts=counts,
+        method=method, mode=mode, records=tuple(records), seat_counts=counts
     )
 
 
@@ -367,16 +378,6 @@ def apportion_sequence(
         sequence.append(winner)
         held[winner] += 1
     return sequence
-
-
-def highest_averages(
-    votes: Mapping[CandidateId, Rational], seats: int, divisor: Method
-) -> dict[CandidateId, int]:
-    """Seat counts from the sequential highest-averages apportionment."""
-    counts = {name: 0 for name in votes}
-    for name in apportion_sequence(votes, seats, divisor):
-        counts[name] += 1
-    return counts
 
 
 def verify_election(profile: Profile, result: ElectionResult) -> None:

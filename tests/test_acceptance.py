@@ -13,12 +13,11 @@ from varphragmen import (
     Backend,
     LoadVector,
     Method,
-    MethodConfig,
     Mode,
     Profile,
     VoterType,
+    apportion_sequence,
     check_closed_list_equivalence,
-    highest_averages,
     monotonicity_probe,
     oracle_agreement_campaign,
     parse_profile,
@@ -51,9 +50,7 @@ def run_cli(capsys, *argv):
 def test_criterion_1_corrected_trace_table(capsys, tmp_path):
     """Three-seat candidate election: winners a1, b, a2 with the corrected trace."""
     profile = parse_profile(PROFILE_12)
-    result = run_election(
-        profile, MethodConfig(Method.VAR_PHRAGMEN, Mode.CANDIDATE, 3)
-    )
+    result = run_election(profile, Method.VAR_PHRAGMEN, 3, mode=Mode.CANDIDATE)
     ok = result.winners == ("a1", "b", "a2")
     ok &= result.records[0].solution.x == (F(1, 10), F(1, 10), 0)
     ok &= result.records[1].solution.x == (0, F(7, 40), F(11, 40))
@@ -78,9 +75,7 @@ def test_criterion_1_corrected_trace_table(capsys, tmp_path):
 def test_criterion_2_uncorrected_trace_and_negativity_detector(capsys, tmp_path):
     """The raw seat-3 row shows 0.1175 / -0.0575 and only seat 3 trips the detector."""
     profile = parse_profile(PROFILE_12)
-    result = run_election(
-        profile, MethodConfig(Method.VAR_PHRAGMEN, Mode.CANDIDATE, 3)
-    )
+    result = run_election(profile, Method.VAR_PHRAGMEN, 3, mode=Mode.CANDIDATE)
     flags = [rec.solution.corrected for rec in result.records]
     ok = flags == [False, False, True]
 
@@ -104,9 +99,11 @@ def test_criterion_3_party_counts_and_monotonicity(capsys):
     """Party-mode counts A=2/B=0/C=1, bumped first weight flips to 1/1/1, probe VIOLATED."""
     base = parse_profile(PROFILE_13)
     bumped = parse_profile(PROFILE_13_BUMPED)
-    config = MethodConfig(Method.VAR_PHRAGMEN, Mode.PARTY, 3)
-    ok = run_election(base, config).seat_counts == {"A": 2, "B": 0, "C": 1}
-    ok &= run_election(bumped, config).seat_counts == {"A": 1, "B": 1, "C": 1}
+    counts = [
+        run_election(p, Method.VAR_PHRAGMEN, 3, mode=Mode.PARTY).seat_counts
+        for p in (base, bumped)
+    ]
+    ok = counts == [{"A": 2, "B": 0, "C": 1}, {"A": 1, "B": 1, "C": 1}]
     probe = monotonicity_probe(base, "A", 3, F(1))
     ok &= probe.seats_before == 2 and probe.seats_after == 1 and probe.violated
     assert report("criterion 3 (party counts and monotonicity violation)", ok)
@@ -155,7 +152,7 @@ ELECTION_MATRIX = [
 def suite_elections():
     for text, method, mode, seats in ELECTION_MATRIX:
         profile = parse_profile(text)
-        yield profile, run_election(profile, MethodConfig(method, mode, seats))
+        yield profile, run_election(profile, method, seats, mode=mode)
     rng = random.Random(SEED)
     for _ in range(25):
         profile = random_profile(rng, max_types=6, max_candidates=5)
@@ -163,7 +160,7 @@ def suite_elections():
         mode = rng.choice([Mode.CANDIDATE, Mode.PARTY])
         cap = 5 if mode is Mode.PARTY else len(profile.candidates)
         seats = rng.randint(1, cap)
-        yield profile, run_election(profile, MethodConfig(method, mode, seats))
+        yield profile, run_election(profile, method, seats, mode=mode)
 
 
 def test_criterion_6_per_seat_invariants():
@@ -223,8 +220,8 @@ def test_criterion_8_sweep_smoke_and_control():
             for name, weight in (("A", alpha), ("B", 1 - alpha))
             if weight > 0
         }
-        counts = highest_averages(votes, control_seats, Method.SAINTE_LAGUE)
-        ok &= share == F(counts.get("A", 0), control_seats)
+        sequence = apportion_sequence(votes, control_seats, Method.SAINTE_LAGUE)
+        ok &= share == F(sequence.count("A"), control_seats)
     assert report(
         "criterion 8 (sweep smoke + exact Sainte-Laguë control)", ok,
         "101 samples at 1200 seats; control at 60 seats",
@@ -240,13 +237,13 @@ def test_criterion_9_scale_invariance():
         mode = rng.choice([Mode.CANDIDATE, Mode.PARTY])
         cap = 5 if mode is Mode.PARTY else len(profile.candidates)
         seats = rng.randint(1, cap)
-        config = MethodConfig(Method.VAR_PHRAGMEN, mode, seats)
-        baseline = run_election(profile, config).winners
+        baseline = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode).winners
         for c in (F(2), F(3), F(7, 2)):
             scaled = Profile(
                 VoterType(t.weight * c, t.approvals) for t in profile.types
             )
-            assert run_election(scaled, config).winners == baseline
+            rerun = run_election(scaled, Method.VAR_PHRAGMEN, seats, mode=mode)
+            assert rerun.winners == baseline
         checked += 1
     assert report(
         "criterion 9 (weight-scale invariance of winner sequences)",

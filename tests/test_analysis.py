@@ -10,9 +10,9 @@ from varphragmen import (
     Method,
     TwoPartyFamily,
     UnknownCandidateError,
+    apportion_sequence,
     check_closed_list_equivalence,
     compare_solvers_over_election,
-    highest_averages,
     monotonicity_probe,
     oracle_agreement_campaign,
     parse_profile,
@@ -135,8 +135,8 @@ def test_sweep_zeta_zero_matches_sainte_lague():
             for name, weight in (("A", alpha), ("B", 1 - alpha))
             if weight > 0
         }
-        counts = highest_averages(votes, seats, Method.SAINTE_LAGUE)
-        assert share == F(counts.get("A", 0), seats)
+        sequence = apportion_sequence(votes, seats, Method.SAINTE_LAGUE)
+        assert share == F(sequence.count("A"), seats)
         assert share.denominator <= seats  # multiples of 1/seats
 
 

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -187,6 +189,34 @@ def test_elect_exit_codes(capsys, p12_path, tmp_path):
     code, _, _ = run_cli(capsys, "elect", "--method", "bogus", "--seats", "1", p12_path)
     assert code == 2
 
+    code, _, err = run_cli(
+        capsys, "elect", "--method", "var-phragmen", "--seats", "x", p12_path
+    )
+    assert code == 2
+    assert "not an integer: 'x'" in err
+
+    code, _, err = run_cli(
+        capsys, "probe", "--party", "a1", "--seats", "1", "--delta", "abc", p12_path
+    )
+    assert code == 2
+    assert "--delta" in err
+
+    # float64 cannot represent these weights, or the scores they lead to
+    zeros = "0" * 400
+    for text, seats, fmt in (
+        (f"1{zeros} : a\n1 : b\n", "1", ()),
+        (f"1/1{zeros} : a\n1 : b\n", "1", ()),
+        (f"1/1{zeros[:300]} : a\n1 : b\n", "2", ("--format", "json")),
+    ):
+        path = tmp_path / "unrepresentable.txt"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "elect", "--method", "var-phragmen", "--seats", seats,
+            "--backend", "float64", *fmt, str(path),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "--backend exact" in err
+
 
 def test_process_exit_codes(p12_path, tmp_path):
     # the real process: entrypoint() and the __main__ guard turn main()'s
@@ -216,6 +246,46 @@ def test_elect_huge_values_render(capsys, tmp_path):
         )
         assert (code, err) == (0, "")
         assert "1" + "0" * 40 + ".0000" in out
+
+
+def readme_examples():
+    """The README's profile files, by name, and its ``$ varphragmen`` commands.
+
+    A ``text`` block whose first line reads ``# <name>: ...`` is the file
+    ``<name>``.  Each ``elect`` or ``probe`` command comes with the lines
+    shown under it, up to the next blank, comment or command line.
+    """
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    files = {}
+    for block in re.findall(r"```text\n(.*?)```", readme, re.S):
+        files[block.split(":", 1)[0].removeprefix("# ")] = block
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith(("$ varphragmen elect", "$ varphragmen probe")):
+                continue
+            shown = []
+            for out in lines[i + 1:]:
+                if not out or out.startswith(("#", "$")):
+                    break
+                shown.append(out)
+            commands.append((shlex.split(line)[2:], shown))
+    return files, commands
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypatch):
+    files, commands = readme_examples()
+    assert set(files) == {"profile.txt", "party.txt"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    shown = [(argv, lines) for argv, lines in commands if lines]
+    assert len(shown) == 4
+    for argv, lines in shown:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == lines, argv
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +361,11 @@ def test_sweep_malformed_alphas(capsys):
         capsys, "sweep", "--zeta", "0", "--seats", "2", "--alphas", "1:0:5"
     )
     assert code == 2
+    for alphas in ("a:1:2", "0:1:0"):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--zeta", "0", "--seats", "2", "--alphas", alphas
+        )
+        assert code == 2
 
 
 # ---------------------------------------------------------------------------

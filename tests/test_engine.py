@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -10,7 +11,6 @@ from varphragmen import (
     ElectionConfigError,
     LoadVector,
     Method,
-    MethodConfig,
     Mode,
     Profile,
     Subproblem,
@@ -18,7 +18,6 @@ from varphragmen import (
     VoterType,
     apportion_sequence,
     corrected_solution,
-    highest_averages,
     parse_profile,
     run_election,
     select_winner,
@@ -32,15 +31,11 @@ from varphragmen.analysis import random_profile
 from conftest import PROFILE_12
 
 
-def var_config(mode=Mode.CANDIDATE, seats=3, backend=Backend.EXACT):
-    return MethodConfig(Method.VAR_PHRAGMEN, mode, seats, backend)
-
-
 # ---------------------------------------------------------------------------
 # the worked three-seat election
 
 def test_profile12_full_run(profile12):
-    result = run_election(profile12, var_config())
+    result = run_election(profile12, Method.VAR_PHRAGMEN, 3)
     assert result.winners == ("a1", "b", "a2")
 
     first, second, third = result.records
@@ -63,7 +58,7 @@ def test_profile12_full_run(profile12):
 
 
 def test_profile12_variance_trace(profile12):
-    result = run_election(profile12, var_config())
+    result = run_election(profile12, Method.VAR_PHRAGMEN, 3)
     # direct evaluation of sum(u*r*r) - n*n/w at each seat
     w = profile12.total_weight
     for rec in result.records:
@@ -102,14 +97,14 @@ def test_profile12_seat3_scores(profile12, loads12_after_seat2):
 
 
 def test_profile13_party_mode(profile13):
-    result = run_election(profile13, var_config(Mode.PARTY))
+    result = run_election(profile13, Method.VAR_PHRAGMEN, 3, mode=Mode.PARTY)
     assert result.winners == ("A", "C", "A")
     assert result.seat_counts == {"A": 2, "B": 0, "C": 1}
     verify_election(profile13, result)
 
 
 def test_profile13_bumped_party_mode(profile13_bumped):
-    result = run_election(profile13_bumped, var_config(Mode.PARTY))
+    result = run_election(profile13_bumped, Method.VAR_PHRAGMEN, 3, mode=Mode.PARTY)
     assert result.winners == ("A", "B", "C")
     assert result.seat_counts == {"A": 1, "B": 1, "C": 1}
     verify_election(profile13_bumped, result)
@@ -137,6 +132,10 @@ def test_variance_rejects_inconsistent_loads(profile12):
     bad = LoadVector(values=(F(1, 10), 0, 0), seats_assigned=1)
     with pytest.raises(ValueError, match="inconsistent"):
         variance(profile12, bad)
+    # float loads are checked with a tolerance; a mass of 0.9 misses it
+    floats = engine._float_profile(profile12)
+    with pytest.raises(ValueError, match="inconsistent"):
+        variance(floats, LoadVector(values=(0.1, 0.0, 0.0), seats_assigned=1))
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +143,13 @@ def test_variance_rejects_inconsistent_loads(profile12):
 
 def test_sainte_lague_counts():
     votes = {"A": 53, "B": 24, "C": 23}
-    assert highest_averages(votes, 5, Method.SAINTE_LAGUE) == {"A": 3, "B": 1, "C": 1}
+    sequence = apportion_sequence(votes, 5, Method.SAINTE_LAGUE)
+    assert Counter(sequence) == {"A": 3, "B": 1, "C": 1}
 
 
 def test_sainte_lague_sequence():
     votes = {"A": 10, "B": 4, "C": 3}
     assert apportion_sequence(votes, 3, Method.SAINTE_LAGUE) == ["A", "B", "A"]
-    assert highest_averages(votes, 3, Method.SAINTE_LAGUE) == {"A": 2, "B": 1, "C": 0}
 
 
 def test_dhondt_sequence():
@@ -158,7 +157,7 @@ def test_dhondt_sequence():
 
 
 def test_highest_averages_zero_seats():
-    assert highest_averages({"A": 3, "B": 1}, 0, Method.DHONDT) == {"A": 0, "B": 0}
+    assert apportion_sequence({"A": 3, "B": 1}, 0, Method.DHONDT) == []
 
 
 def test_highest_averages_lexicographic_ties():
@@ -167,9 +166,11 @@ def test_highest_averages_lexicographic_ties():
 
 def test_highest_averages_requires_positive_votes():
     with pytest.raises(ValueError):
-        highest_averages({"A": 0, "B": 0}, 2, Method.SAINTE_LAGUE)
+        apportion_sequence({"A": 0, "B": 0}, 2, Method.SAINTE_LAGUE)
     with pytest.raises(ValueError):
-        highest_averages({"A": -1, "B": 2}, 2, Method.SAINTE_LAGUE)
+        apportion_sequence({"A": -1, "B": 2}, 2, Method.SAINTE_LAGUE)
+    with pytest.raises(ValueError, match="seats must be nonnegative"):
+        apportion_sequence({"A": 3, "B": 1}, -1, Method.DHONDT)
     with pytest.raises(ValueError):
         apportion_sequence({"A": 1}, 1, Method.VAR_PHRAGMEN)
 
@@ -182,9 +183,7 @@ CLOSED = "10 : A\n4 : B\n3 : C\n"
 
 def test_sainte_lague_election_matches_apportionment():
     profile = parse_profile(CLOSED)
-    result = run_election(
-        profile, MethodConfig(Method.SAINTE_LAGUE, Mode.PARTY, 3)
-    )
+    result = run_election(profile, Method.SAINTE_LAGUE, 3, mode=Mode.PARTY)
     assert result.winners == ("A", "B", "A")
     assert result.seat_counts == {"A": 2, "B": 1, "C": 0}
     verify_election(profile, result)
@@ -192,7 +191,7 @@ def test_sainte_lague_election_matches_apportionment():
 
 def test_dhondt_election_matches_apportionment():
     profile = parse_profile(CLOSED)
-    result = run_election(profile, MethodConfig(Method.DHONDT, Mode.PARTY, 5))
+    result = run_election(profile, Method.DHONDT, 5, mode=Mode.PARTY)
     votes = {"A": 10, "B": 4, "C": 3}
     assert list(result.winners) == apportion_sequence(votes, 5, Method.DHONDT)
     verify_election(profile, result)
@@ -200,13 +199,13 @@ def test_dhondt_election_matches_apportionment():
 
 def test_closed_list_methods_reject_open_profiles(profile12):
     with pytest.raises(ElectionConfigError, match="closed-list"):
-        run_election(profile12, MethodConfig(Method.SAINTE_LAGUE, Mode.PARTY, 2))
+        run_election(profile12, Method.SAINTE_LAGUE, 2, mode=Mode.PARTY)
 
 
 def test_closed_list_methods_reject_candidate_mode():
     profile = parse_profile(CLOSED)
     with pytest.raises(ElectionConfigError, match="party mode"):
-        run_election(profile, MethodConfig(Method.DHONDT, Mode.CANDIDATE, 2))
+        run_election(profile, Method.DHONDT, 2, mode=Mode.CANDIDATE)
 
 
 def test_closed_list_reduction_on_random_profiles():
@@ -217,13 +216,11 @@ def test_closed_list_reduction_on_random_profiles():
         profile = random_closed_list_profile(rng)
         seats = rng.randint(1, 12)
         votes = {name: profile.supporters(name)[1] for name in profile.candidates}
-        var_run = run_election(profile, var_config(Mode.PARTY, seats))
+        var_run = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY)
         assert list(var_run.winners) == apportion_sequence(
             votes, seats, Method.SAINTE_LAGUE
         )
-        seq_run = run_election(
-            profile, MethodConfig(Method.SEQ_PHRAGMEN, Mode.PARTY, seats)
-        )
+        seq_run = run_election(profile, Method.SEQ_PHRAGMEN, seats, mode=Mode.PARTY)
         assert list(seq_run.winners) == apportion_sequence(votes, seats, Method.DHONDT)
 
 
@@ -231,9 +228,7 @@ def test_closed_list_reduction_on_random_profiles():
 # max-load sequential method
 
 def test_seq_phragmen_profile12(profile12):
-    result = run_election(
-        profile12, MethodConfig(Method.SEQ_PHRAGMEN, Mode.CANDIDATE, 3)
-    )
+    result = run_election(profile12, Method.SEQ_PHRAGMEN, 3, mode=Mode.CANDIDATE)
     # seat 1 levels: a1 = a2 = 1/10, b = 1/4, c = 1/3
     assert result.records[0].solution.candidate == "a1"
     assert result.records[0].tied_with == ("a1", "a2")
@@ -248,14 +243,14 @@ def test_seq_phragmen_profile12(profile12):
 
 def test_seats_must_be_positive(profile12):
     with pytest.raises(ElectionConfigError):
-        run_election(profile12, var_config(seats=0))
+        run_election(profile12, Method.VAR_PHRAGMEN, 0)
 
 
 def test_candidate_mode_needs_enough_candidates(profile12):
     with pytest.raises(ElectionConfigError):
-        run_election(profile12, var_config(seats=5))
+        run_election(profile12, Method.VAR_PHRAGMEN, 5)
     # party mode has no such cap
-    run_election(profile12, var_config(Mode.PARTY, seats=5))
+    run_election(profile12, Method.VAR_PHRAGMEN, 5, mode=Mode.PARTY)
 
 
 def test_select_winner_skips_unsupported_names(profile12):
@@ -271,8 +266,8 @@ def test_select_winner_skips_unsupported_names(profile12):
 
 
 def test_determinism(profile13):
-    config = var_config(Mode.PARTY, 4)
-    assert run_election(profile13, config) == run_election(profile13, config)
+    first = run_election(profile13, Method.VAR_PHRAGMEN, 4, mode=Mode.PARTY)
+    assert first == run_election(profile13, Method.VAR_PHRAGMEN, 4, mode=Mode.PARTY)
 
 
 def test_conservation_and_verify_on_random_runs():
@@ -282,7 +277,7 @@ def test_conservation_and_verify_on_random_runs():
         mode = Mode.PARTY if rng.random() < 0.5 else Mode.CANDIDATE
         seats = rng.randint(1, 4 if mode is Mode.PARTY else len(profile.candidates))
         for method in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
-            result = run_election(profile, MethodConfig(method, mode, seats))
+            result = run_election(profile, method, seats, mode=mode)
             for rec in result.records:
                 mass = sum(
                     t.weight * r
@@ -325,7 +320,7 @@ def test_cached_election_matches_per_seat_reference():
     methods = (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN)
     for profile, method, mode, backend in product(profiles, methods, Mode, Backend):
         seats = min(8, len(profile.candidates)) if mode is Mode.CANDIDATE else 8
-        result = run_election(profile, MethodConfig(method, mode, seats, backend))
+        result = run_election(profile, method, seats, mode=mode, backend=backend)
         exact = backend is Backend.EXACT
         work = profile if exact else engine._float_profile(profile)
         for rec, loads, eligible in seat_states(work, result):
@@ -356,7 +351,7 @@ def test_rescoring_touches_only_changed_types(monkeypatch, mode):
         return corrected_solution(sub)
 
     monkeypatch.setattr(engine, "corrected_solution", counting)
-    result = run_election(profile, var_config(mode, seats))
+    result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
     expected = 0
     previous = None
     for rec, _, eligible in seat_states(profile, result):
@@ -405,8 +400,10 @@ def test_exact_lane_metamorphic_relations():
         ))
         for method, mode in product((Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN), Mode):
             seats = min(6, len(profile.candidates)) if mode is Mode.CANDIDATE else 6
-            config = MethodConfig(method, mode, seats)
-            runs = [run_election(p, config) for p in (profile, scaled, permuted, split)]
+            runs = [
+                run_election(p, method, seats, mode=mode)
+                for p in (profile, scaled, permuted, split)
+            ]
             for rec, s_rec, p_rec, sp_rec in zip(*(run.records for run in runs)):
                 for other in (s_rec, p_rec, sp_rec):
                     assert other.solution.candidate == rec.solution.candidate
@@ -442,7 +439,7 @@ def test_exact_lane_never_scores_share_by_share(monkeypatch, method, mode):
     for module in (step, engine):
         monkeypatch.setattr(module, "_score", counting)
     seats = min(8, len(profile.candidates))
-    result = run_election(profile, MethodConfig(method, mode, seats))
+    result = run_election(profile, method, seats, mode=mode)
     assert calls == []
     # the share-by-share reference still accepts every closed-form score
     verify_election(profile, result)
@@ -456,7 +453,7 @@ def test_exact_lane_rejects_inconsistent_loads(monkeypatch):
 
     monkeypatch.setattr(engine, "corrected_solution", doubled)
     with pytest.raises(ValueError, match="inconsistent loads: total mass 2 != 1 seats"):
-        run_election(parse_profile(PROFILE_12), var_config())
+        run_election(parse_profile(PROFILE_12), Method.VAR_PHRAGMEN, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +490,15 @@ def _reseat(profile, result, seat, candidate, solve=corrected_solution):
 
 def _extra_seat(profile, result):
     """A fifth candidate-mode seat from a profile of four candidates."""
-    full = run_election(profile, var_config(seats=4))
+    full = run_election(profile, Method.VAR_PHRAGMEN, 4)
     last = full.records[-1]
     return replace(full, records=full.records + (replace(last, seat_index=5),))
 
 
 VERIFIED_RUNS = {
-    "var": (PROFILE_12, MethodConfig(Method.VAR_PHRAGMEN, Mode.CANDIDATE, 3)),
-    "seq": (PROFILE_12, MethodConfig(Method.SEQ_PHRAGMEN, Mode.CANDIDATE, 3)),
-    "sl": ("5: A\n3: B\n", MethodConfig(Method.SAINTE_LAGUE, Mode.PARTY, 2)),
+    "var": (PROFILE_12, Method.VAR_PHRAGMEN, Mode.CANDIDATE, 3),
+    "seq": (PROFILE_12, Method.SEQ_PHRAGMEN, Mode.CANDIDATE, 3),
+    "sl": ("5: A\n3: B\n", Method.SAINTE_LAGUE, Mode.PARTY, 2),
 }
 
 CORRUPTIONS = [
@@ -550,9 +547,9 @@ CORRUPTIONS = [
     ids=[f"{run}-{message}" for run, _, message in CORRUPTIONS],
 )
 def test_verify_election_reports_each_corruption(run, corrupt, message):
-    text, config = VERIFIED_RUNS[run]
+    text, method, mode, seats = VERIFIED_RUNS[run]
     profile = parse_profile(text)
-    result = run_election(profile, config)
+    result = run_election(profile, method, seats, mode=mode)
     verify_election(profile, result)
     with pytest.raises(VerificationError) as info:
         verify_election(profile, corrupt(profile, result))
@@ -562,16 +559,16 @@ def test_verify_election_reports_each_corruption(run, corrupt, message):
 # ---------------------------------------------------------------------------
 # float64 backend
 
-def exact_seat_gaps(profile, config):
+def exact_seat_gaps(profile, seats, mode):
     """Smallest winner-vs-runner-up score gap at each seat, exactly."""
-    result = run_election(profile, config)
+    result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
     gaps = []
     loads = LoadVector.zero(profile)
     elected = set()
     for rec in result.records:
         scores = []
         for name in profile.candidates:
-            if config.mode is Mode.CANDIDATE and name in elected:
+            if mode is Mode.CANDIDATE and name in elected:
                 continue
             scores.append(corrected_solution(Subproblem(profile, loads, name)).score)
         scores.sort()
@@ -588,12 +585,11 @@ def test_float64_matches_exact_outside_knife_edge_ties():
     for _ in range(25):
         profile = random_profile(rng, max_types=5, max_candidates=5)
         seats = rng.randint(1, 4)
-        config = var_config(Mode.PARTY, seats)
-        exact_result, gaps = exact_seat_gaps(profile, config)
+        exact_result, gaps = exact_seat_gaps(profile, seats, Mode.PARTY)
         if any(g <= F(1, 10**9) for g in gaps):
             continue  # knife-edge instances carry no expectation
         float_result = run_election(
-            profile, var_config(Mode.PARTY, seats, Backend.FLOAT64)
+            profile, Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY, backend=Backend.FLOAT64
         )
         assert float_result.winners == exact_result.winners
         checked += 1
@@ -601,12 +597,12 @@ def test_float64_matches_exact_outside_knife_edge_ties():
 
 
 def test_float64_loads_are_floats(profile12):
-    result = run_election(profile12, var_config(backend=Backend.FLOAT64))
+    result = run_election(profile12, Method.VAR_PHRAGMEN, 3, backend=Backend.FLOAT64)
     assert result.winners == ("a1", "b", "a2")
     assert isinstance(result.records[-1].loads_after.values[0], float)
 
 
 def test_result_winners_property(profile13):
-    result = run_election(profile13, var_config(Mode.PARTY, 3))
+    result = run_election(profile13, Method.VAR_PHRAGMEN, 3, mode=Mode.PARTY)
     assert result.winners == tuple(rec.solution.candidate for rec in result.records)
     assert sum(result.seat_counts.values()) == len(result.records)

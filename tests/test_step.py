@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from varphragmen import (
     LoadVector,
-    MethodConfig,
     Method,
     Mode,
     Profile,
@@ -76,6 +75,9 @@ def test_single_supporter_forced_solution():
 def test_no_supporters_rejected(profile12):
     with pytest.raises(Exception):
         Subproblem(profile12, zero(profile12), "ghost")
+    short = LoadVector(values=(0, 0), seats_assigned=0)
+    with pytest.raises(ValueError, match="length does not match"):
+        Subproblem(profile12, short, "a1")
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +236,7 @@ def election_states(draw):
     seats = draw(st.integers(min_value=0, max_value=5))
     loads = LoadVector.zero(profile)
     if seats:
-        result = run_election(
-            profile, MethodConfig(Method.VAR_PHRAGMEN, Mode.PARTY, seats)
-        )
+        result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY)
         loads = result.records[-1].loads_after
     candidate = draw(st.sampled_from(sorted(profile.candidates)))
     return profile, loads, candidate
@@ -300,7 +300,7 @@ def test_clamping_strictly_lowers_the_level(state):
 
 def test_merge_invariance_for_election_loads():
     profile = parse_profile("2 : a, b\n3 : a, b\n4 : b\n")
-    result = run_election(profile, MethodConfig(Method.VAR_PHRAGMEN, Mode.PARTY, 3))
+    result = run_election(profile, Method.VAR_PHRAGMEN, 3, mode=Mode.PARTY)
     loads = result.records[-1].loads_after
     # types with identical approval sets always carry identical loads
     assert loads.values[0] == loads.values[1]
