@@ -166,21 +166,32 @@ class _ExactLane(_ShareLane):
     """Exact arithmetic with per-type products kept with the run's loads.
 
     ``products[k]`` is ``(u*r, u*r*r)`` at the current load of type ``k``;
-    after each seat only the types whose load moved are recomputed.  Solves
-    read their supporters' products (:class:`ExactSubproblem`) and score in
-    closed form.  The lane keeps ``sum(u*r*r)`` running by adding each
-    seat's score, and ``sum(u*r)`` by the moved products, which must equal
-    the number of seats exactly: the consistency check of :func:`variance`.
+    after each seat only the types whose load moved are recomputed.  Each
+    candidate's ``sum(u*r)`` and highest load over its supporters are kept
+    running as well (``carried``, ``top``), updated from the moved types
+    alone.  The winner's sum grows by the seat's unit mass, and its highest
+    load is at least the level its supporters moved to; every other
+    candidate approved by a moved type takes that type's change.  Loads only
+    rise, so the running maximum is exact.  Solves read their supporters'
+    products and their candidate's sums (:class:`ExactSubproblem`), so a
+    solve that needs no clamp never scans or re-sums its supporters, and
+    score in closed form.  The lane keeps ``sum(u*r*r)`` running by adding
+    each seat's score, and ``sum(u*r)`` by the moved products, which must
+    equal the number of seats exactly: the consistency check of
+    :func:`variance`.
     """
 
     def __init__(self, profile: Profile):
         super().__init__(profile)
         self.products: list[Products] = [(0, 0)] * len(profile.types)
+        self.carried: dict[CandidateId, Rational] = dict.fromkeys(profile.candidates, 0)
+        self.top: dict[CandidateId, Rational] = dict.fromkeys(profile.candidates, 0)
         self.mass: Rational = 0
         self.squares: Rational = 0
 
     def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
-        return ExactSubproblem(self.profile, loads, name, self.products)
+        sums = self.carried[name], self.top[name]
+        return ExactSubproblem(self.profile, loads, name, self.products, sums)
 
     @staticmethod
     def negative(share: Rational) -> bool:
@@ -188,10 +199,22 @@ class _ExactLane(_ShareLane):
 
     def advance(self, loads: LoadVector, solution: StepSolution) -> Rational:
         types, values, products = self.profile.types, loads.values, self.products
+        carried, top, winner = self.carried, self.top, solution.candidate
         for k in self._evict(solution):
-            weighted = types[k].weight * values[k]
-            self.mass += weighted - products[k][0]
-            products[k] = (weighted, weighted * values[k])
+            load = values[k]
+            weighted = types[k].weight * load
+            moved = weighted - products[k][0]
+            products[k] = (weighted, weighted * load)
+            self.mass += moved
+            for name in types[k].approvals:
+                if name != winner:
+                    carried[name] += moved
+                    if load > top[name]:
+                        top[name] = load
+        # the whole seat lands on the winner's supporters, which end at the
+        # level unless clamped above it; an int 1 adds without a big gcd
+        carried[winner] += 1
+        top[winner] = max(top[winner], solution.level)
         n = loads.seats_assigned
         if self.mass != n:
             raise ValueError(f"inconsistent loads: total mass {self.mass} != {n} seats")
@@ -249,7 +272,12 @@ def _float_profile(profile: Profile) -> Profile:
                 f"voter type {k} weight {problem} float64; use --backend exact"
             )
         types.append(VoterType(weight=weight, approvals=t.approvals))
-    return Profile(types)
+    work = Profile(types)
+    if not math.isfinite(work.total_weight):
+        raise ElectionConfigError(
+            "total voter weight overflows float64; use --backend exact"
+        )
+    return work
 
 
 def _party_weights(profile: Profile) -> dict[CandidateId, Rational]:

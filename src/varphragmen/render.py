@@ -62,8 +62,11 @@ def election_json(
     """JSON payload carrying both exact rationals and decimal renderings.
 
     The profile text is embedded so the payload is a self-contained
-    reproduction of the run.
+    reproduction of the run.  Every zero share renders as the one cell
+    ``decimal_str(0)``, computed once: most shares of a sparse profile are
+    the int ``0`` placeholders off the winner's active set.
     """
+    zero = decimal_str(0, decimals)
     records = []
     for rec in result.records:
         sol = rec.solution
@@ -72,7 +75,7 @@ def election_json(
                 "seat": rec.seat_index,
                 "winner": sol.candidate,
                 "x": [rational_str(v) for v in sol.x],
-                "x_display": [decimal_str(v, decimals) for v in sol.x],
+                "x_display": [decimal_str(v, decimals) if v else zero for v in sol.x],
                 "level": rational_str(sol.level),
                 "level_display": decimal_str(sol.level, decimals),
                 "score": rational_str(sol.score),

@@ -28,7 +28,14 @@ scoring tail differ:
   common level, so the increase of ``sum(u*r*r)`` is
   ``sum(u*(level**2 - r**2)) = level*(carried + 1) - sum(u*r*r)`` over the
   active set, where ``carried = sum(u*r)`` there.  This is exact in
-  rationals only, which is why the float lane does not use it.
+  rationals only, which is why the float lane does not use it.  With its
+  candidate's running ``sum(u*r)`` and highest load, kept by the engine,
+  the first clamp round costs O(1); only a round after a clamp scans and
+  re-sums its active entries.
+
+Zero terms cost nothing in either lane: a supporter with zero load moves
+straight to ``level`` (``level - 0 == level`` in value and type, float bits
+included), and the closed form's ``sum(u*r*r)`` skips it.
 
 The equality-constrained solve on its own is :func:`unconstrained_solution`:
 every supporter ends at the common level of :func:`unconstrained_level`, and
@@ -96,6 +103,12 @@ class Subproblem:
         """``sum(u*r)`` over the ``active`` entries, each product computed afresh."""
         return left_sum(u * r for _, u, r in active)
 
+    def above(
+        self, active: Iterable[tuple[int, Rational, Rational]], level: Rational
+    ) -> list[int]:
+        """Type indices of the ``active`` entries whose load exceeds ``level``."""
+        return [k for k, _, r in active if r > level]
+
     def solution(
         self,
         level: Rational,
@@ -111,13 +124,17 @@ class ExactSubproblem(Subproblem):
     """The exact lane's subproblem: cached products and a closed-form score.
 
     ``products[k]`` is ``(u_k*r_k, u_k*r_k*r_k)`` at the subproblem's loads,
-    for every supporter ``k``.  The engine passes the per-type products it
-    keeps with the run's loads; without them, they are computed here for the
-    supporters.  Exact arithmetic only: in floats the closed form rounds
-    differently from the share-by-share score.
+    for every supporter ``k``.  ``sums`` is ``(sum(u*r), max r)`` over all
+    supporters: the candidate's carried load and highest load.  The engine
+    passes the per-type products and the per-candidate sums it keeps with
+    the run's loads; without them, they are computed here from the
+    supporters.  With the sums, the first clamp round (``active`` is all of
+    :attr:`entries`) reads ``carried`` and tests negativity in O(1); later
+    rounds sum and scan their active entries.  Exact arithmetic only: in
+    floats the closed form rounds differently from the share-by-share score.
     """
 
-    __slots__ = ("products",)
+    __slots__ = ("products", "supporter_carried", "top_load")
 
     def __init__(
         self,
@@ -125,16 +142,33 @@ class ExactSubproblem(Subproblem):
         loads: LoadVector,
         candidate: CandidateId,
         products: Sequence[Products] | dict[int, Products] | None = None,
+        sums: tuple[Rational, Rational] | None = None,
     ):
         super().__init__(profile, loads, candidate)
         if products is None:
             products = {k: (u * r, u * r * r) for k, u, r in self.entries}
+        if sums is None:
+            sums = (
+                sum(products[k][0] for k in self.supporters),
+                max(r for _, _, r in self.entries),
+            )
         self.products = products
+        self.supporter_carried, self.top_load = sums
 
     def carried(self, active: Iterable[tuple[int, Rational, Rational]]) -> Rational:
-        """``sum(u*r)`` over the ``active`` entries, from the cached products."""
+        """``sum(u*r)`` over the ``active`` entries: the running sum, or products."""
+        if active is self.entries:
+            return self.supporter_carried
         products = self.products
         return sum(products[k][0] for k, _, _ in active)
+
+    def above(
+        self, active: Iterable[tuple[int, Rational, Rational]], level: Rational
+    ) -> list[int]:
+        """Type indices above ``level``; no scan over all supporters below it."""
+        if active is self.entries and self.top_load <= level:
+            return []
+        return super().above(active, level)
 
     def solution(
         self,
@@ -145,7 +179,7 @@ class ExactSubproblem(Subproblem):
     ) -> StepSolution:
         """Move ``active`` to ``level``; score ``level*(carried + 1) - sum(u*r*r)``."""
         products = self.products
-        squares = sum(products[k][1] for k, _, _ in active)
+        squares = sum(products[k][1] for k, _, r in active if r)
         return StepSolution(
             candidate=self.candidate,
             x=_shares(self, level, active),
@@ -188,10 +222,14 @@ def _score(sub: Subproblem, x: Sequence[Rational]) -> Rational:
 def _shares(
     sub: Subproblem, level: Rational, active: Iterable[tuple[int, Rational, Rational]]
 ) -> tuple[Rational, ...]:
-    """Move the ``active`` entries to ``level``; every other share is int ``0``."""
+    """Move the ``active`` entries to ``level``; every other share is int ``0``.
+
+    A zero load moves straight to ``level``: ``level - 0`` is ``level`` in
+    value and type, float bits included.
+    """
     x: list[Rational] = [0] * len(sub.profile.types)
     for k, _, r in active:
-        x[k] = level - r
+        x[k] = level - r if r else level
     return tuple(x)
 
 
@@ -223,9 +261,10 @@ def corrected_solution(sub: Subproblem) -> StepSolution:
     because each round strictly shrinks the active set and the minimum-load
     supporter always keeps a positive share.
 
-    The subproblem's lane supplies the carried load and scores the result:
-    in closed form (:class:`ExactSubproblem`) or share by share with the
-    reference :func:`_score` (:class:`Subproblem`, the float64 lane).
+    The subproblem's lane supplies the carried load, finds the loads above
+    the level and scores the result: in closed form (:class:`ExactSubproblem`,
+    whose first round reads its running sums in O(1)) or share by share with
+    the reference :func:`_score` (:class:`Subproblem`, the float64 lane).
     """
     active: Sequence[tuple[int, Rational, Rational]] = sub.entries
     weight = sub.supporter_weight
@@ -233,7 +272,7 @@ def corrected_solution(sub: Subproblem) -> StepSolution:
     while True:
         carried = sub.carried(active)
         level = (carried + 1) / weight
-        negative = [k for k, _, r in active if r > level]
+        negative = sub.above(active, level)
         if not negative:
             return sub.solution(level, carried, active, tuple(rounds))
         rounds.append(frozenset(negative))

@@ -201,12 +201,16 @@ def test_elect_exit_codes(capsys, p12_path, tmp_path):
     assert code == 2
     assert "--delta" in err
 
-    # float64 cannot represent these weights, or the scores they lead to
+    # float64 cannot represent these weights, their total, or the scores
+    # they lead to
     zeros = "0" * 400
+    huge = f"1{zeros[:308]}"
     for text, seats, fmt in (
         (f"1{zeros} : a\n1 : b\n", "1", ()),
         (f"1/1{zeros} : a\n1 : b\n", "1", ()),
         (f"1/1{zeros[:300]} : a\n1 : b\n", "2", ("--format", "json")),
+        (f"{huge} : a\n{huge} : b\n", "2", ("--format", "json")),
+        (f"{huge} : a, b\n{huge} : a, b\n", "2", ()),
     ):
         path = tmp_path / "unrepresentable.txt"
         path.write_text(text)

@@ -446,6 +446,69 @@ def test_exact_lane_never_scores_share_by_share(monkeypatch, method, mode):
     assert len(calls) >= seats
 
 
+def test_exact_lane_running_sums_match_a_fresh_scan(monkeypatch):
+    # after every seat: the loads and each candidate's running sums
+    seen = []
+    original = engine._ExactLane.advance
+
+    def recording(lane, loads, solution):
+        after = original(lane, loads, solution)
+        seen.append((loads, dict(lane.carried), dict(lane.top)))
+        return after
+
+    monkeypatch.setattr(engine._ExactLane, "advance", recording)
+    rng = random.Random(20260810)
+    profiles = [random_profile(rng) for _ in range(20)]
+    profiles += [sparse_profile(rng) for _ in range(3)]
+    methods = (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN)
+    for profile, method, mode in product(profiles, methods, Mode):
+        seats = min(8, len(profile.candidates)) if mode is Mode.CANDIDATE else 8
+        seen.clear()
+        run_election(profile, method, seats, mode=mode)
+        assert len(seen) == seats
+        for loads, carried, top in seen:
+            for name in profile.candidates:
+                supporters, _ = profile.supporters(name)
+                fresh = [(profile.types[k].weight, loads.values[k]) for k in supporters]
+                assert carried[name] == sum(u * r for u, r in fresh)
+                assert top[name] == max(r for _, r in fresh)
+
+
+def test_first_round_clamps_match_the_uncached_reference(monkeypatch):
+    """Runs whose solves clamp, where the first round must scan its supporters.
+
+    Such a solve has a supporter above the unconstrained level, so the
+    running highest load must send the first round to the scan.  The runs
+    are checked seat by seat against the uncached share-by-share lane,
+    which never reads the running sums.
+    """
+    clamped = []
+
+    def counting(sub):
+        sol = corrected_solution(sub)
+        clamped.append(bool(sol.clamp_rounds))
+        return sol
+
+    monkeypatch.setattr(engine, "corrected_solution", counting)
+    rng = random.Random(20260810)
+    runs = []
+    for profile, mode in product([random_profile(rng) for _ in range(300)], Mode):
+        seats = min(6, len(profile.candidates)) if mode is Mode.CANDIDATE else 6
+        clamped.clear()
+        result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
+        if any(clamped):
+            runs.append((profile, result))
+    assert runs, "no solve clamped"
+    for profile, result in runs:
+        verify_election(profile, result)
+        for rec, loads, eligible in seat_states(profile, result):
+            winner, solution, tied = select_winner(
+                profile, loads, eligible, Method.VAR_PHRAGMEN
+            )
+            assert repr(rec.solution) == repr(solution)
+            assert rec.tied_with == tuple(tied)
+
+
 def test_exact_lane_rejects_inconsistent_loads(monkeypatch):
     def doubled(sub):
         sol = corrected_solution(sub)
@@ -594,6 +657,17 @@ def test_float64_matches_exact_outside_knife_edge_ties():
         assert float_result.winners == exact_result.winners
         checked += 1
     assert checked >= 15
+
+
+def test_float64_rejects_a_total_weight_it_cannot_hold():
+    # each weight is a finite float64, but their sum overflows: the float
+    # lane would divide by inf and record zero scores without a word
+    huge = F(10**308)
+    profile = Profile([VoterType(huge, ("a",)), VoterType(huge, ("b",))])
+    exact = run_election(profile, Method.VAR_PHRAGMEN, 2)
+    assert [rec.solution.score for rec in exact.records] == [F(1, 10**308)] * 2
+    with pytest.raises(ElectionConfigError, match="total voter weight overflows"):
+        run_election(profile, Method.VAR_PHRAGMEN, 2, backend=Backend.FLOAT64)
 
 
 def test_float64_loads_are_floats(profile12):

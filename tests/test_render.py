@@ -1,9 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from varphragmen.render import decimal_str, render_table, type_label
-from varphragmen import parse_profile
+from varphragmen.render import decimal_str, election_json, render_table, type_label
+from varphragmen import Backend, Method, parse_profile, run_election
 
 
 def test_decimal_str_paper_table_cells():
@@ -54,3 +55,22 @@ def test_decimal_str_is_exact():
     assert decimal_str(F(1, 20000) + F(1, 10**40)) == "0.0001"
     # a negative value that rounds to zero keeps its sign
     assert decimal_str(F(-1, 10**6)) == "-0.0000"
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("decimals", [4, 2])
+def test_election_json_renders_each_share_as_decimal_str(backend, decimals):
+    profile = parse_profile("9: a1, a2\n1: a1, a2, b\n3: b, c\n2: d\n1: d, e\n")
+    result = run_election(profile, Method.VAR_PHRAGMEN, 3, backend=backend)
+    # every kind of zero share next to nonzero ones of both lanes' types
+    first = result.records[0]
+    mixed = replace(first.solution, x=(0, F(0), 0.0, -0.0, F(1, 3)))
+    records = (replace(first, solution=mixed), *result.records[1:])
+    result = replace(result, records=records)
+    payload = election_json(profile, result, backend=backend.value, decimals=decimals)
+    shares = [rec.solution.x for rec in result.records]
+    for x in shares[1:]:
+        # the run's own records: int 0 placeholders next to nonzero shares
+        assert 0 in [v for v in x if type(v) is int] and any(x)
+    for rec, x in zip(payload["records"], shares):
+        assert rec["x_display"] == [decimal_str(v, decimals) for v in x]
