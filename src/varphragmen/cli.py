@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,7 +43,7 @@ from .model import (
     parse_rational,
     rational_str,
 )
-from .render import decimal_str, election_json, render_table, type_label
+from .render import decimal_str, election_json, render_table, type_label, write_json
 from .step import Subproblem, unconstrained_solution
 
 
@@ -143,7 +142,8 @@ def cmd_elect(args: argparse.Namespace) -> int:
         payload = election_json(
             profile, result, backend=args.backend, decimals=args.decimals
         )
-        print(json.dumps(payload, indent=2))
+        write_json(sys.stdout, payload)
+        sys.stdout.write("\n")
         return 0
     if args.trace or args.show_uncorrected:
         rows = _trace_rows(profile, result, args.decimals, args.show_uncorrected)
@@ -193,7 +193,8 @@ def _save_records(records, directory: str, stem: str) -> list[Path]:
     paths = []
     for idx, record in enumerate(records, start=1):
         path = target / f"{stem}-{idx:03d}.json"
-        path.write_text(json.dumps(record, indent=2), encoding="utf-8")
+        with path.open("w", encoding="utf-8") as stream:
+            write_json(stream, record)
         paths.append(path)
     return paths
 

@@ -42,8 +42,29 @@ class UnknownCandidateError(ValueError):
 
 
 def rational_str(value: Rational) -> str:
-    """Render a value exactly: ``p/q`` (or ``p``) for rationals, repr for floats."""
-    return str(value)  # str(x) == repr(x) for every float
+    """Render a value exactly: ``p/q`` (or ``p``) for rationals, repr for floats.
+
+    Integers longer than the interpreter's digit limit for ``str`` (4300
+    digits by default; long exact runs reach it) are rendered in pieces
+    below that limit, which stays as it is.
+    """
+    try:
+        return str(value)  # str(x) == repr(x) for every float
+    except ValueError:
+        num, den = value.as_integer_ratio()
+        return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
+
+
+def _int_str(n: int) -> str:
+    """``str(n)``, split at about half its digits while it exceeds the limit."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # log10(2) is just over 3/10
+        high, low = divmod(n, 10**half)
+        return _int_str(high) + _int_str(low).zfill(half)
 
 
 def left_sum(values: Iterable[Rational]) -> Rational:

@@ -7,10 +7,15 @@ used throughout the trace tables).
 
 from __future__ import annotations
 
-from typing import Sequence
+import json
+from itertools import compress, count, repeat
+from json.encoder import encode_basestring_ascii
+from operator import is_not
+from typing import Sequence, TextIO
 
 from .model import (
     ElectionResult,
+    LoadVector,
     Profile,
     Rational,
     rational_str,
@@ -52,6 +57,42 @@ def render_table(rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+def write_json(stream: TextIO, value: object, indent: str = "") -> None:
+    """Write ``json.dumps(value, indent=2)`` to ``stream``, in chunks.
+
+    Before Python 3.13, ``json`` encodes indented output in pure Python.
+    Here strings go through the C string encoder, a list of strings goes out
+    in one join, and every other scalar through ``json.dumps``.  Dict keys
+    must be strings.  ``indent`` is the indentation of the line ``value``
+    starts on.
+    """
+    write = stream.write
+    inner = indent + "  "
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif isinstance(value, dict) and value:
+        separator = "{\n"
+        for key, item in value.items():
+            write(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
+            write_json(stream, item, inner)
+            separator = ",\n"
+        write(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple)) and value:
+        try:
+            cells = f",\n{inner}".join(map(encode_basestring_ascii, value))
+        except TypeError:  # an item that is not a string
+            separator = "[\n"
+            for item in value:
+                write(separator + inner)
+                write_json(stream, item, inner)
+                separator = ",\n"
+            write(f"\n{indent}]")
+        else:
+            write(f"[\n{inner}{cells}\n{indent}]")
+    else:
+        write(json.dumps(value))
+
+
 def election_json(
     profile: Profile,
     result: ElectionResult,
@@ -62,27 +103,63 @@ def election_json(
     """JSON payload carrying both exact rationals and decimal renderings.
 
     The profile text is embedded so the payload is a self-contained
-    reproduction of the run.  Every zero share renders as the one cell
-    ``decimal_str(0)``, computed once: most shares of a sparse profile are
-    the int ``0`` placeholders off the winner's active set.
+    reproduction of the run.  Each distinct cell is rendered once:
+
+    * the int ``0`` share placeholders off the winner's active set (most
+      shares of a sparse profile) take the cells ``"0"`` and
+      ``decimal_str(0)``, and every other zero share the latter;
+    * a share that is the level object takes the level's cells;
+    * a load that is the same object as in the previous record takes that
+      record's cell, and a load equal to the level, of the same type, the
+      level's cell (the supporters of a seat that needs no correction all end
+      at its level);
+    * every other value goes through :func:`rational_str`.
     """
-    zero = decimal_str(0, decimals)
+    placeholder, zero = rational_str(0), decimal_str(0, decimals)
     records = []
+    loads = LoadVector.zero(profile).values
+    load_cells = [placeholder] * len(loads)
     for rec in result.records:
         sol = rec.solution
+        level = sol.level
+        level_cell, level_display = rational_str(level), decimal_str(level, decimals)
+        x_cells = [placeholder] * len(sol.x)
+        x_display = [zero] * len(sol.x)
+        for k in compress(count(), map(is_not, sol.x, repeat(0))):
+            v = sol.x[k]
+            if v is level:
+                x_cells[k], x_display[k] = level_cell, level_display
+            else:
+                x_cells[k] = rational_str(v)
+                x_display[k] = decimal_str(v, decimals) if v else zero
+        values = rec.loads_after.values
+        if len(values) == len(loads):
+            load_cells = load_cells.copy()
+            moved = compress(count(), map(is_not, values, loads))
+        else:
+            load_cells = [""] * len(values)
+            moved = range(len(values))
+        for k in moved:
+            v = values[k]
+            # equal values of one type render alike, except 0.0 and -0.0
+            if type(v) is type(level) and v == level and v:
+                load_cells[k] = level_cell
+            else:
+                load_cells[k] = rational_str(v)
+        loads = values
         records.append(
             {
                 "seat": rec.seat_index,
                 "winner": sol.candidate,
-                "x": [rational_str(v) for v in sol.x],
-                "x_display": [decimal_str(v, decimals) if v else zero for v in sol.x],
-                "level": rational_str(sol.level),
-                "level_display": decimal_str(sol.level, decimals),
+                "x": x_cells,
+                "x_display": x_display,
+                "level": level_cell,
+                "level_display": level_display,
                 "score": rational_str(sol.score),
                 "score_display": decimal_str(sol.score, decimals),
                 "corrected": sol.corrected,
                 "tied": list(rec.tied_with),
-                "loads_after": [rational_str(v) for v in rec.loads_after.values],
+                "loads_after": load_cells,
                 "variance_after": rational_str(rec.variance_after),
             }
         )

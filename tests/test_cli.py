@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,27 @@ def test_elect_huge_values_render(capsys, tmp_path):
         assert "1" + "0" * 40 + ".0000" in out
 
 
+
+def test_elect_json_past_the_int_digit_limit(capsys, tmp_path):
+    # two 4001-digit weights make loads with 8000-digit numerators, past the
+    # interpreter's default limit for converting an int to str
+    n1, n2 = 10**4000 + 1, 10**4000 + 3
+    path = tmp_path / "huge-denominators.txt"
+    path.write_text(f"1/{n1} : a\n1/{n2} : a, b\n")
+    code, out, err = run_cli(
+        capsys, "elect", "--method", "var-phragmen", "--seats", "2",
+        "--format", "json", str(path),
+    )
+    assert (code, err) == (0, "")
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        level = str(Fraction(n1 * n2, n1 + n2))
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert json.loads(out)["records"][0]["level"] == level
+
+
 def readme_examples():
     """The README's profile files, by name, and its ``$ varphragmen`` commands.
 
@@ -412,6 +434,7 @@ def test_check_oracle_agreement_saves_disagreements(capsys, tmp_path, monkeypatc
         f"oracle-disagreement-{idx:03d}.json" for idx in range(1, 10)
     ]
     records = [json.loads(p.read_text()) for p in saved]
+    assert [p.read_text() for p in saved] == [json.dumps(r, indent=2) for r in records]
     assert all(replay_record(r)["matches_recorded"] for r in records)
     monkeypatch.undo()
     assert not any(replay_record(r)["matches_recorded"] for r in records)
@@ -435,7 +458,9 @@ def test_check_closed_list_equiv_saves_failures(capsys, tmp_path, monkeypatch):
         f"closed-list-failure-{idx:03d}.json" for idx in range(1, 10)
     ]
     for path in saved:
-        assert replay_record(json.loads(path.read_text()))["matches_recorded"]
+        record = json.loads(path.read_text())
+        assert path.read_text() == json.dumps(record, indent=2)
+        assert replay_record(record)["matches_recorded"]
 
 
 def test_check_bogus_subcommand(capsys):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,26 @@ def test_rational_str_and_parse_rational():
     assert parse_rational("0.376") == Fraction(47, 125)
     with pytest.raises(ValueError):
         parse_rational("1:2")
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_rational_str_past_the_int_digit_limit(limit):
+    # a 20,000-bit denominator has 6021 digits; the low half of 10**6000 + 7
+    # starts with zeros
+    values = [Fraction(3**9000 + 1, 2**20000 + 1), Fraction(10**6000 + 7, 3), 10**6000 + 7]
+    values += [-v for v in values]
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = [str(v) for v in values]
+        sys.set_int_max_str_digits(limit)
+        for value in values:
+            with pytest.raises(ValueError):
+                str(value)
+        got = [rational_str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert got == want
 
 
 def test_render_profile_format(profile12):

@@ -1,10 +1,28 @@
+import io
+import json
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from varphragmen.render import decimal_str, election_json, render_table, type_label
-from varphragmen import Backend, Method, parse_profile, run_election
+from varphragmen.render import (
+    decimal_str,
+    election_json,
+    render_table,
+    type_label,
+    write_json,
+)
+from varphragmen import (
+    Backend,
+    LoadVector,
+    Method,
+    Mode,
+    parse_profile,
+    rational_str,
+    render_profile,
+    run_election,
+)
 
 
 def test_decimal_str_paper_table_cells():
@@ -74,3 +92,110 @@ def test_election_json_renders_each_share_as_decimal_str(backend, decimals):
         assert 0 in [v for v in x if type(v) is int] and any(x)
     for rec, x in zip(payload["records"], shares):
         assert rec["x_display"] == [decimal_str(v, decimals) for v in x]
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**1000), max_value=10**1000)
+    | st.floats()
+    | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(st.text())
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@example(["\x00\x1f\"\\\n\u00e9\u2028\U0001f600", "plain", ""])
+@example({"": [-0.0, float("nan"), float("inf"), -float("inf")], "k": {}})
+@example([[], {}, [[]], {"a": []}, True, False, None, -(10**500)])
+@example(["a", 1, None, ["b"], {"c": "d"}])
+def test_write_json_matches_json_dumps(value):
+    stream = io.StringIO()
+    write_json(stream, value)
+    assert stream.getvalue() == json.dumps(value, indent=2)
+
+
+def plain_election_json(profile, result, backend, decimals=4):
+    """``election_json`` with every cell rendered from its own value."""
+    return {
+        "method": result.method.value,
+        "mode": result.mode.value,
+        "seats": len(result.records),
+        "backend": backend,
+        "profile": render_profile(profile),
+        "records": [
+            {
+                "seat": rec.seat_index,
+                "winner": rec.solution.candidate,
+                "x": [rational_str(v) for v in rec.solution.x],
+                "x_display": [decimal_str(v, decimals) for v in rec.solution.x],
+                "level": rational_str(rec.solution.level),
+                "level_display": decimal_str(rec.solution.level, decimals),
+                "score": rational_str(rec.solution.score),
+                "score_display": decimal_str(rec.solution.score, decimals),
+                "corrected": rec.solution.corrected,
+                "tied": list(rec.tied_with),
+                "loads_after": [rational_str(v) for v in rec.loads_after.values],
+                "variance_after": rational_str(rec.variance_after),
+            }
+            for rec in result.records
+        ],
+        "counts": {name: result.seat_counts.get(name, 0) for name in profile.candidates},
+    }
+
+
+TWO_PARTY = "1443/6250 : A\n2457/6250 : B\n47/125 : A, B\n"
+
+
+@pytest.mark.parametrize("decimals", [4, 2])
+def test_election_json_reuses_cells_only_where_they_render_alike(decimals):
+    float_profile = parse_profile("9: a1, a2\n1: a1, a2, b\n3: b, c\n2: d\n1: d, e\n")
+    float_run = run_election(float_profile, Method.VAR_PHRAGMEN, 4, backend=Backend.FLOAT64)
+    party_profile = parse_profile(TWO_PARTY)
+    party_run = run_election(party_profile, Method.VAR_PHRAGMEN, 12, mode=Mode.PARTY)
+    # the party run has both kinds of reuse: a load carried over as the same
+    # object, and a load that equals the level
+    pairs = list(zip(party_run.records, party_run.records[1:]))
+    assert any(
+        a is b for prev, rec in pairs
+        for a, b in zip(prev.loads_after.values, rec.loads_after.values)
+    )
+    assert any(
+        v == rec.solution.level for rec in party_run.records for v in rec.loads_after.values
+    )
+    # loads that do not follow from x: equal to the level in another type,
+    # equal to the previous load in another type, the same object as before,
+    # float zeros of both signs at a zero level, and a vector of another
+    # length
+    first, second, third = party_run.records[:3]
+    half, kept = F(1, 2), F(1, 7)
+    hand_built = (
+        replace(
+            first,
+            solution=replace(first.solution, level=half),
+            loads_after=LoadVector((0.5, half + 0, kept), 1),
+        ),
+        replace(
+            second,
+            solution=replace(second.solution, level=half),
+            loads_after=LoadVector((half, 0.5, kept), 2),
+        ),
+        replace(
+            third,
+            solution=replace(third.solution, level=0.0, x=(0.0, -0.0, 0)),
+            loads_after=LoadVector((-0.0, 0.0, 0, 0), 3),
+        ),
+    )
+    cases = [
+        (float_profile, float_run, "float64"),
+        (party_profile, party_run, "exact"),
+        (party_profile, replace(party_run, records=hand_built), "exact"),
+    ]
+    for profile, result, backend in cases:
+        assert election_json(
+            profile, result, backend=backend, decimals=decimals
+        ) == plain_election_json(profile, result, backend, decimals)
