@@ -35,12 +35,10 @@ from .model import (
 )
 from .step import (
     ExactSubproblem,
-    Products,
     Subproblem,
     _score,
     corrected_solution,
     unconstrained_level,
-    unconstrained_solution,
 )
 
 
@@ -91,8 +89,7 @@ class _ShareLane:
 
     Subproblems are plain :class:`Subproblem` instances, which compute each
     ``u*r`` afresh and score share by share; the variance is rescanned after
-    every seat.  Float rounding may leave a max-load share a hair below
-    zero, so that check has an absolute tolerance of 1e-9 for floats.
+    every seat.
 
     ``solved`` is the run's solve cache: each candidate's ``(key, solution)``
     at the current loads, filled by :meth:`solve`, evicted by :meth:`advance`.
@@ -105,10 +102,6 @@ class _ShareLane:
     def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
         return Subproblem(self.profile, loads, name)
 
-    @staticmethod
-    def negative(share: Rational) -> bool:
-        return share < 0 and (not isinstance(share, float) or share < -1e-9)
-
     def solve(
         self, loads: LoadVector, name: CandidateId, method: Method
     ) -> tuple[Rational, StepSolution]:
@@ -116,22 +109,20 @@ class _ShareLane:
         entry = self.solved.get(name)
         if entry is not None:
             return entry
-        sub = self.subproblem(loads, name)
+        sol = corrected_solution(self.subproblem(loads, name))
         if method is Method.VAR_PHRAGMEN:
-            sol = corrected_solution(sub)
             key = sol.score
         else:
-            sol = unconstrained_solution(sub)
             # The max-load method moves every supporter to the common level;
             # along its own runs that level never undercuts a supporter's
-            # load, which we assert rather than assume.
-            for k in sub.supporters:
-                share = sol.x[k]
-                if self.negative(share):
-                    raise AssertionError(
-                        f"negative share {share} for supporter type {k} of "
-                        f"{sub.candidate!r}: max-load positivity violated"
-                    )
+            # load, so the solve never clamps, which we assert rather than
+            # assume.
+            if sol.clamp_rounds:
+                raise AssertionError(
+                    f"negative shares for supporter types "
+                    f"{sorted(sol.clamp_rounds[0])} of {name!r}: "
+                    "max-load positivity violated"
+                )
             key = sol.level
         entry = self.solved[name] = key, sol
         return entry
@@ -163,58 +154,53 @@ class _ShareLane:
 
 
 class _ExactLane(_ShareLane):
-    """Exact arithmetic with per-type products kept with the run's loads.
+    """Exact arithmetic with each candidate's running sums kept with the loads.
 
-    ``products[k]`` is ``(u*r, u*r*r)`` at the current load of type ``k``;
-    after each seat only the types whose load moved are recomputed.  Each
-    candidate's ``sum(u*r)`` and highest load over its supporters are kept
-    running as well (``carried``, ``top``), updated from the moved types
-    alone.  The winner's sum grows by the seat's unit mass, and its highest
-    load is at least the level its supporters moved to; every other
-    candidate approved by a moved type takes that type's change.  Loads only
-    rise, so the running maximum is exact.  Solves read their supporters'
-    products and their candidate's sums (:class:`ExactSubproblem`), so a
-    solve that needs no clamp never scans or re-sums its supporters, and
-    score in closed form.  The lane keeps ``sum(u*r*r)`` running by adding
-    each seat's score, and ``sum(u*r)`` by the moved products, which must
-    equal the number of seats exactly: the consistency check of
-    :func:`variance`.
+    ``sums[name]`` is ``(sum(u*r), sum(u*r*r), max r)`` over the candidate's
+    supporters at the loads the lane last advanced to (``values``), updated
+    from the moved types alone.  A moved type's share ``x`` adds ``u*x`` and
+    ``u*x*(r_before + r_after)`` to every other candidate it approves and
+    may raise that candidate's highest load; loads only rise, so the running
+    maximum is exact.  The winner's supporters take the whole seat: its sums
+    grow by the unit mass and the seat's score, and its highest load is at
+    least the level.  Solves read these sums (:class:`ExactSubproblem`), so
+    a solve that needs no clamp never scans or re-sums its supporters.  The
+    lane keeps the total ``sum(u*r*r)`` running by adding each seat's score,
+    and the total ``sum(u*r)`` by the moved masses, which must equal the
+    number of seats exactly: the consistency check of :func:`variance`.
     """
 
     def __init__(self, profile: Profile):
         super().__init__(profile)
-        self.products: list[Products] = [(0, 0)] * len(profile.types)
-        self.carried: dict[CandidateId, Rational] = dict.fromkeys(profile.candidates, 0)
-        self.top: dict[CandidateId, Rational] = dict.fromkeys(profile.candidates, 0)
+        self.sums: dict[CandidateId, tuple[Rational, Rational, Rational]] = (
+            dict.fromkeys(profile.candidates, (0, 0, 0))
+        )
+        self.values = LoadVector.zero(profile).values
         self.mass: Rational = 0
         self.squares: Rational = 0
 
     def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
-        sums = self.carried[name], self.top[name]
-        return ExactSubproblem(self.profile, loads, name, self.products, sums)
-
-    @staticmethod
-    def negative(share: Rational) -> bool:
-        return share < 0
+        return ExactSubproblem(self.profile, loads, name, self.sums[name])
 
     def advance(self, loads: LoadVector, solution: StepSolution) -> Rational:
-        types, values, products = self.profile.types, loads.values, self.products
-        carried, top, winner = self.carried, self.top, solution.candidate
+        types, before, after = self.profile.types, self.values, loads.values
+        sums, winner, x = self.sums, solution.candidate, solution.x
         for k in self._evict(solution):
-            load = values[k]
-            weighted = types[k].weight * load
-            moved = weighted - products[k][0]
-            products[k] = (weighted, weighted * load)
-            self.mass += moved
+            load = after[k]
+            mass = types[k].weight * x[k]
+            squares = mass * (before[k] + load)  # u*(after**2 - before**2)
+            self.mass += mass
             for name in types[k].approvals:
                 if name != winner:
-                    carried[name] += moved
-                    if load > top[name]:
-                        top[name] = load
+                    carried, sq, top = sums[name]
+                    top = load if load > top else top
+                    sums[name] = carried + mass, sq + squares, top
         # the whole seat lands on the winner's supporters, which end at the
         # level unless clamped above it; an int 1 adds without a big gcd
-        carried[winner] += 1
-        top[winner] = max(top[winner], solution.level)
+        carried, sq, top = sums[winner]
+        level = solution.level
+        sums[winner] = carried + 1, sq + solution.score, level if level > top else top
+        self.values = after
         n = loads.seats_assigned
         if self.mass != n:
             raise ValueError(f"inconsistent loads: total mass {self.mass} != {n} seats")
@@ -318,12 +304,15 @@ def run_election(
     results are identical, float bits included, to re-solving every
     candidate at every seat.
 
-    The exact lane scores each solve in closed form from per-type ``u*r``
-    and ``u*r*r`` kept with the loads, and records ``variance_after`` as
-    ``S - n*n/w`` with ``S`` the running sum of the winners' scores.  The
-    float lane scores share by share and rescans the variance, so its bits
-    do not depend on the closed form.  :func:`verify_election` re-checks
-    every exact-lane score against the share-by-share reference.
+    Both methods elect through :func:`corrected_solution`; a seq-Phragmén
+    solve that clamps is an error.  The exact lane scores each solve in
+    closed form from its candidate's ``sum(u*r)``, ``sum(u*r*r)`` and
+    highest load, kept running with the loads, and records
+    ``variance_after`` as ``S - n*n/w`` with ``S`` the running sum of the
+    winners' scores.  The float lane scores share by share and rescans the
+    variance, so its bits do not depend on the closed form.
+    :func:`verify_election` re-checks every exact-lane score against the
+    share-by-share reference.
     """
     if seats < 1:
         raise ElectionConfigError(f"seats must be >= 1, got {seats}")

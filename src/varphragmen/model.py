@@ -67,6 +67,18 @@ def _int_str(n: int) -> str:
         return _int_str(high) + _int_str(low).zfill(half)
 
 
+def _str_int(digits: str) -> int:
+    """``int(digits)`` for optionally signed decimal digits, the inverse of
+    :func:`_int_str`: split in halves while the string exceeds the limit."""
+    if digits.startswith("-"):
+        return -_str_int(digits[1:])
+    try:
+        return int(digits)
+    except ValueError:
+        half = len(digits) // 2
+        return _str_int(digits[:-half]) * 10**half + _str_int(digits[-half:])
+
+
 def left_sum(values: Iterable[Rational]) -> Rational:
     """``sum(values)``, added strictly left to right on every Python version.
 
@@ -117,7 +129,9 @@ class VoterType:
             # plain ints would leak true division (floats) into the exact lane
             object.__setattr__(self, "weight", Fraction(self.weight))
         if not self.weight > 0:
-            raise ValueError(f"voter type weight must be positive, got {self.weight}")
+            raise ValueError(
+                f"voter type weight must be positive, got {rational_str(self.weight)}"
+            )
         if not self.approvals:
             raise ValueError("empty approval list")
         if len(set(self.approvals)) != len(self.approvals):
@@ -201,8 +215,10 @@ def parse_profile(text: str) -> Profile:
                 f"weight must be an integer or p/q, got {weight_token!r}", line_no
             )
         names = tuple(tok for tok in re.split(r"[,\s]+", tail.strip()) if tok)
+        num, _, den = weight_token.partition("/")
         try:
-            types.append(VoterType(Fraction(weight_token), names))
+            weight = Fraction(_str_int(num), _str_int(den) if den else 1)
+            types.append(VoterType(weight, names))
         except ZeroDivisionError:
             raise ProfileParseError(
                 f"weight has zero denominator: {weight_token!r}", line_no

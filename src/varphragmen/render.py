@@ -18,6 +18,7 @@ from .model import (
     LoadVector,
     Profile,
     Rational,
+    _int_str,
     rational_str,
     render_profile,
 )
@@ -33,7 +34,7 @@ def decimal_str(value: Rational, decimals: int = 4) -> str:
     units, rest = divmod(num * 10**decimals, den)
     if 2 * rest > den or 2 * rest == den and units % 2:
         units += 1
-    digits = str(abs(units)).rjust(decimals + 1, "0")
+    digits = _int_str(abs(units)).rjust(decimals + 1, "0")
     return f"{'-' if num < 0 else ''}{digits[:-decimals]}.{digits[-decimals:]}"
 
 

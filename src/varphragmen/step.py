@@ -23,25 +23,25 @@ scoring tail differ:
   float bits stay those of the share-by-share sum, and it is the reference
   everywhere else: the two oracles always score through :func:`_score`, and
   so does the engine's uncached verifier.
-* :class:`ExactSubproblem` reads ``u*r`` and ``u*r*r`` from per-type
-  products and scores in closed form.  Every active supporter ends at the
-  common level, so the increase of ``sum(u*r*r)`` is
+* :class:`ExactSubproblem` scores in closed form.  Every active supporter
+  ends at the common level, so the increase of ``sum(u*r*r)`` is
   ``sum(u*(level**2 - r**2)) = level*(carried + 1) - sum(u*r*r)`` over the
   active set, where ``carried = sum(u*r)`` there.  This is exact in
   rationals only, which is why the float lane does not use it.  With its
-  candidate's running ``sum(u*r)`` and highest load, kept by the engine,
-  the first clamp round costs O(1); only a round after a clamp scans and
-  re-sums its active entries.
+  candidate's ``(sum(u*r), sum(u*r*r), max r)``, kept running by the
+  engine, a solve that needs no clamp costs O(1) beyond building its
+  entries; only a round after a clamp sums its active entries afresh.
 
 Zero terms cost nothing in either lane: a supporter with zero load moves
 straight to ``level`` (``level - 0 == level`` in value and type, float bits
-included), and the closed form's ``sum(u*r*r)`` skips it.
+included), and a fresh ``sum(u*r*r)`` skips it.
 
 The equality-constrained solve on its own is :func:`unconstrained_solution`:
 every supporter ends at the common level of :func:`unconstrained_level`, and
-shares go negative for supporters whose load already exceeds it.  The max-load
-rule (seq-Phragmén) elects by this level, and the CLI's ``--show-uncorrected``
-trace prints its raw shares.
+shares go negative for supporters whose load already exceeds it.  The
+max-load rule (seq-Phragmén) elects by this level through the production
+solver, whose first round is this solve; the engine asserts that it never
+clamps.  The CLI's ``--show-uncorrected`` trace prints the raw shares.
 
 Two oracles verify the production solver and never elect; each chooses its
 level and active set independently:
@@ -67,10 +67,6 @@ from .model import (
     StepSolution,
     left_sum,
 )
-
-
-#: A type's ``(u*r, u*r*r)`` at some loads: what the exact lane caches.
-Products = tuple[Rational, Rational]
 
 
 class Subproblem:
@@ -121,52 +117,44 @@ class Subproblem:
 
 
 class ExactSubproblem(Subproblem):
-    """The exact lane's subproblem: cached products and a closed-form score.
+    """The exact lane's subproblem: running sums and a closed-form score.
 
-    ``products[k]`` is ``(u_k*r_k, u_k*r_k*r_k)`` at the subproblem's loads,
-    for every supporter ``k``.  ``sums`` is ``(sum(u*r), max r)`` over all
-    supporters: the candidate's carried load and highest load.  The engine
-    passes the per-type products and the per-candidate sums it keeps with
-    the run's loads; without them, they are computed here from the
-    supporters.  With the sums, the first clamp round (``active`` is all of
-    :attr:`entries`) reads ``carried`` and tests negativity in O(1); later
-    rounds sum and scan their active entries.  Exact arithmetic only: in
+    ``sums`` is ``(sum(u*r), sum(u*r*r), max r)`` over all supporters at the
+    subproblem's loads: the engine passes the ones it keeps running, and
+    without them they are computed here from the entries.  The first clamp
+    round (``active`` is :attr:`entries`) reads them in O(1); later rounds
+    sum and scan their active entries afresh.  Exact arithmetic only: in
     floats the closed form rounds differently from the share-by-share score.
     """
 
-    __slots__ = ("products", "supporter_carried", "top_load")
+    __slots__ = ("sums",)
 
     def __init__(
         self,
         profile: Profile,
         loads: LoadVector,
         candidate: CandidateId,
-        products: Sequence[Products] | dict[int, Products] | None = None,
-        sums: tuple[Rational, Rational] | None = None,
+        sums: tuple[Rational, Rational, Rational] | None = None,
     ):
         super().__init__(profile, loads, candidate)
-        if products is None:
-            products = {k: (u * r, u * r * r) for k, u, r in self.entries}
         if sums is None:
+            entries = self.entries
             sums = (
-                sum(products[k][0] for k in self.supporters),
-                max(r for _, _, r in self.entries),
+                sum(u * r for _, u, r in entries),
+                sum(u * r * r for _, u, r in entries),
+                max(r for _, _, r in entries),
             )
-        self.products = products
-        self.supporter_carried, self.top_load = sums
+        self.sums = sums
 
     def carried(self, active: Iterable[tuple[int, Rational, Rational]]) -> Rational:
-        """``sum(u*r)`` over the ``active`` entries: the running sum, or products."""
         if active is self.entries:
-            return self.supporter_carried
-        products = self.products
-        return sum(products[k][0] for k, _, _ in active)
+            return self.sums[0]
+        return super().carried(active)
 
     def above(
         self, active: Iterable[tuple[int, Rational, Rational]], level: Rational
     ) -> list[int]:
-        """Type indices above ``level``; no scan over all supporters below it."""
-        if active is self.entries and self.top_load <= level:
+        if self.sums[2] <= level:  # no supporter, active or not, is above
             return []
         return super().above(active, level)
 
@@ -178,8 +166,10 @@ class ExactSubproblem(Subproblem):
         clamp_rounds: tuple[frozenset[int], ...] = (),
     ) -> StepSolution:
         """Move ``active`` to ``level``; score ``level*(carried + 1) - sum(u*r*r)``."""
-        products = self.products
-        squares = sum(products[k][1] for k, _, r in active if r)
+        if active is self.entries:
+            squares = self.sums[1]
+        else:
+            squares = sum(u * r * r for _, u, r in active if r)
         return StepSolution(
             candidate=self.candidate,
             x=_shares(self, level, active),

@@ -152,6 +152,26 @@ def test_elect_decimals_flag(capsys, p12_path):
     )
     assert code == 0
     assert "0.111111" in out
+    # past the interpreter's 4300-digit limit for int-to-str conversion
+    code, out, err = run_cli(
+        capsys, "elect", "--method", "var-phragmen", "--seats", "2",
+        "--trace", "--decimals", "4400", p12_path,
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split() for line in out.splitlines()[1:]]
+    zeros = "0" * 4397
+    assert rows[1][2:] == ["0.000" + zeros, "0.175" + zeros, "0.275" + zeros]
+
+
+def test_elect_on_a_weight_past_the_int_digit_limit(capsys, tmp_path):
+    path = tmp_path / "huge-weight.txt"
+    path.write_text("1" * 5000 + " : a\n1 : a, b\n")
+    code, out, err = run_cli(
+        capsys, "elect", "--method", "var-phragmen", "--seats", "2",
+        "--format", "json", str(path),
+    )
+    assert (code, err) == (0, "")
+    assert [rec["winner"] for rec in json.loads(out)["records"]] == ["a", "b"]
 
 
 def test_elect_exit_codes(capsys, p12_path, tmp_path):

@@ -238,6 +238,12 @@ def test_seq_phragmen_profile12(profile12):
     verify_election(profile12, result)
 
 
+def test_seq_phragmen_asserts_max_load_positivity(profile12, loads12_after_seat2):
+    # loads no seq-Phragmén run reaches: a2's level falls below type 1's load
+    with pytest.raises(AssertionError, match="max-load positivity violated"):
+        select_winner(profile12, loads12_after_seat2, {"a2"}, Method.SEQ_PHRAGMEN)
+
+
 # ---------------------------------------------------------------------------
 # config validation, eligibility, determinism
 
@@ -453,7 +459,7 @@ def test_exact_lane_running_sums_match_a_fresh_scan(monkeypatch):
 
     def recording(lane, loads, solution):
         after = original(lane, loads, solution)
-        seen.append((loads, dict(lane.carried), dict(lane.top)))
+        seen.append((loads, dict(lane.sums)))
         return after
 
     monkeypatch.setattr(engine._ExactLane, "advance", recording)
@@ -466,12 +472,15 @@ def test_exact_lane_running_sums_match_a_fresh_scan(monkeypatch):
         seen.clear()
         run_election(profile, method, seats, mode=mode)
         assert len(seen) == seats
-        for loads, carried, top in seen:
+        for loads, sums in seen:
             for name in profile.candidates:
                 supporters, _ = profile.supporters(name)
                 fresh = [(profile.types[k].weight, loads.values[k]) for k in supporters]
-                assert carried[name] == sum(u * r for u, r in fresh)
-                assert top[name] == max(r for _, r in fresh)
+                assert sums[name] == (
+                    sum(u * r for u, r in fresh),
+                    sum(u * r * r for u, r in fresh),
+                    max(r for _, r in fresh),
+                )
 
 
 def test_first_round_clamps_match_the_uncached_reference(monkeypatch):
@@ -622,41 +631,43 @@ def test_verify_election_reports_each_corruption(run, corrupt, message):
 # ---------------------------------------------------------------------------
 # float64 backend
 
-def exact_seat_gaps(profile, seats, mode):
-    """Smallest winner-vs-runner-up score gap at each seat, exactly."""
-    result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
+def exact_seat_gaps(profile, seats, mode, method=Method.VAR_PHRAGMEN):
+    """Smallest winner-vs-runner-up key gap (score or level) at each seat, exactly."""
+    result = run_election(profile, method, seats, mode=mode)
     gaps = []
     loads = LoadVector.zero(profile)
     elected = set()
     for rec in result.records:
-        scores = []
+        keys = []
         for name in profile.candidates:
             if mode is Mode.CANDIDATE and name in elected:
                 continue
-            scores.append(corrected_solution(Subproblem(profile, loads, name)).score)
-        scores.sort()
-        if len(scores) > 1:
-            gaps.append(scores[1] - scores[0])
+            sol = corrected_solution(Subproblem(profile, loads, name))
+            keys.append(sol.score if method is Method.VAR_PHRAGMEN else sol.level)
+        keys.sort()
+        if len(keys) > 1:
+            gaps.append(keys[1] - keys[0])
         loads = rec.loads_after
         elected.add(rec.solution.candidate)
     return result, gaps
 
 
 def test_float64_matches_exact_outside_knife_edge_ties():
-    rng = random.Random(99)
-    checked = 0
-    for _ in range(25):
-        profile = random_profile(rng, max_types=5, max_candidates=5)
-        seats = rng.randint(1, 4)
-        exact_result, gaps = exact_seat_gaps(profile, seats, Mode.PARTY)
-        if any(g <= F(1, 10**9) for g in gaps):
-            continue  # knife-edge instances carry no expectation
-        float_result = run_election(
-            profile, Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY, backend=Backend.FLOAT64
-        )
-        assert float_result.winners == exact_result.winners
-        checked += 1
-    assert checked >= 15
+    for method in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
+        rng = random.Random(99)
+        checked = 0
+        for _ in range(25):
+            profile = random_profile(rng, max_types=5, max_candidates=5)
+            seats = rng.randint(1, 4)
+            exact_result, gaps = exact_seat_gaps(profile, seats, Mode.PARTY, method)
+            if any(g <= F(1, 10**9) for g in gaps):
+                continue  # knife-edge instances carry no expectation
+            float_result = run_election(
+                profile, method, seats, mode=Mode.PARTY, backend=Backend.FLOAT64
+            )
+            assert float_result.winners == exact_result.winners
+            checked += 1
+        assert checked >= 15, method
 
 
 def test_float64_rejects_a_total_weight_it_cannot_hold():

@@ -61,6 +61,7 @@ def test_parse_comments_blanks_and_separators():
         ("0 : a", "positive"),
         ("-2 : a", "positive"),
         ("1/0 : a", "line 1"),
+        ("2/00 : a", "zero denominator"),
         ("3 :", "empty approval"),
         ("3 : a, a", "duplicate"),
         ("3 : a?b", "invalid candidate name"),
@@ -174,6 +175,19 @@ def test_rational_str_past_the_int_digit_limit(limit):
     finally:
         sys.set_int_max_str_digits(default)
     assert got == want
+
+
+def test_weights_past_the_int_digit_limit_round_trip():
+    # a 5000-digit weight renders in pieces below the limit and parses back
+    huge = 10**4999 + 7
+    profile = Profile(
+        [VoterType(Fraction(huge, 3), ("a",)), VoterType(Fraction(1, huge), ("a", "b"))]
+    )
+    text = render_profile(profile)
+    assert len(text) > 10_000
+    assert parse_profile(text) == profile
+    with pytest.raises(ProfileParseError, match="line 1: voter type weight must be"):
+        parse_profile("-1" + "0" * 5000 + " : a\n")
 
 
 def test_render_profile_format(profile12):

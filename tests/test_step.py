@@ -339,8 +339,9 @@ def skewed_subproblems(rng, profiles):
 
     The loads are squares of random rationals, about a third of them zero,
     so that many supporters start above the unconstrained level.  They need
-    not come from an election: a subproblem only reads them.  The products
-    are a dense per-type list, the shape the engine keeps with its loads.
+    not come from an election: a subproblem only reads them.  Each one
+    gets its candidate's ``(sum(u*r), sum(u*r*r), max r)`` passed in, as the
+    engine passes the sums it keeps with its loads.
     """
     names = [f"c{i}" for i in range(4)]
     for _ in range(profiles):
@@ -353,9 +354,15 @@ def skewed_subproblems(rng, profiles):
             for _ in profile.types
         )
         loads = LoadVector(values, rng.randint(0, 5))
-        products = [(t.weight * r, t.weight * r * r) for t, r in zip(profile.types, values)]
         for name in profile.candidates:
-            yield ExactSubproblem(profile, loads, name, products)
+            supporters, _ = profile.supporters(name)
+            fresh = [(profile.types[k].weight, values[k]) for k in supporters]
+            sums = (
+                sum(u * r for u, r in fresh),
+                sum(u * r * r for u, r in fresh),
+                max(r for _, r in fresh),
+            )
+            yield ExactSubproblem(profile, loads, name, sums)
 
 
 def test_closed_form_score_on_clamped_instances():
