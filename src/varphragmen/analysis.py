@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .engine import _party_weights, apportion_sequence, run_election
+from .engine import _party_weights, apportion_sequence, run_election, seat_states
 from .model import (
     Backend,
     CandidateId,
@@ -229,21 +229,17 @@ def compare_solvers_over_election(
 ) -> tuple[int, list[dict]]:
     """Run a variance-criterion election, cross-checking the three solvers.
 
-    At every seat and for every then-eligible candidate, the corrected
-    solution, the water-filling solution and the subset oracle are compared
-    exactly (shares, level, score and the corrected flag).  Returns the
-    number of compared instances and the serialized records of any
-    disagreements.
+    For every candidate eligible at every seat, as :func:`seat_states`
+    walks the finished election, the corrected solution, the water-filling
+    solution and the subset oracle are compared exactly at the loads before
+    the seat (shares, level, score, corrected flag).  Returns the number of
+    compared instances and the serialized records of any disagreements.
     """
     result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
-    loads = LoadVector.zero(profile)
-    elected: set[CandidateId] = set()
     instances = 0
     disagreements: list[dict] = []
-    for rec in result.records:
-        for name in profile.candidates:
-            if mode is Mode.CANDIDATE and name in elected:
-                continue
+    for rec, loads, eligible in seat_states(profile, result):
+        for name in eligible:
             sub = ExactSubproblem(profile, loads, name)
             trio = (
                 corrected_solution(sub),
@@ -257,8 +253,6 @@ def compare_solvers_over_election(
                         profile, loads, name, mode=mode, seat=rec.seat_index
                     )
                 )
-        loads = rec.loads_after
-        elected.add(rec.solution.candidate)
     return instances, disagreements
 
 

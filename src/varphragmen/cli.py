@@ -31,10 +31,9 @@ from .analysis import (
     sweep_seat_share,
     two_party_family,
 )
-from .engine import ElectionConfigError, run_election
+from .engine import ElectionConfigError, run_election, seat_states
 from .model import (
     Backend,
-    LoadVector,
     Method,
     Mode,
     ProfileParseError,
@@ -97,12 +96,10 @@ def _trace_rows(profile, result, decimals: int, show_uncorrected: bool) -> list[
     if show_uncorrected:
         header.append("Negative")
     rows = [header]
-    loads = LoadVector.zero(profile)
-    for rec in result.records:
+    for rec, loads, _ in seat_states(profile, result):
         sol = rec.solution
         if show_uncorrected:
-            # the raw equality-constrained shares, before any clamping;
-            # computed at the loads the election actually reached
+            # the raw equality-constrained shares, before any clamping
             shares = unconstrained_solution(Subproblem(profile, loads, sol.candidate)).x
         else:
             shares = sol.x
@@ -111,7 +108,6 @@ def _trace_rows(profile, result, decimals: int, show_uncorrected: bool) -> list[
         if show_uncorrected:
             row.append("*" if sol.corrected else "")
         rows.append(row)
-        loads = rec.loads_after
     return rows
 
 

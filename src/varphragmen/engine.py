@@ -17,8 +17,9 @@ cache) is its own.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     Backend,
@@ -245,6 +246,22 @@ def select_winner(
     return winner, solution, tied
 
 
+def _eligible(candidates: Sequence[CandidateId], mode: Mode, counts: Mapping) -> Sequence:
+    """Who may win a seat: all in party mode, else those without one in ``counts``."""
+    return candidates if mode is Mode.PARTY else [c for c in candidates if not counts[c]]
+
+
+def seat_states(profile: Profile, result: ElectionResult) -> Iterator[tuple]:
+    """Yield ``(record, loads before its seat, candidates eligible for it)``
+    for each seat of ``result``, by :func:`_eligible` of the earlier winners."""
+    loads = LoadVector.zero(profile)
+    counts: Counter[CandidateId] = Counter()
+    for rec in result.records:
+        yield rec, loads, _eligible(profile.candidates, result.mode, counts)
+        loads = rec.loads_after
+        counts[rec.solution.candidate] += 1
+
+
 def _float_profile(profile: Profile) -> Profile:
     types = []
     for k, t in enumerate(profile.types, start=1):
@@ -292,9 +309,9 @@ def run_election(
 ) -> ElectionResult:
     """Run a full sequential election and return the per-seat trace.
 
-    Candidate mode removes each winner from further eligibility; party mode
-    keeps every candidate re-electable.  The highest-averages methods demand
-    a closed-list profile and party mode.
+    Candidate mode elects each candidate at most once, party mode any number
+    of times (:func:`_eligible`).  The highest-averages methods demand a
+    closed-list profile and party mode.
 
     Each seat picks the winner (:func:`select_winner` or
     :func:`_highest_quotients`), adds its distribution to the loads and
@@ -321,10 +338,9 @@ def run_election(
     else:
         work = _float_profile(profile)
         lane = _ShareLane(work)
-    contenders = list(work.candidates)
-    if mode is Mode.CANDIDATE and seats > len(contenders):
+    if mode is Mode.CANDIDATE and seats > len(work.candidates):
         raise ElectionConfigError(
-            f"cannot fill {seats} seats from {len(contenders)} candidates "
+            f"cannot fill {seats} seats from {len(work.candidates)} candidates "
             "in candidate mode"
         )
     quotient_rule = HIGHEST_AVERAGES_DIVISORS.get(method)
@@ -340,14 +356,10 @@ def run_election(
 
     loads = LoadVector.zero(work)
     counts: dict[CandidateId, int] = {name: 0 for name in work.candidates}
-    elected: set[CandidateId] = set()
     records: list[SeatRecord] = []
     for seat in range(1, seats + 1):
-        if mode is Mode.CANDIDATE:
-            eligible = [name for name in contenders if name not in elected]
-        else:
-            eligible = contenders
         if quotient_rule is None:
+            eligible = _eligible(work.candidates, mode, counts)
             winner, solution, tied = select_winner(work, loads, eligible, method, lane)
         else:
             tied = _highest_quotients(party_weight, counts, quotient_rule)
@@ -364,7 +376,6 @@ def run_election(
             )
         )
         counts[winner] += 1
-        elected.add(winner)
     return ElectionResult(
         method=method, mode=mode, records=tuple(records), seat_counts=counts
     )
@@ -403,9 +414,9 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
     Raises :class:`VerificationError` listing all violations: seat mass,
     nonnegativity, common-level structure, load bookkeeping, variance
     identities, recorded score, and the winner's optimality against every
-    candidate that was eligible at that seat.  Every eligible candidate is
-    solved afresh at every seat, without :func:`run_election`'s cache, so
-    the check is independent of it.
+    candidate that was eligible at that seat, each solved afresh without
+    :func:`run_election`'s cache.  The loop carries the loads the recorded
+    shares lead to, and counts only the winners of records it could check.
     """
     problems: list[str] = []
     types = profile.types
@@ -414,7 +425,6 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
     party_weight = _party_weights(profile) if quotient_rule else {}
     loads = LoadVector.zero(profile)
     counts: dict[CandidateId, int] = {name: 0 for name in profile.candidates}
-    elected: set[CandidateId] = set()
 
     for rec in result.records:
         seat = rec.seat_index
@@ -459,12 +469,8 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
         if rec.variance_after != before_sq + sol.score - Fraction(seat * seat, 1) / w:
             problem("variance_after violates the score bookkeeping identity")
 
-        if result.mode is Mode.CANDIDATE:
-            eligible = [c for c in profile.candidates if c not in elected]
-        else:
-            eligible = list(profile.candidates)
         optimum: dict[CandidateId, Rational] = {}
-        for name in eligible:
+        for name in _eligible(profile.candidates, result.mode, counts):
             rival = Subproblem(profile, loads, name)
             if result.method is Method.VAR_PHRAGMEN:
                 optimum[name] = corrected_solution(rival).score
@@ -486,7 +492,6 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
 
         loads = expected_after
         counts[sol.candidate] += 1
-        elected.add(sol.candidate)
 
     if problems:
         raise VerificationError("\n".join(problems))

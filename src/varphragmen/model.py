@@ -88,10 +88,17 @@ def left_sum(values: Iterable[Rational]) -> Rational:
     return reduce(operator.add, values, 0)
 
 
+def _ratio(token: str) -> Fraction:
+    """The value of a ``p`` or ``p/q`` token of any length, by :func:`_str_int`."""
+    num, _, den = token.partition("/")
+    return Fraction(_str_int(num), _str_int(den) if den else 1)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p``, ``p/q`` or a decimal string into an exact Fraction."""
+    token = text.strip()
     try:
-        return Fraction(text.strip())
+        return _ratio(token) if _WEIGHT_RE.match(token) else Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
@@ -215,10 +222,8 @@ def parse_profile(text: str) -> Profile:
                 f"weight must be an integer or p/q, got {weight_token!r}", line_no
             )
         names = tuple(tok for tok in re.split(r"[,\s]+", tail.strip()) if tok)
-        num, _, den = weight_token.partition("/")
         try:
-            weight = Fraction(_str_int(num), _str_int(den) if den else 1)
-            types.append(VoterType(weight, names))
+            types.append(VoterType(_ratio(weight_token), names))
         except ZeroDivisionError:
             raise ProfileParseError(
                 f"weight has zero denominator: {weight_token!r}", line_no

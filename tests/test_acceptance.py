@@ -11,7 +11,6 @@ from fractions import Fraction as F
 
 from varphragmen import (
     Backend,
-    LoadVector,
     Method,
     Mode,
     Profile,
@@ -27,6 +26,7 @@ from varphragmen import (
     verify_election,
 )
 from varphragmen.analysis import random_profile
+from varphragmen.engine import seat_states
 from varphragmen.cli import main as cli_main
 
 from conftest import PROFILE_12, PROFILE_13, PROFILE_13_BUMPED
@@ -181,14 +181,12 @@ def test_criterion_7_variance_bookkeeping():
     checked = 0
     for profile, result in suite_elections():
         w = profile.total_weight
-        loads = LoadVector.zero(profile)
-        for rec in result.records:
+        for rec, loads, _ in seat_states(profile, result):
             old_sq = sum(
                 t.weight * r * r for t, r in zip(profile.types, loads.values)
             )
             s = rec.seat_index
             assert rec.variance_after == old_sq + rec.solution.score - F(s * s) / w
-            loads = rec.loads_after
             checked += 1
     assert report(
         "criterion 7 (variance bookkeeping identity)", checked > 0,

@@ -8,8 +8,10 @@ from varphragmen import (
     Backend,
     LoadVector,
     Method,
+    Profile,
     TwoPartyFamily,
     UnknownCandidateError,
+    VoterType,
     apportion_sequence,
     check_closed_list_equivalence,
     compare_solvers_over_election,
@@ -17,6 +19,7 @@ from varphragmen import (
     oracle_agreement_campaign,
     parse_profile,
     replay_record,
+    run_election,
     solver_instance_record,
     sweep_seat_share,
     two_party_family,
@@ -174,6 +177,17 @@ def test_solver_instance_record_replays(profile12, loads12_after_seat2):
     assert record["corrected"] == record["waterfill"] == record["subset"]
     replayed = replay_record(record)
     assert replayed["matches_recorded"]
+
+
+def test_solver_instance_record_replays_loads_past_the_int_digit_limit():
+    # after seat 1 both types sit at (10**5000 + 1)/(10**5000 + 2)
+    tiny = F(1, 10**5000 + 1)
+    profile = Profile([VoterType(tiny, ("a", "b")), VoterType(F(1), ("b",))])
+    result = run_election(profile, Method.VAR_PHRAGMEN, 1, mode=Mode.PARTY)
+    loads = result.records[0].loads_after
+    record = solver_instance_record(profile, loads, "a", mode=Mode.PARTY, seat=2)
+    assert min(len(cell) for cell in record["loads"]) > 10_000
+    assert replay_record(record)["matches_recorded"]
 
 
 def test_equivalence_record_replays():

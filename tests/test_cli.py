@@ -355,6 +355,14 @@ def test_probe_default_delta_and_ok(capsys, tmp_path):
     assert "delta 1" in out
 
 
+def test_probe_delta_past_the_int_digit_limit(capsys, p12_path):
+    ones = "1" * 5000
+    argv = ["probe", "--party", "b", "--seats", "2", "--delta", f"1/{ones}", p12_path]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == f"b: 1 -> 1 of 2 seats (delta 1/{ones}) OK\n"
+
+
 def test_probe_unknown_party(capsys, p13_path):
     code, _, err = run_cli(
         capsys, "probe", "--party", "Z", "--seats", "3", p13_path

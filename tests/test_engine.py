@@ -305,20 +305,6 @@ def sparse_profile(rng, n_types=60, n_candidates=30):
     )
 
 
-def seat_states(profile, result):
-    """The loads and eligible candidates before each seat of ``result``."""
-    loads = LoadVector.zero(profile)
-    elected = set()
-    for rec in result.records:
-        if result.mode is Mode.CANDIDATE:
-            eligible = [c for c in profile.candidates if c not in elected]
-        else:
-            eligible = list(profile.candidates)
-        yield rec, loads, eligible
-        loads = rec.loads_after
-        elected.add(rec.solution.candidate)
-
-
 def test_cached_election_matches_per_seat_reference():
     rng = random.Random(20260810)
     profiles = [random_profile(rng) for _ in range(12)]
@@ -329,7 +315,7 @@ def test_cached_election_matches_per_seat_reference():
         result = run_election(profile, method, seats, mode=mode, backend=backend)
         exact = backend is Backend.EXACT
         work = profile if exact else engine._float_profile(profile)
-        for rec, loads, eligible in seat_states(work, result):
+        for rec, loads, eligible in engine.seat_states(work, result):
             # no cache: every eligible candidate solved afresh
             winner, solution, tied = select_winner(work, loads, eligible, method)
             assert rec.solution.candidate == winner
@@ -346,6 +332,33 @@ def test_cached_election_matches_per_seat_reference():
             verify_election(profile, result)
 
 
+def test_seat_states_match_the_seat_loop(monkeypatch):
+    # the walk over a finished election yields the loads and candidates that
+    # run_election's own loop handed to select_winner, seat by seat
+    handed = []
+
+    def recording(profile, loads, eligible, method, lane=None):
+        handed.append((loads, list(eligible)))
+        return select_winner(profile, loads, eligible, method, lane)
+
+    monkeypatch.setattr(engine, "select_winner", recording)
+    rng = random.Random(20260810)
+    profiles = [random_profile(rng) for _ in range(8)]
+    profiles += [sparse_profile(rng) for _ in range(2)]
+    methods = (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN)
+    for profile, method, mode, backend in product(profiles, methods, Mode, Backend):
+        handed.clear()
+        seats = min(6, len(profile.candidates)) if mode is Mode.CANDIDATE else 6
+        result = run_election(profile, method, seats, mode=mode, backend=backend)
+        walked = [
+            (loads, list(eligible))
+            for _, loads, eligible in engine.seat_states(profile, result)
+        ]
+        assert len(walked) == seats
+        # repr tells int 0, Fraction and float bits apart
+        assert repr(walked) == repr(handed)
+
+
 @pytest.mark.parametrize("mode", [Mode.CANDIDATE, Mode.PARTY])
 def test_rescoring_touches_only_changed_types(monkeypatch, mode):
     profile = sparse_profile(random.Random(5))
@@ -360,7 +373,7 @@ def test_rescoring_touches_only_changed_types(monkeypatch, mode):
     result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
     expected = 0
     previous = None
-    for rec, _, eligible in seat_states(profile, result):
+    for rec, _, eligible in engine.seat_states(profile, result):
         if previous is None:
             expected += len(eligible)
         else:
@@ -510,7 +523,7 @@ def test_first_round_clamps_match_the_uncached_reference(monkeypatch):
     assert runs, "no solve clamped"
     for profile, result in runs:
         verify_election(profile, result)
-        for rec, loads, eligible in seat_states(profile, result):
+        for rec, loads, eligible in engine.seat_states(profile, result):
             winner, solution, tied = select_winner(
                 profile, loads, eligible, Method.VAR_PHRAGMEN
             )
@@ -628,6 +641,32 @@ def test_verify_election_reports_each_corruption(run, corrupt, message):
     assert message in str(info.value).splitlines()
 
 
+def test_verify_election_after_a_truncated_distribution(profile12):
+    # the skipped record moves neither the loads nor the eligibility the later
+    # seats are checked against: a1 stays eligible, so it ties at seat 3
+    result = run_election(profile12, Method.VAR_PHRAGMEN, 3)
+    corrupt = _with_solution(result, 1, x=result.records[0].solution.x[:2])
+    with pytest.raises(VerificationError) as info:
+        verify_election(profile12, corrupt)
+    assert str(info.value).splitlines() == [
+        "seat 1 (a1): distribution length mismatch",
+        "seat 2 (b): positive-share type 1 misses the common level",
+        "seat 2 (b): recorded score 117/400 != recomputed",
+        "seat 2 (b): loads_after does not equal loads_before + x",
+        "seat 2 (b): total load mass 1 != 2 seats",
+        "seat 2 (b): variance_after violates the score bookkeeping identity",
+        "seat 2 (b): winner is not optimal: 1/4 vs best 1/10",
+        "seat 2 (b): tied_with ('b',) != recomputed ('a1', 'a2')",
+        "seat 3 (a2): positive-share type 0 misses the common level",
+        "seat 3 (a2): zero-share type 1 sits below the common level",
+        "seat 3 (a2): recorded score 14/45 != recomputed",
+        "seat 3 (a2): loads_after does not equal loads_before + x",
+        "seat 3 (a2): total load mass 2 != 3 seats",
+        "seat 3 (a2): variance_after violates the score bookkeeping identity",
+        "seat 3 (a2): tied_with ('a2',) != recomputed ('a1', 'a2')",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # float64 backend
 
@@ -635,20 +674,14 @@ def exact_seat_gaps(profile, seats, mode, method=Method.VAR_PHRAGMEN):
     """Smallest winner-vs-runner-up key gap (score or level) at each seat, exactly."""
     result = run_election(profile, method, seats, mode=mode)
     gaps = []
-    loads = LoadVector.zero(profile)
-    elected = set()
-    for rec in result.records:
+    for _, loads, eligible in engine.seat_states(profile, result):
         keys = []
-        for name in profile.candidates:
-            if mode is Mode.CANDIDATE and name in elected:
-                continue
+        for name in eligible:
             sol = corrected_solution(Subproblem(profile, loads, name))
             keys.append(sol.score if method is Method.VAR_PHRAGMEN else sol.level)
         keys.sort()
         if len(keys) > 1:
             gaps.append(keys[1] - keys[0])
-        loads = rec.loads_after
-        elected.add(rec.solution.candidate)
     return result, gaps
 
 

@@ -190,6 +190,19 @@ def test_weights_past_the_int_digit_limit_round_trip():
         parse_profile("-1" + "0" * 5000 + " : a\n")
 
 
+def test_parse_rational_past_the_int_digit_limit():
+    # rational_str writes p/q in pieces below the limit; parse_rational reads
+    # them back, and a decimal still goes through Fraction
+    huge = 10**4999 + 7
+    for value in (Fraction(1, huge), Fraction(-huge, 3), Fraction(huge)):
+        assert parse_rational(rational_str(value)) == value
+    assert parse_rational(f" 1/{'1' * 5000} ") == Fraction(9, 10**5000 - 1)
+    assert parse_rational("-12.5") == Fraction(-25, 2)
+    for text in ("1/0", "1/" + "0" * 5000, "1/-2", "/3"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+
+
 def test_render_profile_format(profile12):
     assert render_profile(profile12) == "9 : a1, a2\n1 : a1, a2, b\n3 : b, c\n"
 
