@@ -351,7 +351,7 @@ def monotonicity_probe(
         raise UnknownCandidateError(f"unknown party: {party!r}")
     delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
     if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+        raise ValueError(f"delta must be nonnegative, got {rational_str(delta)}")
     before = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY)
     if delta == 0:
         augmented = profile
@@ -386,9 +386,9 @@ class TwoPartyFamily:
 
     def __post_init__(self):
         if not 0 <= self.alpha <= 1:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+            raise ValueError(f"alpha must lie in [0, 1], got {rational_str(self.alpha)}")
         if not 0 <= self.zeta < 1:
-            raise ValueError(f"zeta must lie in [0, 1), got {self.zeta}")
+            raise ValueError(f"zeta must lie in [0, 1), got {rational_str(self.zeta)}")
 
     def profile(self) -> Profile:
         weights = (
@@ -435,7 +435,7 @@ def sweep_seat_share(
     ordered = sorted(alphas)
     for a in ordered:
         if not 0 <= a <= 1:
-            raise ValueError(f"alpha must lie in [0, 1], got {a}")
+            raise ValueError(f"alpha must lie in [0, 1], got {rational_str(a)}")
     points = []
     for a in ordered:
         result = run_election(

@@ -33,6 +33,7 @@ from .model import (
     SeatRecord,
     StepSolution,
     VoterType,
+    rational_str,
 )
 from .step import (
     ExactSubproblem,
@@ -78,10 +79,10 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
             squares += weighted * r  # (u*r)*r is how u*r*r evaluates
     n = loads.seats_assigned
     exact = isinstance(mass, (Fraction, int))
-    if exact and mass != n:
-        raise ValueError(f"inconsistent loads: total mass {mass} != {n} seats")
-    if not exact and not math.isclose(mass, n, rel_tol=1e-9, abs_tol=1e-9):
-        raise ValueError(f"inconsistent loads: total mass {mass} != {n} seats")
+    if (mass != n) if exact else not math.isclose(mass, n, rel_tol=1e-9, abs_tol=1e-9):
+        raise ValueError(
+            f"inconsistent loads: total mass {rational_str(mass)} != {n} seats"
+        )
     return squares - n * n / profile.total_weight
 
 
@@ -204,7 +205,9 @@ class _ExactLane(_ShareLane):
         self.values = after
         n = loads.seats_assigned
         if self.mass != n:
-            raise ValueError(f"inconsistent loads: total mass {self.mass} != {n} seats")
+            raise ValueError(
+                f"inconsistent loads: total mass {rational_str(self.mass)} != {n} seats"
+            )
         self.squares += solution.score
         return self.squares - n * n / self.profile.total_weight
 
@@ -443,10 +446,10 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
         support = set(sub.supporters)
         mass = sum(t.weight * xk for t, xk in zip(types, sol.x))
         if mass != 1:
-            problem(f"seat mass {mass} != 1")
+            problem(f"seat mass {rational_str(mass)} != 1")
         for k, xk in enumerate(sol.x):
             if xk < 0:
-                problem(f"negative share x[{k}] = {xk}")
+                problem(f"negative share x[{k}] = {rational_str(xk)}")
             if k not in support and xk != 0:
                 problem(f"nonzero share for non-supporter type {k}")
         for k in sub.supporters:
@@ -455,7 +458,7 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
             if sol.x[k] == 0 and loads.values[k] < sol.level:
                 problem(f"zero-share type {k} sits below the common level")
         if _score(sub, sol.x) != sol.score:
-            problem(f"recorded score {sol.score} != recomputed")
+            problem(f"recorded score {rational_str(sol.score)} != recomputed")
 
         before_sq = sum(t.weight * r * r for t, r in zip(types, loads.values))
         expected_after = loads.add(sol.x)
@@ -463,7 +466,7 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
             problem("loads_after does not equal loads_before + x")
         after_mass = sum(t.weight * r for t, r in zip(types, expected_after.values))
         if after_mass != seat:
-            problem(f"total load mass {after_mass} != {seat} seats")
+            problem(f"total load mass {rational_str(after_mass)} != {seat} seats")
         elif rec.variance_after != variance(profile, expected_after):
             problem("variance_after does not match direct evaluation")
         if rec.variance_after != before_sq + sol.score - Fraction(seat * seat, 1) / w:
@@ -484,7 +487,8 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
             problem("winner was not eligible")
         elif optimum[sol.candidate] != best:
             problem(
-                f"winner is not optimal: {optimum[sol.candidate]} vs best {best}"
+                f"winner is not optimal: {rational_str(optimum[sol.candidate])} "
+                f"vs best {rational_str(best)}"
             )
         tied = tuple(sorted(name for name, val in optimum.items() if val == best))
         if tuple(sorted(rec.tied_with)) != tied:

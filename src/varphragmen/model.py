@@ -25,6 +25,8 @@ Rational = Union[Fraction, int, float]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 _WEIGHT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIO_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_DECIMAL_RE = re.compile(r"[+-]?\d*\.(\d+)")
 
 
 class ProfileParseError(ValueError):
@@ -95,10 +97,14 @@ def _ratio(token: str) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p``, ``p/q`` or a decimal string into an exact Fraction."""
+    """Parse ``p``, ``p/q`` or a decimal string into an exact Fraction: signed
+    ``p``, ``p/q`` and plain decimals at any length, other forms by ``Fraction``."""
     token = text.strip()
+    decimal = _DECIMAL_RE.fullmatch(token)
     try:
-        return _ratio(token) if _WEIGHT_RE.match(token) else Fraction(token)
+        if decimal:
+            return Fraction(_str_int(token.replace(".", "")), 10 ** len(decimal[1]))
+        return _ratio(token) if _RATIO_RE.fullmatch(token) else Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 

@@ -14,11 +14,13 @@ One production solver elects: :func:`corrected_solution` solves with the
 equality constraint alone, clamps every negative share to zero and re-solves
 on the remaining supporters until all shares are feasible.
 
-The subproblem's class is the arithmetic lane; the solvers' level and
-active-set loop is the same in both, and only the carried load and the
-scoring tail differ:
+The subproblem's class is the arithmetic lane.  Every subproblem carries
+``sums``, ``(sum(u*r), sum(u*r*r), max r)`` over its supporters, for the
+solver's first round; the level and active-set loop is the same in both
+lanes, which differ only in where the sums come from and in the score:
 
-* :class:`Subproblem` computes each ``u*r`` afresh and scores a solution
+* :class:`Subproblem` computes ``sum(u*r)`` afresh and reports no bound on
+  its loads (``math.inf``), so the solver scans every round; it scores
   share by share with :func:`_score`.  The float64 lane elects with it, so
   float bits stay those of the share-by-share sum, and it is the reference
   everywhere else: the two oracles always score through :func:`_score`, and
@@ -28,9 +30,9 @@ scoring tail differ:
   ``sum(u*(level**2 - r**2)) = level*(carried + 1) - sum(u*r*r)`` over the
   active set, where ``carried = sum(u*r)`` there.  This is exact in
   rationals only, which is why the float lane does not use it.  With its
-  candidate's ``(sum(u*r), sum(u*r*r), max r)``, kept running by the
-  engine, a solve that needs no clamp costs O(1) beyond building its
-  entries; only a round after a clamp sums its active entries afresh.
+  candidate's sums kept running by the engine, a solve that needs no clamp
+  costs O(1) beyond building its entries; only a round after a clamp sums
+  its active entries afresh.
 
 Zero terms cost nothing in either lane: a supporter with zero load moves
 straight to ``level`` (``level - 0 == level`` in value and type, float bits
@@ -57,6 +59,7 @@ All functions are pure; callers may evaluate candidates in parallel.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .model import (
@@ -77,13 +80,23 @@ class Subproblem:
     Every candidate of a profile has at least one supporter; a name outside
     the profile raises ``UnknownCandidateError`` from :meth:`Profile.supporters`.
 
-    This is the share-by-share lane (see the module docstring); its
-    subclass :class:`ExactSubproblem` is the exact lane.
+    ``sums`` is ``(sum(u*r), sum(u*r*r), max r)`` over the supporters, for
+    the first round of :func:`corrected_solution`: the engine passes the
+    exact lane the ones it keeps running, and without them
+    :meth:`_fresh_sums` computes them from the entries.  This share-by-share
+    lane (see the module docstring) keeps no ``sum(u*r*r)`` and no bound
+    (``math.inf``).
     """
 
-    __slots__ = ("profile", "candidate", "supporters", "supporter_weight", "entries")
+    __slots__ = ("profile", "candidate", "supporters", "supporter_weight", "entries", "sums")
 
-    def __init__(self, profile: Profile, loads: LoadVector, candidate: CandidateId):
+    def __init__(
+        self,
+        profile: Profile,
+        loads: LoadVector,
+        candidate: CandidateId,
+        sums: tuple[Rational, Rational, Rational] | None = None,
+    ):
         supporters, weight = profile.supporters(candidate)
         if len(loads.values) != len(profile.types):
             raise ValueError("load vector length does not match profile")
@@ -94,16 +107,11 @@ class Subproblem:
         self.entries = tuple(
             (k, profile.types[k].weight, loads.values[k]) for k in supporters
         )
+        self.sums = self._fresh_sums(self.entries) if sums is None else sums
 
-    def carried(self, active: Iterable[tuple[int, Rational, Rational]]) -> Rational:
-        """``sum(u*r)`` over the ``active`` entries, each product computed afresh."""
-        return left_sum(u * r for _, u, r in active)
-
-    def above(
-        self, active: Iterable[tuple[int, Rational, Rational]], level: Rational
-    ) -> list[int]:
-        """Type indices of the ``active`` entries whose load exceeds ``level``."""
-        return [k for k, _, r in active if r > level]
+    @staticmethod
+    def _fresh_sums(entries: Sequence[tuple[int, Rational, Rational]]) -> tuple:
+        return left_sum(u * r for _, u, r in entries), None, math.inf
 
     def solution(
         self,
@@ -117,46 +125,21 @@ class Subproblem:
 
 
 class ExactSubproblem(Subproblem):
-    """The exact lane's subproblem: running sums and a closed-form score.
+    """The exact lane's subproblem: all three sums and a closed-form score.
 
-    ``sums`` is ``(sum(u*r), sum(u*r*r), max r)`` over all supporters at the
-    subproblem's loads: the engine passes the ones it keeps running, and
-    without them they are computed here from the entries.  The first clamp
-    round (``active`` is :attr:`entries`) reads them in O(1); later rounds
-    sum and scan their active entries afresh.  Exact arithmetic only: in
-    floats the closed form rounds differently from the share-by-share score.
+    Exact arithmetic only: in floats the closed form rounds differently from
+    the share-by-share score.
     """
 
-    __slots__ = ("sums",)
+    __slots__ = ()
 
-    def __init__(
-        self,
-        profile: Profile,
-        loads: LoadVector,
-        candidate: CandidateId,
-        sums: tuple[Rational, Rational, Rational] | None = None,
-    ):
-        super().__init__(profile, loads, candidate)
-        if sums is None:
-            entries = self.entries
-            sums = (
-                sum(u * r for _, u, r in entries),
-                sum(u * r * r for _, u, r in entries),
-                max(r for _, _, r in entries),
-            )
-        self.sums = sums
-
-    def carried(self, active: Iterable[tuple[int, Rational, Rational]]) -> Rational:
-        if active is self.entries:
-            return self.sums[0]
-        return super().carried(active)
-
-    def above(
-        self, active: Iterable[tuple[int, Rational, Rational]], level: Rational
-    ) -> list[int]:
-        if self.sums[2] <= level:  # no supporter, active or not, is above
-            return []
-        return super().above(active, level)
+    @staticmethod
+    def _fresh_sums(entries: Sequence[tuple[int, Rational, Rational]]) -> tuple:
+        return (
+            sum(u * r for _, u, r in entries),
+            sum(u * r * r for _, u, r in entries),
+            max(r for _, _, r in entries),
+        )
 
     def solution(
         self,
@@ -166,7 +149,7 @@ class ExactSubproblem(Subproblem):
         clamp_rounds: tuple[frozenset[int], ...] = (),
     ) -> StepSolution:
         """Move ``active`` to ``level``; score ``level*(carried + 1) - sum(u*r*r)``."""
-        if active is self.entries:
+        if not clamp_rounds:  # the first round: ``active`` is every supporter
             squares = self.sums[1]
         else:
             squares = sum(u * r * r for _, u, r in active if r)
@@ -187,7 +170,7 @@ def unconstrained_level(sub: Subproblem) -> Rational:
     is also the winning score of the max-load sequential method, which moves
     every supporter to exactly this level.
     """
-    return (sub.carried(sub.entries) + 1) / sub.supporter_weight
+    return (sub.sums[0] + 1) / sub.supporter_weight
 
 
 def unconstrained_solution(sub: Subproblem) -> StepSolution:
@@ -197,7 +180,7 @@ def unconstrained_solution(sub: Subproblem) -> StepSolution:
     :func:`unconstrained_level`; no constraint is enforced, so ``corrected``
     is false.
     """
-    carried = sub.carried(sub.entries)
+    carried = sub.sums[0]
     return sub.solution((carried + 1) / sub.supporter_weight, carried, sub.entries)
 
 
@@ -251,22 +234,27 @@ def corrected_solution(sub: Subproblem) -> StepSolution:
     because each round strictly shrinks the active set and the minimum-load
     supporter always keeps a positive share.
 
-    The subproblem's lane supplies the carried load, finds the loads above
-    the level and scores the result: in closed form (:class:`ExactSubproblem`,
-    whose first round reads its running sums in O(1)) or share by share with
-    the reference :func:`_score` (:class:`Subproblem`, the float64 lane).
+    The first round reads its carried load and highest load from
+    ``sub.sums`` and scans the supporters only if that load exceeds the level
+    (the share-by-share lane's ``math.inf`` always does).  After a clamp,
+    ``sum(u*r)`` and ``sum(u)`` are re-summed over the active entries, and
+    every later round scans: the highest load exceeds the lowered level.
+    The subproblem's lane scores the result: in closed form
+    (:class:`ExactSubproblem`) or share by share with the reference
+    :func:`_score` (:class:`Subproblem`, the float64 lane).
     """
     active: Sequence[tuple[int, Rational, Rational]] = sub.entries
     weight = sub.supporter_weight
+    carried, _, top = sub.sums
     rounds: list[frozenset[int]] = []
     while True:
-        carried = sub.carried(active)
         level = (carried + 1) / weight
-        negative = sub.above(active, level)
+        negative = [k for k, _, r in active if r > level] if top > level else ()
         if not negative:
             return sub.solution(level, carried, active, tuple(rounds))
         rounds.append(frozenset(negative))
         active = [entry for entry in active if entry[0] not in rounds[-1]]
+        carried = left_sum(u * r for _, u, r in active)
         weight = left_sum(u for _, u, _ in active)
 
 

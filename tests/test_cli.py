@@ -363,6 +363,14 @@ def test_probe_delta_past_the_int_digit_limit(capsys, p12_path):
     assert out == f"b: 1 -> 1 of 2 seats (delta 1/{ones}) OK\n"
 
 
+def test_probe_negative_delta_past_the_int_digit_limit(capsys, p12_path):
+    ones = "1" * 5000
+    argv = ["probe", "--party", "b", "--seats", "2", "--delta", f"-{ones}", p12_path]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"delta must be nonnegative, got -{ones}" in err
+
+
 def test_probe_unknown_party(capsys, p13_path):
     code, _, err = run_cli(
         capsys, "probe", "--party", "Z", "--seats", "3", p13_path
@@ -394,6 +402,34 @@ def test_sweep_to_file(capsys, tmp_path):
     lines = target.read_text().splitlines()
     assert lines[0] == "alpha,share"
     assert len(lines) == 6
+
+
+def test_sweep_zeta_decimal_past_the_int_digit_limit(capsys):
+    zeta = "0." + "1" * 5000
+    code, out, _ = run_cli(
+        capsys, "sweep", "--zeta", zeta, "--seats", "2", "--alphas", "0:1:2"
+    )
+    assert code == 0
+    assert out == "alpha,share\n0.0,0.0\n0.5,0.5\n1.0,1.0\n"
+
+
+ONES = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "zeta, alphas, message",
+    [
+        (ONES, "0:1:2", f"zeta must lie in [0, 1), got {ONES}"),
+        ("0", f"0:{ONES}:2", f"alpha must lie in [0, 1], got {ONES}"),
+    ],
+    ids=["zeta", "alphas"],
+)
+def test_sweep_out_of_range_past_the_int_digit_limit(capsys, zeta, alphas, message):
+    code, _, err = run_cli(
+        capsys, "sweep", "--zeta", zeta, "--seats", "2", "--alphas", alphas
+    )
+    assert code == 2
+    assert message in err
 
 
 def test_sweep_unwritable_out(capsys, tmp_path):

@@ -19,6 +19,7 @@ from varphragmen import (
     apportion_sequence,
     corrected_solution,
     parse_profile,
+    rational_str,
     run_election,
     select_winner,
     unconstrained_solution,
@@ -541,6 +542,23 @@ def test_exact_lane_rejects_inconsistent_loads(monkeypatch):
         run_election(parse_profile(PROFILE_12), Method.VAR_PHRAGMEN, 3)
 
 
+def test_inconsistent_loads_past_the_int_digit_limit(monkeypatch):
+    # a total mass of 10**4400 has 4401 digits, past the limit of str()
+    huge = 10**4400
+    message = f"inconsistent loads: total mass 1{'0' * 4400} != 1 seats"
+    profile = parse_profile(PROFILE_12)
+    with pytest.raises(ValueError, match=message):
+        variance(profile, LoadVector(values=(F(huge, 9), 0, 0), seats_assigned=1))
+
+    def scaled(sub):
+        sol = corrected_solution(sub)
+        return replace(sol, x=tuple(huge * share for share in sol.x))
+
+    monkeypatch.setattr(engine, "corrected_solution", scaled)
+    with pytest.raises(ValueError, match=message):
+        run_election(profile, Method.VAR_PHRAGMEN, 3)
+
+
 # ---------------------------------------------------------------------------
 # verify_election reports every kind of corruption
 
@@ -638,6 +656,20 @@ def test_verify_election_reports_each_corruption(run, corrupt, message):
     verify_election(profile, result)
     with pytest.raises(VerificationError) as info:
         verify_election(profile, corrupt(profile, result))
+    assert message in str(info.value).splitlines()
+
+
+def test_verify_election_prints_values_past_the_int_digit_limit():
+    # each seat's score, 1/u, has 4401 digits, past the limit of str()
+    profile = Profile(
+        [VoterType(F(1, 10**4400 + 1), ("a",)), VoterType(F(1, 10**4400 + 3), ("b",))]
+    )
+    result = run_election(profile, Method.VAR_PHRAGMEN, 2)
+    verify_election(profile, result)
+    score = result.records[0].solution.score + 1
+    with pytest.raises(VerificationError) as info:
+        verify_election(profile, _with_solution(result, 1, score=score))
+    message = f"seat 1 (a): recorded score {rational_str(score)} != recomputed"
     assert message in str(info.value).splitlines()
 
 

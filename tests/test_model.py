@@ -192,13 +192,33 @@ def test_weights_past_the_int_digit_limit_round_trip():
 
 def test_parse_rational_past_the_int_digit_limit():
     # rational_str writes p/q in pieces below the limit; parse_rational reads
-    # them back, and a decimal still goes through Fraction
+    # them back
     huge = 10**4999 + 7
     for value in (Fraction(1, huge), Fraction(-huge, 3), Fraction(huge)):
         assert parse_rational(rational_str(value)) == value
     assert parse_rational(f" 1/{'1' * 5000} ") == Fraction(9, 10**5000 - 1)
     assert parse_rational("-12.5") == Fraction(-25, 2)
     for text in ("1/0", "1/" + "0" * 5000, "1/-2", "/3"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+
+
+def test_parse_rational_signed_and_decimal_past_the_int_digit_limit():
+    ones = "1" * 5000
+    whole = parse_rational(ones)
+    assert parse_rational("+" + ones) == whole
+    assert parse_rational(f"+{ones}/3") == whole / 3
+    assert parse_rational(ones + ".5") == whole + Fraction(1, 2)
+    decimal = parse_rational("0." + ones)
+    assert decimal == Fraction(whole, 10**5000)
+    assert parse_rational("-." + ones) == -decimal
+    assert parse_rational(rational_str(decimal)) == decimal
+
+
+def test_parse_rational_reads_what_fraction_reads():
+    for text in ("+3/4", "-12.5", "+.25", "0.376", "7.", "1e-3", "1_000", " -0.0 "):
+        assert parse_rational(text) == Fraction(text)
+    for text in ("+-1", "-+1", "1.2.3", ".", "+", "1./2", "0x10"):
         with pytest.raises(ValueError, match="not a rational number"):
             parse_rational(text)
 

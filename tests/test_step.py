@@ -20,6 +20,7 @@ from varphragmen import (
     unconstrained_solution,
     waterfill_solution,
 )
+from varphragmen.model import StepSolution, left_sum
 from varphragmen.step import ExactSubproblem, _score
 
 
@@ -380,3 +381,51 @@ def test_closed_form_score_on_clamped_instances():
     assert instances > 800
     assert corrected >= 200
     assert repeated > 0
+
+
+def plain_clamp_loop(sub):
+    """The clamp loop with nothing carried: every round re-sums its active
+    entries left to right, scans all of them and scores with ``_score``."""
+    active = sub.entries
+    rounds = []
+    while True:
+        weight = left_sum(u for _, u, _ in active)
+        level = (left_sum(u * r for _, u, r in active) + 1) / weight
+        negative = frozenset(k for k, _, r in active if r > level)
+        if not negative:
+            break
+        rounds.append(negative)
+        active = [entry for entry in active if entry[0] not in negative]
+    x = [0] * len(sub.profile.types)
+    for k, _, r in active:
+        x[k] = level - r
+    return StepSolution(
+        sub.candidate, tuple(x), level, _score(sub, x), bool(rounds), tuple(rounds)
+    )
+
+
+def test_share_lane_is_the_plain_clamp_loop():
+    instances = clamped = 0
+    for sub in skewed_subproblems(random.Random(20260810), 250):
+        values = [0] * len(sub.profile.types)
+        for k, _, r in sub.entries:
+            values[k] = r
+        loads = LoadVector(tuple(values), 0)
+        floats = Profile(
+            VoterType(float(t.weight), t.approvals) for t in sub.profile.types
+        )
+        float_loads = LoadVector(tuple(float(r) for r in values), 0)
+        # float64 bits, and the exact values of the share lane
+        for profile, at in ((floats, float_loads), (sub.profile, loads)):
+            share = Subproblem(profile, at, sub.candidate)
+            assert repr(corrected_solution(share)) == repr(plain_clamp_loop(share))
+        # the exact lane, with its sums passed in and computed afresh
+        want = plain_clamp_loop(Subproblem(sub.profile, loads, sub.candidate))
+        assert corrected_solution(sub) == want
+        fresh = ExactSubproblem(sub.profile, loads, sub.candidate)
+        assert fresh.sums == sub.sums
+        assert corrected_solution(fresh) == want
+        instances += 1
+        clamped += want.corrected
+    assert instances > 800
+    assert clamped >= 200
