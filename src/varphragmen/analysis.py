@@ -42,7 +42,8 @@ from .model import (
     rational_str,
     render_profile,
 )
-from .step import ExactSubproblem, corrected_solution, subset_oracle, waterfill_solution
+from .step import IntegerLoads, IntegerSubproblem, Subproblem, corrected_solution
+from .step import subset_oracle, waterfill_solution
 
 PARTY_POOL = tuple("ABCDEF")
 
@@ -197,7 +198,8 @@ def solver_instance_record(
     The record is self-contained: :func:`replay_record` reparses the profile
     and loads from it and recomputes every solver from scratch.
     """
-    sub = ExactSubproblem(profile, loads, candidate)
+    sub = Subproblem(profile, loads, candidate)
+    exact = IntegerSubproblem(IntegerLoads(profile, loads), candidate)
     return {
         "kind": "solver-instance",
         "profile": render_profile(profile),
@@ -207,7 +209,7 @@ def solver_instance_record(
         "candidate": candidate,
         "loads": [rational_str(v) for v in loads.values],
         "seats_assigned": loads.seats_assigned,
-        "corrected": _solution_payload(corrected_solution(sub)),
+        "corrected": _solution_payload(corrected_solution(exact).record()),
         "waterfill": _solution_payload(waterfill_solution(sub)),
         "subset": _solution_payload(subset_oracle(sub)),
     }
@@ -239,10 +241,11 @@ def compare_solvers_over_election(
     instances = 0
     disagreements: list[dict] = []
     for rec, loads, eligible in seat_states(profile, result):
+        at = IntegerLoads(profile, loads)
         for name in eligible:
-            sub = ExactSubproblem(profile, loads, name)
+            sub = Subproblem(profile, loads, name)
             trio = (
-                corrected_solution(sub),
+                corrected_solution(IntegerSubproblem(at, name)).record(),
                 waterfill_solution(sub),
                 subset_oracle(sub),
             )

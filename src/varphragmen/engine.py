@@ -11,7 +11,9 @@ record.
 
 Elections are independent of each other and may run in parallel; a run only
 ever builds fresh immutable load vectors, and its lane (arithmetic and solve
-cache) is its own.
+cache) is its own.  The exact lane decides every seat on integers, loads as
+numerators over one run-wide denominator, and reduces only each seat's
+record to fractions; the float64 lane solves share by share.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from .model import (
     rational_str,
 )
 from .step import (
-    ExactSubproblem,
+    IntegerLoads,
+    IntegerSolution,
+    IntegerSubproblem,
     Subproblem,
     _score,
     corrected_solution,
@@ -129,22 +133,21 @@ class _ShareLane:
         entry = self.solved[name] = key, sol
         return entry
 
-    def _evict(self, solution: StepSolution) -> list[int]:
-        """Evict the candidates of every type the seat moved; return those types."""
-        moved = [k for k, share in enumerate(solution.x) if share]
+    def _evict(self, moved: Iterable[int]) -> None:
+        """Evict the candidates of every type in ``moved``."""
         types = self.profile.types
         for k in moved:
             for name in types[k].approvals:
                 self.solved.pop(name, None)
-        return moved
 
-    def advance(self, loads: LoadVector, solution: StepSolution) -> Rational:
-        """Take in the seat that led to ``loads``; return the variance after it.
+    def advance(self, loads: LoadVector, solution: StepSolution) -> tuple:
+        """Take in a seat at ``loads``: its record, the loads and the variance after it.
 
         Only float runs reach this (the exact lane overrides it), so a score
         or variance that overflowed is reported here, before it is recorded.
         """
-        self._evict(solution)
+        self._evict(k for k, share in enumerate(solution.x) if share)
+        loads = loads.add(solution.x)
         after = variance(self.profile, loads)
         for what, value in (("score", solution.score), ("variance", after)):
             if not math.isfinite(value):
@@ -152,64 +155,73 @@ class _ShareLane:
                     f"seat {loads.seats_assigned}: float64 {what} is {value}; "
                     "use --backend exact"
                 )
-        return after
+        return solution, loads, after
 
 
 class _ExactLane(_ShareLane):
-    """Exact arithmetic with each candidate's running sums kept with the loads.
+    """Exact arithmetic on running :class:`IntegerLoads` (numerators ``N``
+    over one denominator ``D``) and each candidate's ``sums[name] =
+    (sum(U*N), sum(U*N*N), max N)``, the first round of its solves.
 
-    ``sums[name]`` is ``(sum(u*r), sum(u*r*r), max r)`` over the candidate's
-    supporters at the loads the lane last advanced to (``values``), updated
-    from the moved types alone.  A moved type's share ``x`` adds ``u*x`` and
-    ``u*x*(r_before + r_after)`` to every other candidate it approves and
-    may raise that candidate's highest load; loads only rise, so the running
-    maximum is exact.  The winner's supporters take the whole seat: its sums
-    grow by the unit mass and the seat's score, and its highest load is at
-    least the level.  Solves read these sums (:class:`ExactSubproblem`), so
-    a solve that needs no clamp never scans or re-sums its supporters.  The
-    lane keeps the total ``sum(u*r*r)`` running by adding each seat's score,
-    and the total ``sum(u*r)`` by the moved masses, which must equal the
-    number of seats exactly: the consistency check of :func:`variance`.
+    A seat at level ``p/(D*q)``, in lowest terms, sets ``D`` to ``D*q``: the
+    active types take ``N = p``; every other numerator, running sum and
+    cached key is multiplied by ``q`` (``q*q`` for squares and var-Phragmén
+    keys).  Each moved type adds its increase to the sums of the candidates
+    it approves and to the totals ``sum(U*N*N)``, for the variance, and
+    ``sum(U*N)``, which must equal the number of seats: the consistency
+    check of :func:`variance`.  Only the winner's solve becomes fractions.
     """
 
-    def __init__(self, profile: Profile):
+    def __init__(self, profile: Profile, method: Method):
         super().__init__(profile)
-        self.sums: dict[CandidateId, tuple[Rational, Rational, Rational]] = (
-            dict.fromkeys(profile.candidates, (0, 0, 0))
-        )
-        self.values = LoadVector.zero(profile).values
-        self.mass: Rational = 0
-        self.squares: Rational = 0
+        self.at = IntegerLoads(profile, LoadVector.zero(profile))
+        self.sums = dict.fromkeys(profile.candidates, (0, 0, 0))
+        self.key_power = 2 if method is Method.VAR_PHRAGMEN else 1
+        self.total_weight = sum(self.at.weights)
+        self.mass = self.squares = 0
 
-    def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
-        return ExactSubproblem(self.profile, loads, name, self.sums[name])
+    def subproblem(self, loads: LoadVector, name: CandidateId) -> IntegerSubproblem:
+        return IntegerSubproblem(self.at, name, self.sums[name])
 
-    def advance(self, loads: LoadVector, solution: StepSolution) -> Rational:
-        types, before, after = self.profile.types, self.values, loads.values
-        sums, winner, x = self.sums, solution.candidate, solution.x
-        for k in self._evict(solution):
-            load = after[k]
-            mass = types[k].weight * x[k]
-            squares = mass * (before[k] + load)  # u*(after**2 - before**2)
-            self.mass += mass
-            for name in types[k].approvals:
-                if name != winner:
-                    carried, sq, top = sums[name]
-                    top = load if load > top else top
-                    sums[name] = carried + mass, sq + squares, top
-        # the whole seat lands on the winner's supporters, which end at the
-        # level unless clamped above it; an int 1 adds without a big gcd
-        carried, sq, top = sums[winner]
+    def advance(self, loads: LoadVector, solution: IntegerSolution) -> tuple:
+        at, sums, types = self.at, self.sums, self.profile.types
+        record = solution.record()
+        moved = [k for k, _, _ in solution.active if record.x[k]]
+        self._evict(moved)
         level = solution.level
-        sums[winner] = carried + 1, sq + solution.score, level if level > top else top
-        self.values = after
-        n = loads.seats_assigned
-        if self.mass != n:
-            raise ValueError(
-                f"inconsistent loads: total mass {rational_str(self.mass)} != {n} seats"
-            )
-        self.squares += solution.score
-        return self.squares - n * n / self.profile.total_weight
+        if solution.sub.denominator != at.denominator:
+            # solved at an earlier seat: the same level over today's D
+            level *= at.denominator // solution.sub.denominator
+        p, q = level.numerator, level.denominator
+        for name, (key, sol) in self.solved.items():
+            self.solved[name] = key * q**self.key_power, sol
+        for name, (carried, squares, top) in sums.items():
+            sums[name] = carried * q, squares * q * q, top * q
+        numerators = at.numerators = [n * q for n in at.numerators]
+        at.denominator *= q
+        mass, total = self.mass * q, self.squares * q * q
+        for k in moved:
+            before = numerators[k]
+            carried = at.weights[k] * (p - before)
+            squares = carried * (p + before)  # U*(after**2 - before**2)
+            mass += carried
+            total += squares
+            for name in types[k].approvals:
+                c, sq, top = sums[name]
+                sums[name] = c + carried, sq + squares, p if p > top else top
+            numerators[k] = p
+        self.mass, self.squares = mass, total
+        n = loads.seats_assigned + 1
+        unit = at.multiplier * at.denominator
+        if mass != n * unit:
+            shown = rational_str(Fraction(mass, unit))
+            raise ValueError(f"inconsistent loads: total mass {shown} != {n} seats")
+        values = list(loads.values)
+        for k, _, _ in solution.active:
+            values[k] = record.level
+        w = self.total_weight
+        after = Fraction(total * w - n * n * unit * unit, unit * at.denominator * w)
+        return record, LoadVector(tuple(values), n), after
 
 
 def select_winner(
@@ -228,7 +240,8 @@ def select_winner(
     ``lane`` is the arithmetic :func:`run_election` chose for its backend,
     with its solve cache: candidates it already solved at ``loads`` are not
     re-solved, and ties are gathered from the keys of all eligible
-    candidates, cached or fresh.  Without a lane, every candidate is solved
+    candidates, cached or fresh; the exact lane's solution is its
+    :class:`IntegerSolution`.  Without a lane, every candidate is solved
     afresh, share by share: the reference.
     """
     if method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
@@ -325,19 +338,19 @@ def run_election(
     candidate at every seat.
 
     Both methods elect through :func:`corrected_solution`; a seq-Phragmén
-    solve that clamps is an error.  The exact lane scores each solve in
-    closed form from its candidate's ``sum(u*r)``, ``sum(u*r*r)`` and
-    highest load, kept running with the loads, and records
-    ``variance_after`` as ``S - n*n/w`` with ``S`` the running sum of the
-    winners' scores.  The float lane scores share by share and rescans the
-    variance, so its bits do not depend on the closed form.
-    :func:`verify_election` re-checks every exact-lane score against the
-    share-by-share reference.
+    solve that clamps is an error.  The exact lane solves on integer loads
+    over one run-wide denominator (:class:`IntegerSubproblem`), scoring in
+    closed form from each candidate's running sums, and builds each record,
+    in reduced fractions, from the winner's solve alone: ``variance_after``
+    comes from the running total ``sum(u*r*r)``.  The float lane scores
+    share by share and rescans the variance, so its bits do not depend on
+    the closed form.  :func:`verify_election` re-checks every exact-lane
+    score against the share-by-share reference.
     """
     if seats < 1:
         raise ElectionConfigError(f"seats must be >= 1, got {seats}")
     if backend is Backend.EXACT:
-        work, lane = profile, _ExactLane(profile)
+        work, lane = profile, _ExactLane(profile, method)
     else:
         work = _float_profile(profile)
         lane = _ShareLane(work)
@@ -368,16 +381,17 @@ def run_election(
             tied = _highest_quotients(party_weight, counts, quotient_rule)
             winner = tied[0]
             solution = corrected_solution(lane.subproblem(loads, winner))
-        loads = loads.add(solution.x)
+        solution, after, variance_after = lane.advance(loads, solution)
         records.append(
             SeatRecord(
                 seat_index=seat,
                 solution=solution,
-                loads_after=loads,
-                variance_after=lane.advance(loads, solution),
+                loads_after=after,
+                variance_after=variance_after,
                 tied_with=tuple(tied),
             )
         )
+        loads = after
         counts[winner] += 1
     return ElectionResult(
         method=method, mode=mode, records=tuple(records), seat_counts=counts

@@ -26,7 +26,7 @@ Rational = Union[Fraction, int, float]
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 _WEIGHT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 _RATIO_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
-_DECIMAL_RE = re.compile(r"[+-]?\d*\.(\d+)")
+_DECIMAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
 
 
 class ProfileParseError(ValueError):
@@ -98,12 +98,16 @@ def _ratio(token: str) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p``, ``p/q`` or a decimal string into an exact Fraction: signed
-    ``p``, ``p/q`` and plain decimals at any length, other forms by ``Fraction``."""
+    ``p``, ``p/q`` and decimals with or without an exponent at any length,
+    other forms by ``Fraction``."""
     token = text.strip()
     decimal = _DECIMAL_RE.fullmatch(token)
     try:
         if decimal:
-            return Fraction(_str_int(token.replace(".", "")), 10 ** len(decimal[1]))
+            sign, whole, fraction, exponent = decimal.groups("")
+            shift = int(exponent or 0) - len(fraction)
+            value = _str_int(sign + whole + fraction)
+            return Fraction(value * 10 ** max(shift, 0), 10 ** max(-shift, 0))
         return _ratio(token) if _RATIO_RE.fullmatch(token) else Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc

@@ -16,8 +16,8 @@ on the remaining supporters until all shares are feasible.
 
 The subproblem's class is the arithmetic lane.  Every subproblem carries
 ``sums``, ``(sum(u*r), sum(u*r*r), max r)`` over its supporters, for the
-solver's first round; the level and active-set loop is the same in both
-lanes, which differ only in where the sums come from and in the score:
+solver's first round, and the ``unit`` of load a seat adds; the level and
+active-set loop is the same in both lanes:
 
 * :class:`Subproblem` computes ``sum(u*r)`` afresh and reports no bound on
   its loads (``math.inf``), so the solver scans every round; it scores
@@ -25,18 +25,18 @@ lanes, which differ only in where the sums come from and in the score:
   float bits stay those of the share-by-share sum, and it is the reference
   everywhere else: the two oracles always score through :func:`_score`, and
   so does the engine's uncached verifier.
-* :class:`ExactSubproblem` scores in closed form.  Every active supporter
-  ends at the common level, so the increase of ``sum(u*r*r)`` is
-  ``sum(u*(level**2 - r**2)) = level*(carried + 1) - sum(u*r*r)`` over the
-  active set, where ``carried = sum(u*r)`` there.  This is exact in
-  rationals only, which is why the float lane does not use it.  With its
-  candidate's sums kept running by the engine, a solve that needs no clamp
-  costs O(1) beyond building its entries; only a round after a clamp sums
-  its active entries afresh.
+* :class:`IntegerSubproblem`, the exact lane, works on integers: weights
+  ``U = u*L`` over the lcm ``L`` of their denominators, loads ``N`` over one
+  denominator ``D`` (:class:`IntegerLoads`), and a seat adds ``L*D``.  With
+  ``A = sum(U*N) + L*D`` and ``W = sum(U)`` over the active set, the level
+  is ``A/W``, the clamp test ``N*W > A`` and the score, in closed form as
+  every active supporter ends at the level, ``A*A/W - sum(U*N*N)``.  ``W``
+  is small, so deciding a seat takes no big ``gcd``; only the winner's
+  :meth:`IntegerSolution.record` is reduced to fractions.
 
 Zero terms cost nothing in either lane: a supporter with zero load moves
 straight to ``level`` (``level - 0 == level`` in value and type, float bits
-included), and a fresh ``sum(u*r*r)`` skips it.
+included).
 
 The equality-constrained solve on its own is :func:`unconstrained_solution`:
 every supporter ends at the common level of :func:`unconstrained_level`, and
@@ -60,7 +60,8 @@ All functions are pure; callers may evaluate candidates in parallel.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import (
     CandidateId,
@@ -80,23 +81,17 @@ class Subproblem:
     Every candidate of a profile has at least one supporter; a name outside
     the profile raises ``UnknownCandidateError`` from :meth:`Profile.supporters`.
 
-    ``sums`` is ``(sum(u*r), sum(u*r*r), max r)`` over the supporters, for
-    the first round of :func:`corrected_solution`: the engine passes the
-    exact lane the ones it keeps running, and without them
-    :meth:`_fresh_sums` computes them from the entries.  This share-by-share
-    lane (see the module docstring) keeps no ``sum(u*r*r)`` and no bound
-    (``math.inf``).
+    ``sums`` is ``(sum(u*r), None, math.inf)`` for the first round of
+    :func:`corrected_solution`: this share-by-share lane (see the module
+    docstring) keeps no ``sum(u*r*r)`` and no bound on its loads.  A seat
+    carries ``unit`` of load, 1 in this lane.
     """
 
     __slots__ = ("profile", "candidate", "supporters", "supporter_weight", "entries", "sums")
 
-    def __init__(
-        self,
-        profile: Profile,
-        loads: LoadVector,
-        candidate: CandidateId,
-        sums: tuple[Rational, Rational, Rational] | None = None,
-    ):
+    unit = 1
+
+    def __init__(self, profile: Profile, loads: LoadVector, candidate: CandidateId):
         supporters, weight = profile.supporters(candidate)
         if len(loads.values) != len(profile.types):
             raise ValueError("load vector length does not match profile")
@@ -107,11 +102,7 @@ class Subproblem:
         self.entries = tuple(
             (k, profile.types[k].weight, loads.values[k]) for k in supporters
         )
-        self.sums = self._fresh_sums(self.entries) if sums is None else sums
-
-    @staticmethod
-    def _fresh_sums(entries: Sequence[tuple[int, Rational, Rational]]) -> tuple:
-        return left_sum(u * r for _, u, r in entries), None, math.inf
+        self.sums = left_sum(u * r for _, u, r in self.entries), None, math.inf
 
     def solution(
         self,
@@ -124,42 +115,82 @@ class Subproblem:
         return _solution(self, level, active, bool(clamp_rounds), clamp_rounds)
 
 
-class ExactSubproblem(Subproblem):
-    """The exact lane's subproblem: all three sums and a closed-form score.
+class IntegerLoads:
+    """Weights ``weights[k]/multiplier`` and loads ``numerators[k]/denominator``,
+    over the lcm of their denominators; the engine's exact lane keeps one
+    instance running through a whole election."""
 
-    Exact arithmetic only: in floats the closed form rounds differently from
-    the share-by-share score.
-    """
+    def __init__(self, profile: Profile, loads: LoadVector):
+        self.profile = profile
+        ratios = [t.weight.as_integer_ratio() for t in profile.types]  # floats too
+        self.multiplier = math.lcm(*(q for _, q in ratios))
+        self.weights = [p * (self.multiplier // q) for p, q in ratios]
+        self.denominator = math.lcm(*(r.denominator for r in loads.values))
+        self.numerators = [int(r * self.denominator) for r in loads.values]
 
-    __slots__ = ()
 
-    @staticmethod
-    def _fresh_sums(entries: Sequence[tuple[int, Rational, Rational]]) -> tuple:
-        return (
-            sum(u * r for _, u, r in entries),
-            sum(u * r * r for _, u, r in entries),
-            max(r for _, _, r in entries),
+class IntegerSubproblem:
+    """The exact lane's subproblem (see the module docstring) at the current
+    denominator ``D`` of :class:`IntegerLoads`, which it keeps.  ``sums`` is
+    ``(sum(U*N), sum(U*N*N), max N)`` over the supporters: the engine's
+    running sums, or else computed afresh.  ``unit = L*D`` is a ``Fraction``
+    so that :func:`corrected_solution`'s level is the exact ``A/W``, ``D``
+    times the common level."""
+
+    __slots__ = ("candidate", "entries", "supporter_weight", "sums", "unit", "denominator", "at")
+
+    def __init__(self, at: IntegerLoads, candidate: CandidateId, sums: tuple | None = None):
+        supporters, _ = at.profile.supporters(candidate)
+        self.at = at
+        self.candidate = candidate
+        self.entries = tuple((k, at.weights[k], at.numerators[k]) for k in supporters)
+        self.supporter_weight = sum(u for _, u, _ in self.entries)
+        self.sums = sums or (
+            sum(u * n for _, u, n in self.entries),
+            sum(u * n * n for _, u, n in self.entries),
+            max(n for _, _, n in self.entries),
         )
+        self.denominator = at.denominator
+        self.unit = Fraction(at.multiplier * at.denominator)
 
     def solution(
-        self,
-        level: Rational,
-        carried: Rational,
-        active: Sequence[tuple[int, Rational, Rational]],
-        clamp_rounds: tuple[frozenset[int], ...] = (),
-    ) -> StepSolution:
-        """Move ``active`` to ``level``; score ``level*(carried + 1) - sum(u*r*r)``."""
+        self, level: Fraction, carried: int, active: Sequence, clamp_rounds: tuple = ()
+    ) -> IntegerSolution:
+        """Move ``active`` to ``level``; score ``level*A - sum(U*N*N)`` over it."""
         if not clamp_rounds:  # the first round: ``active`` is every supporter
             squares = self.sums[1]
         else:
-            squares = sum(u * r * r for _, u, r in active if r)
+            squares = sum(u * n * n for _, u, n in active)
+        score = level * (carried + self.unit) - squares
+        return IntegerSolution(
+            self.candidate, level, score, bool(clamp_rounds), clamp_rounds, active, self
+        )
+
+
+class IntegerSolution(NamedTuple):
+    """A solve of :class:`IntegerSubproblem`: ``level`` is ``D`` times the
+    common level and ``score`` ``L*D*D`` times the score, each with a
+    denominator dividing ``W``, so they compare exactly without a big ``gcd``.
+    """
+
+    candidate: CandidateId
+    level: Fraction
+    score: Fraction
+    corrected: bool
+    clamp_rounds: tuple[frozenset[int], ...]
+    active: Sequence[tuple[int, int, int]]
+    sub: IntegerSubproblem
+
+    def record(self) -> StepSolution:
+        """The :class:`StepSolution` of this solve, in reduced fractions."""
+        sub = self.sub
+        level = self.level / sub.denominator
+        x: list[Rational] = [0] * len(sub.at.weights)
+        for k, _, n in self.active:
+            x[k] = (self.level - n) / sub.denominator if n else level
+        score = self.score / (sub.unit * sub.denominator)
         return StepSolution(
-            candidate=self.candidate,
-            x=_shares(self, level, active),
-            level=level,
-            score=level * (carried + 1) - squares,
-            corrected=bool(clamp_rounds),
-            clamp_rounds=clamp_rounds,
+            self.candidate, tuple(x), level, score, self.corrected, self.clamp_rounds
         )
 
 
@@ -192,20 +223,6 @@ def _score(sub: Subproblem, x: Sequence[Rational]) -> Rational:
     return left_sum(u * (2 * r * x[k] + x[k] * x[k]) for k, u, r in sub.entries)
 
 
-def _shares(
-    sub: Subproblem, level: Rational, active: Iterable[tuple[int, Rational, Rational]]
-) -> tuple[Rational, ...]:
-    """Move the ``active`` entries to ``level``; every other share is int ``0``.
-
-    A zero load moves straight to ``level``: ``level - 0`` is ``level`` in
-    value and type, float bits included.
-    """
-    x: list[Rational] = [0] * len(sub.profile.types)
-    for k, _, r in active:
-        x[k] = level - r if r else level
-    return tuple(x)
-
-
 def _solution(
     sub: Subproblem,
     level: Rational,
@@ -213,19 +230,20 @@ def _solution(
     corrected: bool,
     clamp_rounds: tuple[frozenset[int], ...] = (),
 ) -> StepSolution:
-    """The solution moving ``active`` to ``level``, scored share by share."""
-    x = _shares(sub, level, active)
+    """The solution moving ``active`` to ``level``, scored share by share.
+
+    Every other share is int ``0``.  A zero load moves straight to ``level``:
+    ``level - 0`` is ``level`` in value and type, float bits included.
+    """
+    x: list[Rational] = [0] * len(sub.profile.types)
+    for k, _, r in active:
+        x[k] = level - r if r else level
     return StepSolution(
-        candidate=sub.candidate,
-        x=x,
-        level=level,
-        score=_score(sub, x),
-        corrected=corrected,
-        clamp_rounds=clamp_rounds,
+        sub.candidate, tuple(x), level, _score(sub, x), corrected, clamp_rounds
     )
 
 
-def corrected_solution(sub: Subproblem) -> StepSolution:
+def corrected_solution(sub: Subproblem | IntegerSubproblem) -> StepSolution:
     """Clamp-and-resolve iteration for the nonnegativity constraint.
 
     Solves on the current supporter subset; whenever shares come out
@@ -239,16 +257,16 @@ def corrected_solution(sub: Subproblem) -> StepSolution:
     (the share-by-share lane's ``math.inf`` always does).  After a clamp,
     ``sum(u*r)`` and ``sum(u)`` are re-summed over the active entries, and
     every later round scans: the highest load exceeds the lowered level.
-    The subproblem's lane scores the result: in closed form
-    (:class:`ExactSubproblem`) or share by share with the reference
-    :func:`_score` (:class:`Subproblem`, the float64 lane).
+    The subproblem's lane scores the result: in closed form on integers
+    (:class:`IntegerSubproblem`, an :class:`IntegerSolution`) or share by
+    share with the reference :func:`_score` (:class:`Subproblem`).
     """
     active: Sequence[tuple[int, Rational, Rational]] = sub.entries
     weight = sub.supporter_weight
     carried, _, top = sub.sums
     rounds: list[frozenset[int]] = []
     while True:
-        level = (carried + 1) / weight
+        level = (carried + sub.unit) / weight
         negative = [k for k, _, r in active if r > level] if top > level else ()
         if not negative:
             return sub.solution(level, carried, active, tuple(rounds))

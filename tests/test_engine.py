@@ -27,7 +27,7 @@ from varphragmen import (
     verify_election,
 )
 from varphragmen import engine, step
-from varphragmen.analysis import random_profile
+from varphragmen.analysis import TwoPartyFamily, random_profile
 
 from conftest import PROFILE_12
 
@@ -467,26 +467,36 @@ def test_exact_lane_never_scores_share_by_share(monkeypatch, method, mode):
 
 
 def test_exact_lane_running_sums_match_a_fresh_scan(monkeypatch):
-    # after every seat: the loads and each candidate's running sums
+    # after every seat: the loads and each candidate's running integer sums,
+    # which over (L*D, L*D*D, D) are a fresh scan of the fraction loads
     seen = []
     original = engine._ExactLane.advance
 
     def recording(lane, loads, solution):
-        after = original(lane, loads, solution)
-        seen.append((loads, dict(lane.sums)))
-        return after
+        out = original(lane, loads, solution)
+        at = lane.at
+        unit = at.multiplier * at.denominator
+        scales = (unit, unit * at.denominator, at.denominator)
+        sums = {
+            name: tuple(F(v, scale) for v, scale in zip(triple, scales))
+            for name, triple in lane.sums.items()
+        }
+        seen.append((out[1], sums, [F(n, at.denominator) for n in at.numerators]))
+        return out
 
     monkeypatch.setattr(engine._ExactLane, "advance", recording)
     rng = random.Random(20260810)
     profiles = [random_profile(rng) for _ in range(20)]
     profiles += [sparse_profile(rng) for _ in range(3)]
+    profiles.append(parse_profile("5/7 : a, b\n3/4 : b\n11/6 : a, c\n1/9 : c\n"))
     methods = (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN)
     for profile, method, mode in product(profiles, methods, Mode):
         seats = min(8, len(profile.candidates)) if mode is Mode.CANDIDATE else 8
         seen.clear()
         run_election(profile, method, seats, mode=mode)
         assert len(seen) == seats
-        for loads, sums in seen:
+        for loads, sums, numerators in seen:
+            assert numerators == list(loads.values)
             for name in profile.candidates:
                 supporters, _ = profile.supporters(name)
                 fresh = [(profile.types[k].weight, loads.values[k]) for k in supporters]
@@ -495,6 +505,34 @@ def test_exact_lane_running_sums_match_a_fresh_scan(monkeypatch):
                     sum(u * r * r for u, r in fresh),
                     max(r for _, r in fresh),
                 )
+
+
+def test_exact_lane_matches_the_uncached_reference_seat_by_seat():
+    """Exact runs against :func:`select_winner` without a lane, seat by seat.
+
+    The reference solves every eligible candidate afresh, share by share, at
+    the recorded loads; the exact lane decides on integers with cached,
+    rescaled keys.  Both methods and modes, with knife-edge ties: at
+    alpha = 1/2 the two parties tie at every other seat.
+    """
+    rng = random.Random(7)
+    profiles = [random_profile(rng) for _ in range(25)]
+    profiles += [sparse_profile(rng, n_types=30, n_candidates=12) for _ in range(2)]
+    profiles.append(TwoPartyFamily(alpha=F(1, 2), zeta=F(376, 1000)).profile())
+    ties = 0
+    for profile, method, mode in product(
+        profiles, (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN), Mode
+    ):
+        seats = min(7, len(profile.candidates)) if mode is Mode.CANDIDATE else 7
+        result = run_election(profile, method, seats, mode=mode)
+        for rec, loads, eligible in engine.seat_states(profile, result):
+            winner, solution, tied = select_winner(profile, loads, eligible, method)
+            assert repr(rec.solution) == repr(solution)
+            assert rec.tied_with == tuple(tied)
+            assert rec.loads_after == loads.add(solution.x)
+            assert rec.variance_after == variance(profile, rec.loads_after)
+            ties += len(tied) > 1
+    assert ties >= 4
 
 
 def test_first_round_clamps_match_the_uncached_reference(monkeypatch):
@@ -534,8 +572,9 @@ def test_first_round_clamps_match_the_uncached_reference(monkeypatch):
 
 def test_exact_lane_rejects_inconsistent_loads(monkeypatch):
     def doubled(sub):
+        # twice the level: at seat 1, from zero loads, twice every share
         sol = corrected_solution(sub)
-        return replace(sol, x=tuple(2 * share for share in sol.x))
+        return sol._replace(level=2 * sol.level)
 
     monkeypatch.setattr(engine, "corrected_solution", doubled)
     with pytest.raises(ValueError, match="inconsistent loads: total mass 2 != 1 seats"):
@@ -552,7 +591,7 @@ def test_inconsistent_loads_past_the_int_digit_limit(monkeypatch):
 
     def scaled(sub):
         sol = corrected_solution(sub)
-        return replace(sol, x=tuple(huge * share for share in sol.x))
+        return sol._replace(level=huge * sol.level)
 
     monkeypatch.setattr(engine, "corrected_solution", scaled)
     with pytest.raises(ValueError, match=message):

@@ -215,10 +215,36 @@ def test_parse_rational_signed_and_decimal_past_the_int_digit_limit():
     assert parse_rational(rational_str(decimal)) == decimal
 
 
+def test_parse_rational_trailing_point_past_the_int_digit_limit():
+    ones = "1" * 5000
+    whole = parse_rational(ones)
+    for text in (ones + ".", "+" + ones + ".", "-" + ones + "."):
+        value = parse_rational(text)
+        assert value == (-whole if text[0] == "-" else whole)
+        assert parse_rational(rational_str(value)) == value
+
+
+def test_parse_rational_exponent_past_the_int_digit_limit():
+    ones = "1" * 5000
+    whole = parse_rational(ones)
+    cases = {
+        ones + "e0": whole,
+        ones + "E+2": whole * 100,
+        "-" + ones + ".e-3": -whole / 1000,
+        "." + ones + "e5000": whole,
+        "1." + ones + "e-1": (10**5000 + whole) / 10**5001,
+    }
+    for text, want in cases.items():
+        value = parse_rational(text)
+        assert value == want
+        assert parse_rational(rational_str(value)) == value
+
+
 def test_parse_rational_reads_what_fraction_reads():
-    for text in ("+3/4", "-12.5", "+.25", "0.376", "7.", "1e-3", "1_000", " -0.0 "):
+    for text in ("+3/4", "-12.5", "+.25", "0.376", "7.", "1e-3", "1_000", " -0.0 ",
+                 "3.", "1e2", "+7.e1", "-.5E-2", "0e0"):
         assert parse_rational(text) == Fraction(text)
-    for text in ("+-1", "-+1", "1.2.3", ".", "+", "1./2", "0x10"):
+    for text in ("+-1", "-+1", "1.2.3", ".", "+", "1./2", "0x10", "e5", ".e1", "1e", "1e+"):
         with pytest.raises(ValueError, match="not a rational number"):
             parse_rational(text)
 

@@ -21,7 +21,7 @@ from varphragmen import (
     waterfill_solution,
 )
 from varphragmen.model import StepSolution, left_sum
-from varphragmen.step import ExactSubproblem, _score
+from varphragmen.step import IntegerLoads, IntegerSubproblem, _score
 
 
 def sub_for(profile, loads, candidate):
@@ -260,8 +260,9 @@ def test_three_solvers_agree(state):
         # and the closed-form score applies
         assert a == unconstrained_solution(sub)
         assert a.score == closed_form_score(sub)
-    # the exact lane's closed form gives the share-by-share solution
-    assert corrected_solution(ExactSubproblem(profile, loads, candidate)) == a
+    # the exact lane's integer solver gives the share-by-share solution
+    exact = IntegerSubproblem(IntegerLoads(profile, loads), candidate)
+    assert corrected_solution(exact).record() == a
 
 
 @settings(deadline=None, max_examples=80)
@@ -336,13 +337,11 @@ def test_scaling_weights_scales_scores_inversely(state, c):
 
 
 def skewed_subproblems(rng, profiles):
-    """Exact-lane subproblems of small random profiles at skewed random loads.
+    """Subproblems of small random profiles at skewed random loads.
 
     The loads are squares of random rationals, about a third of them zero,
     so that many supporters start above the unconstrained level.  They need
-    not come from an election: a subproblem only reads them.  Each one
-    gets its candidate's ``(sum(u*r), sum(u*r*r), max r)`` passed in, as the
-    engine passes the sums it keeps with its loads.
+    not come from an election: a subproblem only reads them.
     """
     names = [f"c{i}" for i in range(4)]
     for _ in range(profiles):
@@ -356,20 +355,32 @@ def skewed_subproblems(rng, profiles):
         )
         loads = LoadVector(values, rng.randint(0, 5))
         for name in profile.candidates:
-            supporters, _ = profile.supporters(name)
-            fresh = [(profile.types[k].weight, values[k]) for k in supporters]
-            sums = (
-                sum(u * r for u, r in fresh),
-                sum(u * r * r for u, r in fresh),
-                max(r for _, r in fresh),
-            )
-            yield ExactSubproblem(profile, loads, name, sums)
+            yield Subproblem(profile, loads, name)
+
+
+def integer_subproblem(sub):
+    """The exact lane's subproblem at ``sub``'s loads, with its candidate's
+    ``(sum(U*N), sum(U*N*N), max N)`` passed in as the engine passes the sums
+    it keeps: a fraction scan of ``(sum(u*r), sum(u*r*r), max r)`` times
+    ``(L*D, L*D*D, D)``."""
+    values = [0] * len(sub.profile.types)
+    for k, _, r in sub.entries:
+        values[k] = r
+    at = IntegerLoads(sub.profile, LoadVector(tuple(values), 0))
+    unit = at.multiplier * at.denominator
+    sums = (
+        sum(u * r for _, u, r in sub.entries) * unit,
+        sum(u * r * r for _, u, r in sub.entries) * unit * at.denominator,
+        max(r for _, _, r in sub.entries) * at.denominator,
+    )
+    assert all(F(v).denominator == 1 for v in sums)
+    return IntegerSubproblem(at, sub.candidate, tuple(int(v) for v in sums))
 
 
 def test_closed_form_score_on_clamped_instances():
     instances = corrected = repeated = 0
     for sub in skewed_subproblems(random.Random(20260810), 250):
-        sol = corrected_solution(sub)
+        sol = corrected_solution(integer_subproblem(sub)).record()
         assert sol.score == _score(sub, sol.x)
         for oracle in (waterfill_solution(sub), subset_oracle(sub)):
             assert (sol.x, sol.level, sol.score, sol.corrected) == (
@@ -419,12 +430,14 @@ def test_share_lane_is_the_plain_clamp_loop():
         for profile, at in ((floats, float_loads), (sub.profile, loads)):
             share = Subproblem(profile, at, sub.candidate)
             assert repr(corrected_solution(share)) == repr(plain_clamp_loop(share))
-        # the exact lane, with its sums passed in and computed afresh
-        want = plain_clamp_loop(Subproblem(sub.profile, loads, sub.candidate))
-        assert corrected_solution(sub) == want
-        fresh = ExactSubproblem(sub.profile, loads, sub.candidate)
-        assert fresh.sums == sub.sums
-        assert corrected_solution(fresh) == want
+        # the exact lane's integer solver, with its sums passed in and
+        # computed afresh
+        want = plain_clamp_loop(sub)
+        exact = integer_subproblem(sub)
+        assert corrected_solution(exact).record() == want
+        fresh = IntegerSubproblem(IntegerLoads(sub.profile, loads), sub.candidate)
+        assert fresh.sums == exact.sums
+        assert corrected_solution(fresh).record() == want
         instances += 1
         clamped += want.corrected
     assert instances > 800
