@@ -352,7 +352,7 @@ def monotonicity_probe(
     """
     if party not in profile.candidates:
         raise UnknownCandidateError(f"unknown party: {party!r}")
-    delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
+    delta = Fraction(delta)
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {rational_str(delta)}")
     before = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY)

@@ -25,8 +25,7 @@ Rational = Union[Fraction, int, float]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 _WEIGHT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-_RATIO_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
-_DECIMAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
+_RATIONAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([+-]?\d+))?)")
 
 
 class ProfileParseError(ValueError):
@@ -97,20 +96,23 @@ def _ratio(token: str) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p``, ``p/q`` or a decimal string into an exact Fraction: signed
-    ``p``, ``p/q`` and decimals with or without an exponent at any length,
-    other forms by ``Fraction``."""
-    token = text.strip()
-    decimal = _DECIMAL_RE.fullmatch(token)
-    try:
-        if decimal:
-            sign, whole, fraction, exponent = decimal.groups("")
+    """Parse an optionally signed ``p``, ``p/q`` or decimal, with or without
+    an exponent, into an exact Fraction at any length.
+
+    This is the grammar ``Fraction`` reads on Python 3.10, read the same way
+    on every supported version: surrounding whitespace is ignored, and
+    underscores in numbers or spaces around ``/`` are refused.
+    """
+    match = _RATIONAL_RE.fullmatch(text.strip())
+    if match:
+        sign, whole, den, fraction, exponent = match.groups("")
+        try:
             shift = int(exponent or 0) - len(fraction)
-            value = _str_int(sign + whole + fraction)
-            return Fraction(value * 10 ** max(shift, 0), 10 ** max(-shift, 0))
-        return _ratio(token) if _RATIO_RE.fullmatch(token) else Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+            num = _str_int(sign + whole + fraction) * 10 ** max(shift, 0)
+            return Fraction(num, _str_int(den or "1") * 10 ** max(-shift, 0))
+        except (ValueError, ZeroDivisionError):
+            pass  # a zero denominator, or an exponent past the digit limit
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 class Method(str, Enum):
@@ -288,20 +290,11 @@ class LoadVector:
         return cls(values=(0,) * len(profile.types), seats_assigned=0)
 
     def add(self, x: Sequence[Rational]) -> "LoadVector":
-        """The loads after one more seat distributed as ``x``.
-
-        Int ``0`` shares (the placeholders off the active set) are skipped:
-        adding one changes neither the value nor the type of a load.  Every
-        other share is added, zeros included, since a float ``0.0`` turns an
-        int ``0`` load into a float.
-        """
+        """The loads after one more seat distributed as ``x``."""
         if len(x) != len(self.values):
             raise ValueError("seat distribution length does not match load vector")
-        values = list(self.values)
-        for k, xi in enumerate(x):
-            if xi or type(xi) is not int:
-                values[k] += xi
-        return LoadVector(values=tuple(values), seats_assigned=self.seats_assigned + 1)
+        values = tuple(map(operator.add, self.values, x))
+        return LoadVector(values=values, seats_assigned=self.seats_assigned + 1)
 
 
 @dataclass(frozen=True)

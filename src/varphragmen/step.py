@@ -315,7 +315,7 @@ def waterfill_solution(sub: Subproblem) -> StepSolution:
 SUBSET_ORACLE_CAP = 12
 
 
-def subset_oracle(sub: Subproblem, cap: int = SUBSET_ORACLE_CAP) -> StepSolution:
+def subset_oracle(sub: Subproblem) -> StepSolution:
     """Brute-force minimizer by exhaustive active-set enumeration.
 
     Every nonempty subset of supporter types is solved at its common level;
@@ -326,10 +326,10 @@ def subset_oracle(sub: Subproblem, cap: int = SUBSET_ORACLE_CAP) -> StepSolution
     """
     entries = sub.entries
     m = len(entries)
-    if m > cap:
+    if m > SUBSET_ORACLE_CAP:
         raise ValueError(
             f"candidate {sub.candidate!r} has {m} supporter types, "
-            f"exceeding the subset-oracle cap of {cap}"
+            f"exceeding the subset-oracle cap of {SUBSET_ORACLE_CAP}"
         )
     best_key = None
     best: tuple[list[tuple[int, Rational, Rational]], Rational] | None = None

@@ -87,6 +87,12 @@ def test_probe_default_delta_is_one(profile13):
     assert monotonicity_probe(profile13, "A", 3).delta == 1
 
 
+def test_probe_reads_delta_as_an_exact_rational(profile13):
+    # a float delta is read exactly: 0.5 is 1/2
+    report = monotonicity_probe(profile13, "A", 3, 0.5)
+    assert repr(report) == repr(monotonicity_probe(profile13, "A", 3, F(1, 2)))
+
+
 # ---------------------------------------------------------------------------
 # two-party sweep
 

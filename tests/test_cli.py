@@ -379,6 +379,24 @@ def test_probe_unknown_party(capsys, p13_path):
     assert "unknown party" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "--party", "A", "--seats", "3", "--delta", "1_000", "PROFILE"],
+        ["sweep", "--zeta", "0.37_6", "--seats", "2", "--alphas", "0:1:2"],
+        ["sweep", "--zeta", "47 / 125", "--seats", "2", "--alphas", "0:1:2"],
+    ],
+    ids=["delta-underscore", "zeta-underscore", "zeta-spaced-slash"],
+)
+def test_rational_options_read_one_grammar_on_every_python(capsys, p13_path, argv):
+    # Fraction reads underscores from Python 3.11 on, spaces around / from 3.12
+    argv = [p13_path if arg == "PROFILE" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "not a rational number" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

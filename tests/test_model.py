@@ -241,10 +241,12 @@ def test_parse_rational_exponent_past_the_int_digit_limit():
 
 
 def test_parse_rational_reads_what_fraction_reads():
-    for text in ("+3/4", "-12.5", "+.25", "0.376", "7.", "1e-3", "1_000", " -0.0 ",
+    for text in ("+3/4", "-12.5", "+.25", "0.376", "7.", "1e-3", " -0.0 ",
                  "3.", "1e2", "+7.e1", "-.5E-2", "0e0"):
         assert parse_rational(text) == Fraction(text)
-    for text in ("+-1", "-+1", "1.2.3", ".", "+", "1./2", "0x10", "e5", ".e1", "1e", "1e+"):
+    # Fraction reads underscores from Python 3.11 on, spaces around / from 3.12
+    for text in ("+-1", "-+1", "1.2.3", ".", "+", "1./2", "0x10", "e5", ".e1", "1e", "1e+",
+                 "1_000", "1 / 2", "0.37_6", "1e1_0"):
         with pytest.raises(ValueError, match="not a rational number"):
             parse_rational(text)
 

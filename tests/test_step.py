@@ -207,15 +207,18 @@ def test_subset_oracle_two_clamp_instance():
     assert sol.corrected
 
 
-def test_subset_oracle_cap():
+def test_subset_oracle_cap(monkeypatch):
     lines = "\n".join("1 : z" for _ in range(13))
     profile = parse_profile(lines)
     sub = sub_for(profile, zero(profile), "z")
     with pytest.raises(ValueError, match="cap"):
         subset_oracle(sub)
+    # the cap is read at call time
+    monkeypatch.setattr("varphragmen.step.SUBSET_ORACLE_CAP", 1)
     with pytest.raises(ValueError, match="cap"):
-        subset_oracle(sub_for(parse_profile("1 : z\n2 : z\n"), zero(parse_profile("1 : z\n2 : z\n")), "z"), cap=1)
-    assert subset_oracle(sub, cap=13).level == F(1, 13)
+        subset_oracle(sub_for(parse_profile("1 : z\n2 : z\n"), zero(parse_profile("1 : z\n2 : z\n")), "z"))
+    monkeypatch.setattr("varphragmen.step.SUBSET_ORACLE_CAP", 13)
+    assert subset_oracle(sub).level == F(1, 13)
 
 
 # ---------------------------------------------------------------------------
