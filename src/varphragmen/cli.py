@@ -100,7 +100,7 @@ def _trace_rows(profile, result, decimals: int, show_uncorrected: bool) -> list[
         sol = rec.solution
         if show_uncorrected:
             # the raw equality-constrained shares, before any clamping
-            shares = unconstrained_solution(Subproblem(profile, loads, sol.candidate)).x
+            shares = unconstrained_solution(Subproblem(profile, loads, sol.candidate)).record().x
         else:
             shares = sol.x
         row = [str(rec.seat_index), sol.candidate]

@@ -12,8 +12,8 @@ record.
 Elections are independent of each other and may run in parallel; a run only
 ever builds fresh immutable load vectors, and its lane (arithmetic and solve
 cache) is its own.  The exact lane decides every seat on integers, loads as
-numerators over one run-wide denominator, and reduces only each seat's
-record to fractions; the float64 lane solves share by share.
+numerators over one run-wide denominator; the float64 lane solves share by
+share.  Both solve to a light ``Solve``; only each seat's winner is recorded.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .model import (
 )
 from .step import (
     IntegerLoads,
-    IntegerSolution,
     IntegerSubproblem,
+    Solve,
     Subproblem,
     _score,
     corrected_solution,
@@ -94,24 +94,24 @@ class _ShareLane:
     """Share-by-share arithmetic: the float64 lane, and the uncached reference.
 
     Subproblems are plain :class:`Subproblem` instances, which compute each
-    ``u*r`` afresh and score share by share; the variance is rescanned after
-    every seat.
+    ``u*r`` afresh and score share by share; a seat adds the shares of the
+    types it moved, and the variance is rescanned after every seat.
 
-    ``solved`` is the run's solve cache: each candidate's ``(key, solution)``
+    ``solved`` is the run's solve cache: each candidate's ``(key, solve)``
     at the current loads, filled by :meth:`solve`, evicted by :meth:`advance`.
     """
 
     def __init__(self, profile: Profile):
         self.profile = profile
-        self.solved: dict[CandidateId, tuple[Rational, StepSolution]] = {}
+        self.solved: dict[CandidateId, tuple[Rational, Solve]] = {}
 
     def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
         return Subproblem(self.profile, loads, name)
 
     def solve(
         self, loads: LoadVector, name: CandidateId, method: Method
-    ) -> tuple[Rational, StepSolution]:
-        """``name``'s score (var-Phragmén) or level (seq-Phragmén), and solution."""
+    ) -> tuple[Rational, Solve]:
+        """``name``'s score (var-Phragmén) or level (seq-Phragmén), and solve."""
         entry = self.solved.get(name)
         if entry is not None:
             return entry
@@ -133,29 +133,35 @@ class _ShareLane:
         entry = self.solved[name] = key, sol
         return entry
 
-    def _evict(self, moved: Iterable[int]) -> None:
-        """Evict the candidates of every type in ``moved``."""
-        types = self.profile.types
+    def _record(self, solution: Solve) -> tuple[StepSolution, list[int]]:
+        """The seat's record and the types it moved, whose candidates are evicted."""
+        record = solution.record()
+        moved = [k for k, _, _ in solution.active if record.x[k]]
         for k in moved:
-            for name in types[k].approvals:
+            for name in self.profile.types[k].approvals:
                 self.solved.pop(name, None)
+        return record, moved
 
-    def advance(self, loads: LoadVector, solution: StepSolution) -> tuple:
+    def advance(self, loads: LoadVector, solution: Solve) -> tuple:
         """Take in a seat at ``loads``: its record, the loads and the variance after it.
 
+        Only the moved types' loads change; the others keep their objects.
         Only float runs reach this (the exact lane overrides it), so a score
         or variance that overflowed is reported here, before it is recorded.
         """
-        self._evict(k for k, share in enumerate(solution.x) if share)
-        loads = loads.add(solution.x)
+        record, moved = self._record(solution)
+        values = list(loads.values)
+        for k in moved:
+            values[k] += record.x[k]
+        loads = LoadVector(tuple(values), loads.seats_assigned + 1)
         after = variance(self.profile, loads)
-        for what, value in (("score", solution.score), ("variance", after)):
+        for what, value in (("score", record.score), ("variance", after)):
             if not math.isfinite(value):
                 raise ElectionConfigError(
                     f"seat {loads.seats_assigned}: float64 {what} is {value}; "
                     "use --backend exact"
                 )
-        return solution, loads, after
+        return record, loads, after
 
 
 class _ExactLane(_ShareLane):
@@ -183,11 +189,9 @@ class _ExactLane(_ShareLane):
     def subproblem(self, loads: LoadVector, name: CandidateId) -> IntegerSubproblem:
         return IntegerSubproblem(self.at, name, self.sums[name])
 
-    def advance(self, loads: LoadVector, solution: IntegerSolution) -> tuple:
+    def advance(self, loads: LoadVector, solution: Solve) -> tuple:
         at, sums, types = self.at, self.sums, self.profile.types
-        record = solution.record()
-        moved = [k for k, _, _ in solution.active if record.x[k]]
-        self._evict(moved)
+        record, moved = self._record(solution)
         level = solution.level
         if solution.sub.denominator != at.denominator:
             # solved at an earlier seat: the same level over today's D
@@ -230,18 +234,17 @@ def select_winner(
     eligible: Iterable[CandidateId],
     method: Method,
     lane: _ShareLane | None = None,
-) -> tuple[CandidateId, StepSolution, list[CandidateId]]:
+) -> tuple[CandidateId, Solve, list[CandidateId]]:
     """Pick the next seat's winner among ``eligible`` candidates.
 
     Names absent from the profile are silently skipped.  Returns the winner,
-    its seat distribution and the full list of candidates tied at the
-    optimum; ties resolve to the lexicographically smallest name.
+    its :class:`Solve` (``.record()`` is its seat distribution) and all the
+    candidates tied at the optimum; ties resolve to the smallest name.
 
     ``lane`` is the arithmetic :func:`run_election` chose for its backend,
     with its solve cache: candidates it already solved at ``loads`` are not
     re-solved, and ties are gathered from the keys of all eligible
-    candidates, cached or fresh; the exact lane's solution is its
-    :class:`IntegerSolution`.  Without a lane, every candidate is solved
+    candidates, cached or fresh.  Without a lane, every candidate is solved
     afresh, share by share: the reference.
     """
     if method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
@@ -249,7 +252,7 @@ def select_winner(
     if lane is None:
         lane = _ShareLane(profile)
     known = set(profile.candidates)
-    scored: list[tuple[Rational, CandidateId, StepSolution]] = []
+    scored: list[tuple[Rational, CandidateId, Solve]] = []
     for name in sorted(set(eligible)):
         if name not in known:
             continue
@@ -330,18 +333,17 @@ def run_election(
     closed-list profile and party mode.
 
     Each seat picks the winner (:func:`select_winner` or
-    :func:`_highest_quotients`), adds its distribution to the loads and
-    hands the seat to the lane, which returns the variance.  The backend
-    picks the lane once per run.  Its solve cache drops every candidate
-    approved by a type the seat moved, so a seat re-solves only those; the
-    results are identical, float bits included, to re-solving every
-    candidate at every seat.
+    :func:`_highest_quotients`) and hands its solve to the lane, which
+    records it and returns the loads and the variance after the seat.  The
+    backend picks the lane once per run.  Its solve cache drops every
+    candidate approved by a type the seat moved, so a seat re-solves only
+    those; the results are identical, float bits included, to re-solving
+    every candidate at every seat.
 
     Both methods elect through :func:`corrected_solution`; a seq-Phragmén
     solve that clamps is an error.  The exact lane solves on integer loads
     over one run-wide denominator (:class:`IntegerSubproblem`), scoring in
-    closed form from each candidate's running sums, and builds each record,
-    in reduced fractions, from the winner's solve alone: ``variance_after``
+    closed form from each candidate's running sums; ``variance_after``
     comes from the running total ``sum(u*r*r)``.  The float lane scores
     share by share and rescans the variance, so its bits do not depend on
     the closed form.  :func:`verify_election` re-checks every exact-lane

@@ -25,7 +25,7 @@ Rational = Union[Fraction, int, float]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 _WEIGHT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-_RATIONAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([+-]?\d+))?)")
+_RATIONAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([+-]?\d{1,4}))?)")
 
 
 class ProfileParseError(ValueError):
@@ -101,7 +101,8 @@ def parse_rational(text: str) -> Fraction:
 
     This is the grammar ``Fraction`` reads on Python 3.10, read the same way
     on every supported version: surrounding whitespace is ignored, and
-    underscores in numbers or spaces around ``/`` are refused.
+    underscores in numbers or spaces around ``/`` are refused, and so is an
+    exponent of more than four digits, before any power is built.
     """
     match = _RATIONAL_RE.fullmatch(text.strip())
     if match:
@@ -110,8 +111,8 @@ def parse_rational(text: str) -> Fraction:
             shift = int(exponent or 0) - len(fraction)
             num = _str_int(sign + whole + fraction) * 10 ** max(shift, 0)
             return Fraction(num, _str_int(den or "1") * 10 ** max(-shift, 0))
-        except (ValueError, ZeroDivisionError):
-            pass  # a zero denominator, or an exponent past the digit limit
+        except ZeroDivisionError:
+            pass  # a zero denominator
     raise ValueError(f"not a rational number: {text!r}")
 
 

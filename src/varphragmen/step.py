@@ -5,10 +5,10 @@ Given current per-type loads ``r`` and a candidate ``i``, the seat shares
 
     x_k >= 0,   x_k = 0 for non-supporters,   sum_k u_k * x_k = 1.
 
-Every solver returns the same shape of solution, assembled in one place by
-:func:`_solution`: the supporters of an active set move to one common level,
-``x_k = level - r_k``, and every other share is zero.  The solvers differ
-only in how they choose that level and that active set.
+Every solve is a light :class:`Solve`: the supporters of an active set move
+to one common level, ``x_k = level - r_k``, and every other share is zero.
+The solvers differ only in how they choose that level and that active set.
+Only ``record`` builds a :class:`StepSolution`; the engine records winners.
 
 One production solver elects: :func:`corrected_solution` solves with the
 equality constraint alone, clamps every negative share to zero and re-solves
@@ -31,8 +31,8 @@ active-set loop is the same in both lanes:
   ``A = sum(U*N) + L*D`` and ``W = sum(U)`` over the active set, the level
   is ``A/W``, the clamp test ``N*W > A`` and the score, in closed form as
   every active supporter ends at the level, ``A*A/W - sum(U*N*N)``.  ``W``
-  is small, so deciding a seat takes no big ``gcd``; only the winner's
-  :meth:`IntegerSolution.record` is reduced to fractions.
+  is small, so deciding a seat takes no big ``gcd``; only a recorded solve
+  is reduced to fractions.
 
 Zero terms cost nothing in either lane: a supporter with zero load moves
 straight to ``level`` (``level - 0 == level`` in value and type, float bits
@@ -46,7 +46,7 @@ solver, whose first round is this solve; the engine asserts that it never
 clamps.  The CLI's ``--show-uncorrected`` trace prints the raw shares.
 
 Two oracles verify the production solver and never elect; each chooses its
-level and active set independently:
+level and active set independently, and returns it recorded:
 
 * :func:`waterfill_solution` — exact minimizer by water-filling: raise the
   lowest loads to a common level until the unit budget is spent.
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import (
     CandidateId,
@@ -110,9 +110,23 @@ class Subproblem:
         carried: Rational,
         active: Sequence[tuple[int, Rational, Rational]],
         clamp_rounds: tuple[frozenset[int], ...] = (),
-    ) -> StepSolution:
-        """Move ``active`` (carrying ``carried``) to ``level``; score share by share."""
-        return _solution(self, level, active, bool(clamp_rounds), clamp_rounds)
+    ) -> Solve:
+        """Move ``active`` to ``level``; score share by share (``carried`` is the exact lane's)."""
+        x: dict[int, Rational] = dict.fromkeys(self.supporters, 0)
+        for k, _, r in active:
+            x[k] = level - r if r else level
+        score = _score(self, x)
+        return Solve(self.candidate, level, score, bool(clamp_rounds), clamp_rounds, active, self)
+
+    def record(self, solve: Solve) -> StepSolution:
+        """``solve`` with its shares over every type: ``level - r`` on the
+        active set, int ``0`` off it; a zero load shares the level object."""
+        x: list[Rational] = [0] * len(self.profile.types)
+        for k, _, r in solve.active:
+            x[k] = solve.level - r if r else solve.level
+        return StepSolution(
+            solve.candidate, tuple(x), solve.level, solve.score, solve.corrected, solve.clamp_rounds
+        )
 
 
 class IntegerLoads:
@@ -155,43 +169,45 @@ class IntegerSubproblem:
 
     def solution(
         self, level: Fraction, carried: int, active: Sequence, clamp_rounds: tuple = ()
-    ) -> IntegerSolution:
+    ) -> Solve:
         """Move ``active`` to ``level``; score ``level*A - sum(U*N*N)`` over it."""
         if not clamp_rounds:  # the first round: ``active`` is every supporter
             squares = self.sums[1]
         else:
             squares = sum(u * n * n for _, u, n in active)
         score = level * (carried + self.unit) - squares
-        return IntegerSolution(
-            self.candidate, level, score, bool(clamp_rounds), clamp_rounds, active, self
+        return Solve(self.candidate, level, score, bool(clamp_rounds), clamp_rounds, active, self)
+
+    def record(self, solve: Solve) -> StepSolution:
+        """``solve`` in reduced fractions, its shares over every type."""
+        level = solve.level / self.denominator
+        x: list[Rational] = [0] * len(self.at.weights)
+        for k, _, n in solve.active:
+            x[k] = (solve.level - n) / self.denominator if n else level
+        score = solve.score / (self.unit * self.denominator)
+        return StepSolution(
+            solve.candidate, tuple(x), level, score, solve.corrected, solve.clamp_rounds
         )
 
 
-class IntegerSolution(NamedTuple):
-    """A solve of :class:`IntegerSubproblem`: ``level`` is ``D`` times the
-    common level and ``score`` ``L*D*D`` times the score, each with a
-    denominator dividing ``W``, so they compare exactly without a big ``gcd``.
-    """
+class Solve(NamedTuple):
+    """A solve of ``sub``, either lane's subproblem: ``active`` moves to the
+    common ``level``.  In the share lane ``level`` and ``score`` are the
+    values themselves; in the exact lane they are ``D`` and ``L*D*D`` times
+    them, each with a denominator dividing ``W``, so they compare exactly
+    without a big ``gcd``."""
 
     candidate: CandidateId
-    level: Fraction
-    score: Fraction
+    level: Rational
+    score: Rational
     corrected: bool
     clamp_rounds: tuple[frozenset[int], ...]
-    active: Sequence[tuple[int, int, int]]
-    sub: IntegerSubproblem
+    active: Sequence[tuple[int, Rational, Rational]]
+    sub: Subproblem | IntegerSubproblem
 
     def record(self) -> StepSolution:
-        """The :class:`StepSolution` of this solve, in reduced fractions."""
-        sub = self.sub
-        level = self.level / sub.denominator
-        x: list[Rational] = [0] * len(sub.at.weights)
-        for k, _, n in self.active:
-            x[k] = (self.level - n) / sub.denominator if n else level
-        score = self.score / (sub.unit * sub.denominator)
-        return StepSolution(
-            self.candidate, tuple(x), level, score, self.corrected, self.clamp_rounds
-        )
+        """The :class:`StepSolution` of this solve, by its subproblem's ``record``."""
+        return self.sub.record(self)
 
 
 def unconstrained_level(sub: Subproblem) -> Rational:
@@ -204,18 +220,17 @@ def unconstrained_level(sub: Subproblem) -> Rational:
     return (sub.sums[0] + 1) / sub.supporter_weight
 
 
-def unconstrained_solution(sub: Subproblem) -> StepSolution:
+def unconstrained_solution(sub: Subproblem) -> Solve:
     """The equality-constrained solve: every supporter moves to the common level.
 
     Shares may be negative for supporters whose load already exceeds
     :func:`unconstrained_level`; no constraint is enforced, so ``corrected``
     is false.
     """
-    carried = sub.sums[0]
-    return sub.solution((carried + 1) / sub.supporter_weight, carried, sub.entries)
+    return sub.solution(unconstrained_level(sub), sub.sums[0], sub.entries)
 
 
-def _score(sub: Subproblem, x: Sequence[Rational]) -> Rational:
+def _score(sub: Subproblem, x: Mapping[int, Rational] | Sequence[Rational]) -> Rational:
     """Objective ``sum(u*(2*r*x + x*x))`` of the shares ``x``, share by share.
 
     The reference score: independent of the level and of any cached product.
@@ -223,27 +238,7 @@ def _score(sub: Subproblem, x: Sequence[Rational]) -> Rational:
     return left_sum(u * (2 * r * x[k] + x[k] * x[k]) for k, u, r in sub.entries)
 
 
-def _solution(
-    sub: Subproblem,
-    level: Rational,
-    active: Iterable[tuple[int, Rational, Rational]],
-    corrected: bool,
-    clamp_rounds: tuple[frozenset[int], ...] = (),
-) -> StepSolution:
-    """The solution moving ``active`` to ``level``, scored share by share.
-
-    Every other share is int ``0``.  A zero load moves straight to ``level``:
-    ``level - 0`` is ``level`` in value and type, float bits included.
-    """
-    x: list[Rational] = [0] * len(sub.profile.types)
-    for k, _, r in active:
-        x[k] = level - r if r else level
-    return StepSolution(
-        sub.candidate, tuple(x), level, _score(sub, x), corrected, clamp_rounds
-    )
-
-
-def corrected_solution(sub: Subproblem | IntegerSubproblem) -> StepSolution:
+def corrected_solution(sub: Subproblem | IntegerSubproblem) -> Solve:
     """Clamp-and-resolve iteration for the nonnegativity constraint.
 
     Solves on the current supporter subset; whenever shares come out
@@ -257,9 +252,9 @@ def corrected_solution(sub: Subproblem | IntegerSubproblem) -> StepSolution:
     (the share-by-share lane's ``math.inf`` always does).  After a clamp,
     ``sum(u*r)`` and ``sum(u)`` are re-summed over the active entries, and
     every later round scans: the highest load exceeds the lowered level.
-    The subproblem's lane scores the result: in closed form on integers
-    (:class:`IntegerSubproblem`, an :class:`IntegerSolution`) or share by
-    share with the reference :func:`_score` (:class:`Subproblem`).
+    The subproblem's lane scores the :class:`Solve`: in closed form on
+    integers (:class:`IntegerSubproblem`) or share by share with the
+    reference :func:`_score` (:class:`Subproblem`).
     """
     active: Sequence[tuple[int, Rational, Rational]] = sub.entries
     weight = sub.supporter_weight
@@ -308,7 +303,8 @@ def waterfill_solution(sub: Subproblem) -> StepSolution:
     active = [(k, u, r) for k, u, r in entries if r < level]
     # r == level would leave the unconstrained solution at exactly zero,
     # which is not a binding constraint.
-    return _solution(sub, level, active, any(r > level for _, _, r in entries))
+    corrected = any(r > level for _, _, r in entries)
+    return sub.solution(level, 0, active)._replace(corrected=corrected).record()
 
 
 #: Enumerating more supporter types than this is rejected (2**12 subsets).
@@ -347,4 +343,4 @@ def subset_oracle(sub: Subproblem) -> StepSolution:
             best = (chosen, level)
     assert best is not None  # the singleton of the min-load type is always feasible
     chosen, level = best
-    return _solution(sub, level, chosen, corrected=len(chosen) != m)
+    return sub.solution(level, 0, chosen)._replace(corrected=len(chosen) != m).record()

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -395,6 +396,27 @@ def test_rational_options_read_one_grammar_on_every_python(capsys, p13_path, arg
     assert code == 2
     assert out == ""
     assert "not a rational number" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--zeta", "1e30000000", "--seats", "2", "--alphas", "0:1:1"],
+        ["sweep", "--zeta", "0.5", "--seats", "2", "--alphas", "0:1e30000000:1"],
+        ["probe", "--party", "A", "--seats", "3", "--delta", "1e30000000", "PROFILE"],
+    ],
+    ids=["zeta", "alphas", "delta"],
+)
+def test_a_long_exponent_exits_2_at_once(capsys, p13_path, argv):
+    # 10**30000000 alone takes minutes: an exponent of more than four digits
+    # is refused before any power is built
+    argv = [p13_path if arg == "PROFILE" else arg for arg in argv]
+    start = time.process_time()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.process_time() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "not a rational number: '1e30000000'" in err
 
 
 # ---------------------------------------------------------------------------

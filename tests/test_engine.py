@@ -27,7 +27,8 @@ from varphragmen import (
     verify_election,
 )
 from varphragmen import engine, step
-from varphragmen.analysis import TwoPartyFamily, random_profile
+from varphragmen.analysis import TwoPartyFamily, random_closed_list_profile, random_profile
+from varphragmen.model import StepSolution
 
 from conftest import PROFILE_12
 
@@ -321,7 +322,7 @@ def test_cached_election_matches_per_seat_reference():
             winner, solution, tied = select_winner(work, loads, eligible, method)
             assert rec.solution.candidate == winner
             # repr tells int 0, Fraction and float bits apart
-            assert repr(rec.solution) == repr(solution)
+            assert repr(rec.solution) == repr(solution.record())
             assert rec.tied_with == tuple(tied)
             # left to right over every type, zero loads included
             squares = 0
@@ -388,6 +389,26 @@ def test_rescoring_touches_only_changed_types(monkeypatch, mode):
         previous = rec.solution
     assert len(solved) == expected
     assert len(solved) < len(profile.candidates) * seats
+
+
+def test_a_supporter_at_the_level_keeps_its_candidates_cached(monkeypatch):
+    # at seat 4, c's supporter type 2 already sits at the level 4/15: it stays
+    # active with a zero share and moves nothing, so a, approved by types 0
+    # and 2 only, keeps its solve for seat 5
+    solved = []
+
+    def counting(sub):
+        solved.append(sub.candidate)
+        return corrected_solution(sub)
+
+    monkeypatch.setattr(engine, "corrected_solution", counting)
+    profile = parse_profile("3 : a\n4 : c\n2 : a, c\n6 : c\n")
+    result = run_election(profile, Method.VAR_PHRAGMEN, 5, mode=Mode.PARTY)
+    seat4 = result.records[3]
+    assert seat4.solution.candidate == "c"
+    assert seat4.solution.x[2] == 0
+    assert result.records[2].loads_after.values[2] == seat4.solution.level
+    assert solved == ["a", "c"] * 4 + ["c"]
 
 
 def test_exact_lane_metamorphic_relations():
@@ -527,9 +548,9 @@ def test_exact_lane_matches_the_uncached_reference_seat_by_seat():
         result = run_election(profile, method, seats, mode=mode)
         for rec, loads, eligible in engine.seat_states(profile, result):
             winner, solution, tied = select_winner(profile, loads, eligible, method)
-            assert repr(rec.solution) == repr(solution)
+            assert repr(rec.solution) == repr(solution.record())
             assert rec.tied_with == tuple(tied)
-            assert rec.loads_after == loads.add(solution.x)
+            assert rec.loads_after == loads.add(solution.record().x)
             assert rec.variance_after == variance(profile, rec.loads_after)
             ties += len(tied) > 1
     assert ties >= 4
@@ -566,7 +587,7 @@ def test_first_round_clamps_match_the_uncached_reference(monkeypatch):
             winner, solution, tied = select_winner(
                 profile, loads, eligible, Method.VAR_PHRAGMEN
             )
-            assert repr(rec.solution) == repr(solution)
+            assert repr(rec.solution) == repr(solution.record())
             assert rec.tied_with == tuple(tied)
 
 
@@ -618,7 +639,7 @@ def _reseat(profile, result, seat, candidate, solve=corrected_solution):
         before = result.records[seat - 2].loads_after
     else:
         before = LoadVector.zero(profile)
-    solution = solve(Subproblem(profile, before, candidate))
+    solution = solve(Subproblem(profile, before, candidate)).record()
     after = before.add(solution.x)
     return _with_record(
         result,
@@ -783,6 +804,71 @@ def test_float64_rejects_a_total_weight_it_cannot_hold():
     assert [rec.solution.score for rec in exact.records] == [F(1, 10**308)] * 2
     with pytest.raises(ElectionConfigError, match="total voter weight overflows"):
         run_election(profile, Method.VAR_PHRAGMEN, 2, backend=Backend.FLOAT64)
+
+
+def sparse_profile_2000(seed):
+    """2000 voter types over c000..c199: weight 1..100, then 1-3 distinct
+    approvals (the benchmark's sparse profile, generated the same way)."""
+    rng = random.Random(seed)
+    names = [f"c{i:03d}" for i in range(200)]
+    lines = []
+    for _ in range(2000):
+        weight = rng.randint(1, 100)
+        approvals = rng.sample(names, rng.randint(1, 3))
+        lines.append(f"{weight} : {', '.join(approvals)}")
+    return parse_profile("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("seed", [20260810, 7])
+def test_float64_matches_exact_on_the_2000_type_profile(seed):
+    # the float lane at a scale no golden covers: 40 seats, both methods
+    profile = sparse_profile_2000(seed)
+    for method in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
+        exact = run_election(profile, method, 40)
+        float64 = run_election(profile, method, 40, backend=Backend.FLOAT64)
+        assert float64.winners == exact.winners
+
+
+def test_a_run_records_one_step_solution_per_seat(monkeypatch):
+    # every other solve stays a light Solve; only each seat's winner is recorded
+    built = []
+
+    def counting(*args):
+        built.append(args[0])
+        return StepSolution(*args)
+
+    monkeypatch.setattr(step, "StepSolution", counting)
+    profile = sparse_profile(random.Random(20260810))
+    runs = [
+        (profile, method, mode, backend)
+        for method, mode, backend in product(
+            (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN), Mode, Backend
+        )
+    ]
+    closed = random_closed_list_profile(random.Random(5))
+    runs += [
+        (closed, method, Mode.PARTY, backend)
+        for method, backend in product((Method.SAINTE_LAGUE, Method.DHONDT), Backend)
+    ]
+    for profile, method, mode, backend in runs:
+        built.clear()
+        result = run_election(profile, method, 12, mode=mode, backend=backend)
+        assert built == list(result.winners), (method, mode, backend)
+
+
+def test_float64_loads_keep_the_objects_a_seat_does_not_move():
+    # a seat adds only the shares of the types it moved, so election_json
+    # reuses the cells of every other load
+    profile = sparse_profile(random.Random(5))
+    result = run_election(profile, Method.VAR_PHRAGMEN, 12, backend=Backend.FLOAT64)
+    kept = 0
+    for before, rec in zip(result.records, result.records[1:]):
+        pairs = zip(before.loads_after.values, rec.loads_after.values, rec.solution.x)
+        for old, new, share in pairs:
+            if not share:
+                assert new is old
+                kept += isinstance(old, float)
+    assert kept > 100
 
 
 def test_float64_loads_are_floats(profile12):

@@ -240,6 +240,14 @@ def test_parse_rational_exponent_past_the_int_digit_limit():
         assert parse_rational(rational_str(value)) == value
 
 
+def test_parse_rational_exponents_take_at_most_four_digits():
+    assert parse_rational("1e9999") == 10**9999
+    assert parse_rational("-2.5E-9999") == Fraction(-25, 10**10000)
+    for text in ("1e10000", "1e+10000", "1e-10000", "1e00001", "1e30000000"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+
+
 def test_parse_rational_reads_what_fraction_reads():
     for text in ("+3/4", "-12.5", "+.25", "0.376", "7.", "1e-3", " -0.0 ",
                  "3.", "1e2", "+7.e1", "-.5E-2", "0e0"):

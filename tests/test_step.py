@@ -55,21 +55,21 @@ def test_level_profile12_seat3(profile12, loads12_after_seat2):
 
 
 def test_unconstrained_solution_can_go_negative(profile12, loads12_after_seat2):
-    sol = unconstrained_solution(sub_for(profile12, loads12_after_seat2, "a2"))
+    sol = unconstrained_solution(sub_for(profile12, loads12_after_seat2, "a2")).record()
     assert sol.x == (F(47, 400), F(-23, 400), 0)  # 0.1175, -0.0575
     assert sol.level == F(87, 400)
     assert not sol.corrected
 
 
 def test_unconstrained_solution_zero_loads(profile12):
-    x = unconstrained_solution(sub_for(profile12, zero(profile12), "a1")).x
+    x = unconstrained_solution(sub_for(profile12, zero(profile12), "a1")).record().x
     assert x == (F(1, 10), F(1, 10), 0)
 
 
 def test_single_supporter_forced_solution():
     profile = parse_profile("4 : P\n")
     loads = LoadVector(values=(F(3, 7),), seats_assigned=0)
-    x = unconstrained_solution(sub_for(profile, loads, "P")).x
+    x = unconstrained_solution(sub_for(profile, loads, "P")).record().x
     assert x == (F(1, 4),)
 
 
@@ -119,17 +119,17 @@ def test_score_general_single_type(profile12):
 def test_score_general_matches_interior_on_unconstrained(profile12, loads12_after_seat1):
     for name in ("a2", "b", "c"):
         sub = sub_for(profile12, loads12_after_seat1, name)
-        sol = unconstrained_solution(sub)
+        sol = unconstrained_solution(sub).record()
         assert min(sol.x) >= 0
         assert sol.score == _score(sub, sol.x) == closed_form_score(sub)
-        assert corrected_solution(sub) == sol
+        assert corrected_solution(sub).record() == sol
 
 
 # ---------------------------------------------------------------------------
 # corrected solution
 
 def test_corrected_solution_profile12_seat3(profile12, loads12_after_seat2):
-    sol = corrected_solution(sub_for(profile12, loads12_after_seat2, "a2"))
+    sol = corrected_solution(sub_for(profile12, loads12_after_seat2, "a2")).record()
     assert sol.x == (F(1, 9), 0, 0)
     assert sol.level == F(19, 90)
     assert sol.score == F(14, 45)
@@ -139,8 +139,8 @@ def test_corrected_solution_profile12_seat3(profile12, loads12_after_seat2):
 
 def test_corrected_solution_interior_case(profile12):
     sub = sub_for(profile12, zero(profile12), "a1")
-    sol = corrected_solution(sub)
-    assert sol == unconstrained_solution(sub)
+    sol = corrected_solution(sub).record()
+    assert sol == unconstrained_solution(sub).record()
     assert not sol.corrected
     assert sol.clamp_rounds == ()
 
@@ -150,7 +150,7 @@ def test_corrected_solution_two_clamp_rounds():
     # the 3/20 type (level 23/220), and the final level settles at 1/10
     profile = parse_profile("10 : z\n1 : z\n1 : z\n")
     loads = LoadVector(values=(0, F(3, 20), 1), seats_assigned=0)
-    sol = corrected_solution(sub_for(profile, loads, "z"))
+    sol = corrected_solution(sub_for(profile, loads, "z")).record()
     assert sol.clamp_rounds == (frozenset({2}), frozenset({1}))
     assert sol.x == (F(1, 10), 0, 0)
     assert sol.level == F(1, 10)
@@ -251,7 +251,7 @@ def election_states(draw):
 def test_three_solvers_agree(state):
     profile, loads, candidate = state
     sub = Subproblem(profile, loads, candidate)
-    a = corrected_solution(sub)
+    a = corrected_solution(sub).record()
     b = waterfill_solution(sub)
     c = subset_oracle(sub)
     assert a.x == b.x == c.x
@@ -261,7 +261,7 @@ def test_three_solvers_agree(state):
     if not a.corrected:
         # interior case: the equality-constrained solve is already feasible,
         # and the closed-form score applies
-        assert a == unconstrained_solution(sub)
+        assert a == unconstrained_solution(sub).record()
         assert a.score == closed_form_score(sub)
     # the exact lane's integer solver gives the share-by-share solution
     exact = IntegerSubproblem(IntegerLoads(profile, loads), candidate)
@@ -314,8 +314,8 @@ def test_merge_invariance_for_election_loads():
         values=(loads.values[0], loads.values[2]), seats_assigned=loads.seats_assigned
     )
     for name in profile.candidates:
-        orig = corrected_solution(Subproblem(profile, loads, name))
-        comp = corrected_solution(Subproblem(merged, merged_loads, name))
+        orig = corrected_solution(Subproblem(profile, loads, name)).record()
+        comp = corrected_solution(Subproblem(merged, merged_loads, name)).record()
         assert comp.level == orig.level
         assert comp.score == orig.score
         assert comp.x == (orig.x[0], orig.x[2])
@@ -333,8 +333,8 @@ def test_scaling_weights_scales_scores_inversely(state, c):
         values=tuple(r / c for r in loads.values),
         seats_assigned=loads.seats_assigned,
     )
-    base = corrected_solution(Subproblem(profile, loads, candidate))
-    scaled = corrected_solution(Subproblem(scaled_profile, scaled_loads, candidate))
+    base = corrected_solution(Subproblem(profile, loads, candidate)).record()
+    scaled = corrected_solution(Subproblem(scaled_profile, scaled_loads, candidate)).record()
     assert scaled.score == base.score / c
     assert scaled.x == tuple(xk / c for xk in base.x)
 
@@ -432,7 +432,7 @@ def test_share_lane_is_the_plain_clamp_loop():
         # float64 bits, and the exact values of the share lane
         for profile, at in ((floats, float_loads), (sub.profile, loads)):
             share = Subproblem(profile, at, sub.candidate)
-            assert repr(corrected_solution(share)) == repr(plain_clamp_loop(share))
+            assert repr(corrected_solution(share).record()) == repr(plain_clamp_loop(share))
         # the exact lane's integer solver, with its sums passed in and
         # computed afresh
         want = plain_clamp_loop(sub)
