@@ -11,16 +11,19 @@ record.
 
 Elections are independent of each other and may run in parallel; a run only
 ever builds fresh immutable load vectors, and its lane (arithmetic and solve
-cache) is its own.  The exact lane decides every seat on integers, loads as
-numerators over one run-wide denominator; the float64 lane solves share by
-share.  Both solve to a light ``Solve``; only each seat's winner is recorded.
+cache) is its own.  The exact lane solves on integers, loads as numerators
+over one run-wide denominator, and compares exactly only the keys that a
+float filter leaves near the least; the float64 lane solves share by share.
+Both solve to a light ``Solve``; only each seat's winner is recorded.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
@@ -97,21 +100,30 @@ class _ShareLane:
     ``u*r`` afresh and score share by share; a seat adds the shares of the
     types it moved, and the variance is rescanned after every seat.
 
-    ``solved`` is the run's solve cache: each candidate's ``(key, solve)``
-    at the current loads, filled by :meth:`solve`, evicted by :meth:`advance`.
+    ``solved`` is the run's solve cache: each candidate's ``(float key, key,
+    solve)`` at the current loads, filled by :meth:`solve`, evicted by
+    :meth:`advance`.  Here the float key is the key itself.
     """
 
     def __init__(self, profile: Profile):
         self.profile = profile
-        self.solved: dict[CandidateId, tuple[Rational, Solve]] = {}
+        self.solved: dict[CandidateId, tuple[Rational, Rational, Solve]] = {}
 
     def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
         return Subproblem(self.profile, loads, name)
 
+    def approximate(self, key: Rational) -> Rational:
+        return key
+
+    def exact(self, key: Rational, solve: Solve) -> Rational:
+        """``key`` as it compares at the current loads."""
+        return key
+
     def solve(
         self, loads: LoadVector, name: CandidateId, method: Method
-    ) -> tuple[Rational, Solve]:
-        """``name``'s score (var-Phragmén) or level (seq-Phragmén), and solve."""
+    ) -> tuple[Rational, Rational, Solve]:
+        """``name``'s float key, key (score for var-Phragmén, level for
+        seq-Phragmén) and solve."""
         entry = self.solved.get(name)
         if entry is not None:
             return entry
@@ -130,7 +142,7 @@ class _ShareLane:
                     "max-load positivity violated"
                 )
             key = sol.level
-        entry = self.solved[name] = key, sol
+        entry = self.solved[name] = self.approximate(key), key, sol
         return entry
 
     def _record(self, solution: Solve) -> tuple[StepSolution, list[int]]:
@@ -170,21 +182,39 @@ class _ExactLane(_ShareLane):
     (sum(U*N), sum(U*N*N), max N)``, the first round of its solves.
 
     A seat at level ``p/(D*q)``, in lowest terms, sets ``D`` to ``D*q``: the
-    active types take ``N = p``; every other numerator, running sum and
-    cached key is multiplied by ``q`` (``q*q`` for squares and var-Phragmén
-    keys).  Each moved type adds its increase to the sums of the candidates
-    it approves and to the totals ``sum(U*N*N)``, for the variance, and
-    ``sum(U*N)``, which must equal the number of seats: the consistency
-    check of :func:`variance`.  Only the winner's solve becomes fractions.
+    active types take ``N = p``; every other numerator and running sum is
+    multiplied by ``q`` (``q*q`` for squares).  Each moved type adds its
+    increase to the sums of the candidates it approves and to the totals
+    ``sum(U*N*N)``, for the variance, and ``sum(U*N)``, which must equal the
+    number of seats: the consistency check of :func:`variance`.  Only the
+    winner's solve becomes fractions.
+
+    A cached key stays at the ``D`` it was solved at; :meth:`exact` scales it
+    to today's ``D`` by ``(D_now // D_then) ** key_power``.  Its float key,
+    the score over ``L*D*D`` or the level over ``D``, does not depend on
+    ``D``.
     """
 
     def __init__(self, profile: Profile, method: Method):
         super().__init__(profile)
         self.at = IntegerLoads(profile, LoadVector.zero(profile))
         self.sums = dict.fromkeys(profile.candidates, (0, 0, 0))
-        self.key_power = 2 if method is Method.VAR_PHRAGMEN else 1
+        var = method is Method.VAR_PHRAGMEN
+        self.key_power = 2 if var else 1
+        self.scale = self.at.multiplier if var else 1  # L*D*D or D, at D = 1
         self.total_weight = sum(self.at.weights)
         self.mass = self.squares = 0
+
+    def approximate(self, key: Fraction) -> float:
+        """The absolute key, by one correctly rounded ``int`` division."""
+        try:
+            return key.numerator / (key.denominator * self.scale)
+        except OverflowError:
+            return math.inf
+
+    def exact(self, key: Fraction, solve: Solve) -> Fraction:
+        now, then = self.at.denominator, solve.sub.denominator
+        return key if now == then else key * (now // then) ** self.key_power
 
     def subproblem(self, loads: LoadVector, name: CandidateId) -> IntegerSubproblem:
         return IntegerSubproblem(self.at, name, self.sums[name])
@@ -197,12 +227,11 @@ class _ExactLane(_ShareLane):
             # solved at an earlier seat: the same level over today's D
             level *= at.denominator // solution.sub.denominator
         p, q = level.numerator, level.denominator
-        for name, (key, sol) in self.solved.items():
-            self.solved[name] = key * q**self.key_power, sol
         for name, (carried, squares, top) in sums.items():
             sums[name] = carried * q, squares * q * q, top * q
         numerators = at.numerators = [n * q for n in at.numerators]
         at.denominator *= q
+        self.scale *= q**self.key_power
         mass, total = self.mass * q, self.squares * q * q
         for k in moved:
             before = numerators[k]
@@ -228,6 +257,19 @@ class _ExactLane(_ShareLane):
         return record, LoadVector(tuple(values), n), after
 
 
+def _filter_bound(least: Rational) -> Rational:
+    """The largest float key within rounding of the least float key ``least``.
+
+    An exact-lane float key is one correct rounding of a positive key, so its
+    relative error is at most ``2**-53``, and equal keys round to equal
+    floats; the floor covers keys below the smallest normal float.  In the
+    share lane the float key is the key itself, and the bound only narrows
+    the comparison to keys near the least.
+    """
+    least = max(least, sys.float_info.min)
+    return least + least / 2**50
+
+
 def select_winner(
     profile: Profile,
     loads: LoadVector,
@@ -243,25 +285,30 @@ def select_winner(
 
     ``lane`` is the arithmetic :func:`run_election` chose for its backend,
     with its solve cache: candidates it already solved at ``loads`` are not
-    re-solved, and ties are gathered from the keys of all eligible
-    candidates, cached or fresh.  Without a lane, every candidate is solved
-    afresh, share by share: the reference.
+    re-solved.  Without a lane, every candidate is solved afresh, share by
+    share: the reference.  The contenders are the candidates whose float key
+    is within :func:`_filter_bound` of the least; only their keys are
+    compared exactly, and ties are gathered from those keys.
     """
     if method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
         raise ValueError(f"select_winner does not handle {method.value}")
     if lane is None:
         lane = _ShareLane(profile)
-    known = set(profile.candidates)
-    scored: list[tuple[Rational, CandidateId, Solve]] = []
-    for name in sorted(set(eligible)):
-        if name not in known:
-            continue
-        key, sol = lane.solve(loads, name, method)
-        scored.append((key, name, sol))
+    scored: list[tuple[Rational, Rational, CandidateId, Solve]] = []
+    for name in sorted(set(eligible).intersection(profile.candidates)):
+        approx, key, sol = lane.solve(loads, name, method)
+        scored.append((approx, key, name, sol))
     if not scored:
         raise ElectionConfigError("no eligible candidate with support")
-    best_key, winner, solution = min(scored, key=lambda item: (item[0], item[1]))
-    tied = [name for key, name, _ in scored if key == best_key]
+    bound = _filter_bound(min([approx for approx, _, _, _ in scored]))
+    contenders = [
+        (lane.exact(key, sol), name, sol)
+        for approx, key, name, sol in scored
+        if approx <= bound
+    ]
+    # in name order, so the first of the least keys has the smallest name
+    best_key, winner, solution = min(contenders, key=itemgetter(0))
+    tied = [name for key, name, _ in contenders if key == best_key]
     return winner, solution, tied
 
 

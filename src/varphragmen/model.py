@@ -163,24 +163,28 @@ class VoterType:
                 raise ValueError(f"invalid candidate name: {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Profile:
     """An approval profile, built from its voter types alone.
 
     ``types`` (any nonempty iterable, stored as a tuple in input order)
-    determines the rest, derived in one pass at construction: ``candidates``,
-    the union of all approval sets in first-appearance order; ``total_weight``,
-    the exact sum of type weights; and the supporter index behind
-    :meth:`supporters`.  The index takes no part in equality and is never
-    mutated, so the profile stays immutable and safe to share across threads.
+    determines the rest.  Construction derives ``candidates``, the union of
+    all approval sets in first-appearance order, and the supporter index.
+    ``total_weight``, the sum of all type weights, and each candidate's
+    supporter weight (:meth:`supporters`) are summed on first use, in
+    ascending type order, and memoized; an exact election never reads
+    ``total_weight``.  Neither the index nor the memos take part in equality.
+    Two threads may race to fill a memo entry, but both write the same
+    value, so the race is benign and the profile is safe to share.
     """
 
     types: tuple[VoterType, ...]
     candidates: tuple[CandidateId, ...] = field(init=False)
-    total_weight: Rational = field(init=False)
+    _indices: dict[CandidateId, tuple[int, ...]] = field(init=False, compare=False)
     _supporters: dict[CandidateId, tuple[tuple[int, ...], Rational]] = field(
-        init=False, repr=False, compare=False
+        init=False, compare=False
     )
+    _total_weight: Rational | None = field(init=False, compare=False)
 
     def __post_init__(self):
         types = tuple(self.types)
@@ -191,20 +195,40 @@ class Profile:
         for k, t in enumerate(types):
             for name in t.approvals:
                 indices.setdefault(name, []).append(k)
-        # summed in ascending type order: bit-identical to summing a scan
-        index = {name: (tuple(ks), left_sum(types[k].weight for k in ks))
-                 for name, ks in indices.items()}
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "candidates", tuple(indices))
-        object.__setattr__(self, "total_weight", left_sum(t.weight for t in types))
-        object.__setattr__(self, "_supporters", index)
+        index = {name: tuple(ks) for name, ks in indices.items()}
+        object.__setattr__(self, "_indices", index)
+        object.__setattr__(self, "_supporters", {})
+        # set here, not added on first use: every instance keeps one layout,
+        # which keeps attribute reads fast
+        object.__setattr__(self, "_total_weight", None)
+
+    def __repr__(self) -> str:
+        return (
+            f"Profile(types={self.types!r}, candidates={self.candidates!r}, "
+            f"total_weight={self.total_weight!r})"
+        )
+
+    @property
+    def total_weight(self) -> Rational:
+        total = self._total_weight
+        if total is None:
+            total = left_sum(t.weight for t in self.types)
+            object.__setattr__(self, "_total_weight", total)
+        return total
 
     def supporters(self, candidate: CandidateId) -> tuple[tuple[int, ...], Rational]:
         """Indices of types approving ``candidate`` and their combined weight."""
-        try:
-            return self._supporters[candidate]
-        except KeyError:
-            raise UnknownCandidateError(f"unknown candidate: {candidate!r}") from None
+        entry = self._supporters.get(candidate)
+        if entry is None:
+            indices = self._indices.get(candidate)
+            if indices is None:
+                raise UnknownCandidateError(f"unknown candidate: {candidate!r}")
+            # ascending type order: bit-identical to summing a scan
+            weight = left_sum(self.types[k].weight for k in indices)
+            entry = self._supporters[candidate] = indices, weight
+        return entry
 
     def is_closed_list(self) -> bool:
         """True when every voter type approves exactly one candidate."""

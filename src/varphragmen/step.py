@@ -110,13 +110,14 @@ class Subproblem:
         carried: Rational,
         active: Sequence[tuple[int, Rational, Rational]],
         clamp_rounds: tuple[frozenset[int], ...] = (),
+        corrected: bool = False,
     ) -> Solve:
         """Move ``active`` to ``level``; score share by share (``carried`` is the exact lane's)."""
         x: dict[int, Rational] = dict.fromkeys(self.supporters, 0)
         for k, _, r in active:
             x[k] = level - r if r else level
         score = _score(self, x)
-        return Solve(self.candidate, level, score, bool(clamp_rounds), clamp_rounds, active, self)
+        return Solve(self.candidate, level, score, corrected, clamp_rounds, active, self)
 
     def record(self, solve: Solve) -> StepSolution:
         """``solve`` with its shares over every type: ``level - r`` on the
@@ -168,7 +169,12 @@ class IntegerSubproblem:
         self.unit = Fraction(at.multiplier * at.denominator)
 
     def solution(
-        self, level: Fraction, carried: int, active: Sequence, clamp_rounds: tuple = ()
+        self,
+        level: Fraction,
+        carried: int,
+        active: Sequence,
+        clamp_rounds: tuple = (),
+        corrected: bool = False,
     ) -> Solve:
         """Move ``active`` to ``level``; score ``level*A - sum(U*N*N)`` over it."""
         if not clamp_rounds:  # the first round: ``active`` is every supporter
@@ -176,7 +182,7 @@ class IntegerSubproblem:
         else:
             squares = sum(u * n * n for _, u, n in active)
         score = level * (carried + self.unit) - squares
-        return Solve(self.candidate, level, score, bool(clamp_rounds), clamp_rounds, active, self)
+        return Solve(self.candidate, level, score, corrected, clamp_rounds, active, self)
 
     def record(self, solve: Solve) -> StepSolution:
         """``solve`` in reduced fractions, its shares over every type."""
@@ -264,7 +270,7 @@ def corrected_solution(sub: Subproblem | IntegerSubproblem) -> Solve:
         level = (carried + sub.unit) / weight
         negative = [k for k, _, r in active if r > level] if top > level else ()
         if not negative:
-            return sub.solution(level, carried, active, tuple(rounds))
+            return sub.solution(level, carried, active, tuple(rounds), bool(rounds))
         rounds.append(frozenset(negative))
         active = [entry for entry in active if entry[0] not in rounds[-1]]
         carried = left_sum(u * r for _, u, r in active)
@@ -304,7 +310,7 @@ def waterfill_solution(sub: Subproblem) -> StepSolution:
     # r == level would leave the unconstrained solution at exactly zero,
     # which is not a binding constraint.
     corrected = any(r > level for _, _, r in entries)
-    return sub.solution(level, 0, active)._replace(corrected=corrected).record()
+    return sub.solution(level, 0, active, corrected=corrected).record()
 
 
 #: Enumerating more supporter types than this is rejected (2**12 subsets).
@@ -343,4 +349,4 @@ def subset_oracle(sub: Subproblem) -> StepSolution:
             best = (chosen, level)
     assert best is not None  # the singleton of the min-load type is always feasible
     chosen, level = best
-    return sub.solution(level, 0, chosen)._replace(corrected=len(chosen) != m).record()
+    return sub.solution(level, 0, chosen, corrected=len(chosen) != m).record()

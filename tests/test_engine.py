@@ -591,6 +591,59 @@ def test_first_round_clamps_match_the_uncached_reference(monkeypatch):
             assert rec.tied_with == tuple(tied)
 
 
+#: Profiles whose seat-1 keys (``1/W`` for a candidate of weight ``W``, as
+#: score and as level) round to one float: two keys closer than one ulp, an
+#: exact tie beside a key closer than one ulp, keys past float64, below it
+#: and subnormal.  The candidates the exact keys tie at seat 1 follow.
+FILTER_CASES = {
+    "closer-than-an-ulp": (f"{10**20} : a\n{10**20 + 1} : b\n", ("b",)),
+    "exact-tie": (f"{10**20 + 1} : a\n{10**20 + 1} : b\n{10**20} : c\n", ("a", "b")),
+    "past-float64": (f"1/{10**400 + 1} : a\n1/{10**400} : b\n", ("b",)),
+    "below-float64": (f"{10**400} : a\n{10**400 + 1} : b\n", ("b",)),
+    "subnormal": (f"{10**310} : a\n{10**310 + 1} : b\n", ("b",)),
+}
+
+
+@pytest.mark.parametrize("method", [Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN])
+@pytest.mark.parametrize("text, tied", FILTER_CASES.values(), ids=list(FILTER_CASES))
+def test_exact_keys_decide_what_float_keys_cannot_tell_apart(text, tied, method):
+    """Float keys that cannot tell the candidates apart leave them to the
+    exact keys: the seat goes to the least exact key, ``tied_with`` lists
+    only its exact ties, and every seat is the uncached reference's."""
+    profile = parse_profile(text)
+    lane = engine._ExactLane(profile, method)
+    zero = LoadVector.zero(profile)
+    winner, _, first_tied = select_winner(
+        profile, zero, profile.candidates, method, lane
+    )
+    floats = {approx for approx, _, _ in lane.solved.values()}
+    keys = {key for _, key, _ in lane.solved.values()}
+    assert len(floats) == 1 and len(keys) == 2
+    assert (winner, tuple(first_tied)) == (tied[0], tied)
+    result = run_election(profile, method, 4, mode=Mode.PARTY)
+    assert result.records[0].tied_with == tied
+    for rec, loads, eligible in engine.seat_states(profile, result):
+        winner, solution, tied_now = select_winner(profile, loads, eligible, method)
+        assert repr(rec.solution) == repr(solution.record())
+        assert rec.tied_with == tuple(tied_now)
+    verify_election(profile, result)
+
+
+def test_a_cached_key_is_compared_at_the_current_denominator():
+    # b wins seat 1, which sets D to b's weight; at seat 2, a's key, cached
+    # at D = 1, and b's fresh key 3/W round to one float, and b's is smaller
+    profile = parse_profile(f"{10**20} : a\n{3 * 10**20 + 1} : b\n")
+    b_key, a_key = F(3, 3 * 10**20 + 1), F(1, 10**20)
+    assert b_key < a_key and float(b_key) == float(a_key)
+    method = Method.VAR_PHRAGMEN
+    result = run_election(profile, method, 2, mode=Mode.PARTY)
+    assert result.winners == ("b", "b")
+    for rec, loads, eligible in engine.seat_states(profile, result):
+        winner, solution, tied = select_winner(profile, loads, eligible, method)
+        assert repr(rec.solution) == repr(solution.record())
+        assert rec.tied_with == tuple(tied)
+
+
 def test_exact_lane_rejects_inconsistent_loads(monkeypatch):
     def doubled(sub):
         # twice the level: at seat 1, from zero loads, twice every share

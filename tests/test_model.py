@@ -36,6 +36,22 @@ def test_parse_profile_13():
     assert profile.candidates == ("A", "B", "C")
 
 
+def test_profile_sums_weights_on_first_use_and_keeps_its_repr_and_equality():
+    profile = parse_profile("3 : a, b\n1/2 : b\n")
+    fresh = parse_profile("3 : a, b\n1/2 : b\n")
+    # nothing is summed until a weight is read; reading one fills its memo
+    assert vars(profile)["_supporters"] == {} and vars(profile)["_total_weight"] is None
+    assert profile.supporters("b") == ((0, 1), Fraction(7, 2))
+    assert profile == fresh and hash(profile) == hash(fresh)
+    assert repr(profile) == repr(fresh) == (
+        "Profile(types=(VoterType(weight=Fraction(3, 1), approvals=('a', 'b')), "
+        "VoterType(weight=Fraction(1, 2), approvals=('b',))), "
+        "candidates=('a', 'b'), total_weight=Fraction(7, 2))"
+    )
+    assert vars(fresh)["_total_weight"] == Fraction(7, 2)
+    assert profile != parse_profile("3 : a, b\n1/3 : b\n")
+
+
 def test_parse_comments_blanks_and_separators():
     text = """
     # leading comment
