@@ -38,6 +38,7 @@ from .model import (
     SeatRecord,
     StepSolution,
     VoterType,
+    left_sum,
     rational_str,
 )
 from .step import (
@@ -335,8 +336,10 @@ def _float_profile(profile: Profile) -> Profile:
             weight = float(t.weight)
         except OverflowError:
             weight = math.inf
-        if not 0 < weight < math.inf:
-            problem = "overflows" if weight else "rounds to 0 in"
+        # a weight whose reciprocal is inf would make a level inf and a score
+        # ``0 * inf``, NaN
+        if not 0 < weight < math.inf or 1 / weight == math.inf:
+            problem = "overflows" if weight == math.inf else "is too small for"
             raise ElectionConfigError(
                 f"voter type {k} weight {problem} float64; use --backend exact"
             )
@@ -351,7 +354,10 @@ def _float_profile(profile: Profile) -> Profile:
 
 def _party_weights(profile: Profile) -> dict[CandidateId, Rational]:
     """Each candidate's vote total: the combined weight of its supporters."""
-    return {name: profile.supporters(name)[1] for name in profile.candidates}
+    return {
+        name: left_sum(profile.types[k].weight for k in profile.supporters(name))
+        for name in profile.candidates
+    }
 
 
 def _highest_quotients(

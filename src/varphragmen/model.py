@@ -163,28 +163,26 @@ class VoterType:
                 raise ValueError(f"invalid candidate name: {name!r}")
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Profile:
     """An approval profile, built from its voter types alone.
 
     ``types`` (any nonempty iterable, stored as a tuple in input order)
-    determines the rest.  Construction derives ``candidates``, the union of
-    all approval sets in first-appearance order, and the supporter index.
-    ``total_weight``, the sum of all type weights, and each candidate's
-    supporter weight (:meth:`supporters`) are summed on first use, in
-    ascending type order, and memoized; an exact election never reads
-    ``total_weight``.  Neither the index nor the memos take part in equality.
-    Two threads may race to fill a memo entry, but both write the same
-    value, so the race is benign and the profile is safe to share.
+    determines the rest, all derived once at construction and never written
+    again: ``candidates``, the union of all approval sets in first-appearance
+    order; ``total_weight``, the sum of all type weights in ascending type
+    order (:func:`left_sum`); and the supporter index behind
+    :meth:`supporters`.  A supporter set's weight belongs to the subproblem
+    that reads it, which sums it.  Only ``types`` and ``candidates`` take
+    part in equality.
     """
 
     types: tuple[VoterType, ...]
     candidates: tuple[CandidateId, ...] = field(init=False)
-    _indices: dict[CandidateId, tuple[int, ...]] = field(init=False, compare=False)
-    _supporters: dict[CandidateId, tuple[tuple[int, ...], Rational]] = field(
-        init=False, compare=False
+    total_weight: Rational = field(init=False, compare=False)
+    _indices: dict[CandidateId, tuple[int, ...]] = field(
+        init=False, compare=False, repr=False
     )
-    _total_weight: Rational | None = field(init=False, compare=False)
 
     def __post_init__(self):
         types = tuple(self.types)
@@ -197,38 +195,16 @@ class Profile:
                 indices.setdefault(name, []).append(k)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "candidates", tuple(indices))
+        object.__setattr__(self, "total_weight", left_sum(t.weight for t in types))
         index = {name: tuple(ks) for name, ks in indices.items()}
         object.__setattr__(self, "_indices", index)
-        object.__setattr__(self, "_supporters", {})
-        # set here, not added on first use: every instance keeps one layout,
-        # which keeps attribute reads fast
-        object.__setattr__(self, "_total_weight", None)
 
-    def __repr__(self) -> str:
-        return (
-            f"Profile(types={self.types!r}, candidates={self.candidates!r}, "
-            f"total_weight={self.total_weight!r})"
-        )
-
-    @property
-    def total_weight(self) -> Rational:
-        total = self._total_weight
-        if total is None:
-            total = left_sum(t.weight for t in self.types)
-            object.__setattr__(self, "_total_weight", total)
-        return total
-
-    def supporters(self, candidate: CandidateId) -> tuple[tuple[int, ...], Rational]:
-        """Indices of types approving ``candidate`` and their combined weight."""
-        entry = self._supporters.get(candidate)
-        if entry is None:
-            indices = self._indices.get(candidate)
-            if indices is None:
-                raise UnknownCandidateError(f"unknown candidate: {candidate!r}")
-            # ascending type order: bit-identical to summing a scan
-            weight = left_sum(self.types[k].weight for k in indices)
-            entry = self._supporters[candidate] = indices, weight
-        return entry
+    def supporters(self, candidate: CandidateId) -> tuple[int, ...]:
+        """Indices of the types approving ``candidate``, ascending."""
+        indices = self._indices.get(candidate)
+        if indices is None:
+            raise UnknownCandidateError(f"unknown candidate: {candidate!r}")
+        return indices
 
     def is_closed_list(self) -> bool:
         """True when every voter type approves exactly one candidate."""

@@ -19,10 +19,12 @@ The subproblem's class is the arithmetic lane.  Every subproblem carries
 solver's first round, and the ``unit`` of load a seat adds; the level and
 active-set loop is the same in both lanes:
 
-* :class:`Subproblem` computes ``sum(u*r)`` afresh and reports no bound on
-  its loads (``math.inf``), so the solver scans every round; it scores
-  share by share with :func:`_score`.  The float64 lane elects with it, so
-  float bits stay those of the share-by-share sum, and it is the reference
+* :class:`Subproblem` sums ``sum(u)`` and ``sum(u*r)`` afresh, in one pass
+  over the profile's supporter index (the profile stores only who approves
+  whom), and reports no bound on its loads (``math.inf``), so the solver
+  scans every round; it scores share by share with :func:`_score`.  The
+  float64 lane elects with it, so float bits stay those of the
+  share-by-share sum, and it is the reference
   everywhere else: the two oracles always score through :func:`_score`, and
   so does the engine's uncached verifier.
 * :class:`IntegerSubproblem`, the exact lane, works on integers: weights
@@ -76,10 +78,11 @@ from .model import (
 class Subproblem:
     """A candidate's seat-distribution subproblem at the current loads.
 
-    Resolves the supporter index set, its combined weight and the
-    ``(type index, weight, load)`` entries of the supporters once, up front.
-    Every candidate of a profile has at least one supporter; a name outside
-    the profile raises ``UnknownCandidateError`` from :meth:`Profile.supporters`.
+    One pass over the profile's supporter index builds the ``(type index,
+    weight, load)`` entries and sums ``supporter_weight`` and ``sum(u*r)``
+    left to right, in :func:`left_sum`'s order and float bits.  Every
+    candidate of a profile has at least one supporter; a name outside the
+    profile raises ``UnknownCandidateError`` from :meth:`Profile.supporters`.
 
     ``sums`` is ``(sum(u*r), None, math.inf)`` for the first round of
     :func:`corrected_solution`: this share-by-share lane (see the module
@@ -92,17 +95,23 @@ class Subproblem:
     unit = 1
 
     def __init__(self, profile: Profile, loads: LoadVector, candidate: CandidateId):
-        supporters, weight = profile.supporters(candidate)
+        supporters = profile.supporters(candidate)
         if len(loads.values) != len(profile.types):
             raise ValueError("load vector length does not match profile")
         self.profile = profile
         self.candidate = candidate
         self.supporters = supporters
+        types, values = profile.types, loads.values
+        entries = []
+        carried = weight = 0
+        for k in supporters:
+            u, r = types[k].weight, values[k]
+            entries.append((k, u, r))
+            carried += u * r
+            weight += u
+        self.entries = tuple(entries)
         self.supporter_weight = weight
-        self.entries = tuple(
-            (k, profile.types[k].weight, loads.values[k]) for k in supporters
-        )
-        self.sums = left_sum(u * r for _, u, r in self.entries), None, math.inf
+        self.sums = carried, None, math.inf
 
     def solution(
         self,
@@ -155,7 +164,7 @@ class IntegerSubproblem:
     __slots__ = ("candidate", "entries", "supporter_weight", "sums", "unit", "denominator", "at")
 
     def __init__(self, at: IntegerLoads, candidate: CandidateId, sums: tuple | None = None):
-        supporters, _ = at.profile.supporters(candidate)
+        supporters = at.profile.supporters(candidate)
         self.at = at
         self.candidate = candidate
         self.entries = tuple((k, at.weights[k], at.numerators[k]) for k in supporters)

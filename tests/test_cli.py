@@ -223,13 +223,17 @@ def test_elect_exit_codes(capsys, p12_path, tmp_path):
     assert code == 2
     assert "--delta" in err
 
-    # float64 cannot represent these weights, their total, or the scores
-    # they lead to
+    # float64 cannot represent these weights, their total, the reciprocal of
+    # a subnormal weight (whichever name comes first), or the scores they
+    # lead to
     zeros = "0" * 400
     huge = f"1{zeros[:308]}"
+    party = ("--mode", "party")
     for text, seats, fmt in (
         (f"1{zeros} : a\n1 : b\n", "1", ()),
         (f"1/1{zeros} : a\n1 : b\n", "1", ()),
+        (f"1/1{zeros[:320]} : a\n1 : b\n", "2", party),
+        (f"1/1{zeros[:320]} : b\n1 : a\n", "2", party),
         (f"1/1{zeros[:300]} : a\n1 : b\n", "2", ("--format", "json")),
         (f"{huge} : a\n{huge} : b\n", "2", ("--format", "json")),
         (f"{huge} : a, b\n{huge} : a, b\n", "2", ()),

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -28,7 +29,7 @@ from varphragmen import (
 )
 from varphragmen import engine, step
 from varphragmen.analysis import TwoPartyFamily, random_closed_list_profile, random_profile
-from varphragmen.model import StepSolution
+from varphragmen.model import StepSolution, left_sum
 
 from conftest import PROFILE_12
 
@@ -217,7 +218,10 @@ def test_closed_list_reduction_on_random_profiles():
     for _ in range(40):
         profile = random_closed_list_profile(rng)
         seats = rng.randint(1, 12)
-        votes = {name: profile.supporters(name)[1] for name in profile.candidates}
+        votes = {
+            name: left_sum(profile.types[k].weight for k in profile.supporters(name))
+            for name in profile.candidates
+        }
         var_run = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY)
         assert list(var_run.winners) == apportion_sequence(
             votes, seats, Method.SAINTE_LAGUE
@@ -519,7 +523,7 @@ def test_exact_lane_running_sums_match_a_fresh_scan(monkeypatch):
         for loads, sums, numerators in seen:
             assert numerators == list(loads.values)
             for name in profile.candidates:
-                supporters, _ = profile.supporters(name)
+                supporters = profile.supporters(name)
                 fresh = [(profile.types[k].weight, loads.values[k]) for k in supporters]
                 assert sums[name] == (
                     sum(u * r for u, r in fresh),
@@ -857,6 +861,24 @@ def test_float64_rejects_a_total_weight_it_cannot_hold():
     assert [rec.solution.score for rec in exact.records] == [F(1, 10**308)] * 2
     with pytest.raises(ElectionConfigError, match="total voter weight overflows"):
         run_election(profile, Method.VAR_PHRAGMEN, 2, backend=Backend.FLOAT64)
+
+
+def test_an_election_leaves_its_profile_untouched():
+    closed = parse_profile(CLOSED)
+    profiles = [parse_profile(PROFILE_12), random_profile(random.Random(3))]
+    runs = [(p, method, mode, backend) for p, method, mode, backend in product(
+        profiles, (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN), Mode, Backend
+    )]
+    runs += [(closed, method, Mode.PARTY, backend) for method, backend in product(
+        (Method.SAINTE_LAGUE, Method.DHONDT), Backend
+    )]
+    for profile, method, mode, backend in runs:
+        before = deepcopy(vars(profile))
+        seats = min(3, len(profile.candidates))
+        result = run_election(profile, method, seats, mode=mode, backend=backend)
+        if backend is Backend.EXACT:
+            verify_election(profile, result)
+        assert dict(vars(profile)) == before
 
 
 def sparse_profile_2000(seed):

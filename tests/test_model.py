@@ -8,6 +8,7 @@ from varphragmen import (
     LoadVector,
     Profile,
     ProfileParseError,
+    Subproblem,
     UnknownCandidateError,
     VoterType,
     merge_duplicate_types,
@@ -36,19 +37,17 @@ def test_parse_profile_13():
     assert profile.candidates == ("A", "B", "C")
 
 
-def test_profile_sums_weights_on_first_use_and_keeps_its_repr_and_equality():
+def test_profile_is_built_at_construction_and_keeps_its_repr_equality_and_hash():
     profile = parse_profile("3 : a, b\n1/2 : b\n")
     fresh = parse_profile("3 : a, b\n1/2 : b\n")
-    # nothing is summed until a weight is read; reading one fills its memo
-    assert vars(profile)["_supporters"] == {} and vars(profile)["_total_weight"] is None
-    assert profile.supporters("b") == ((0, 1), Fraction(7, 2))
+    assert profile.supporters("b") == (0, 1)
+    assert profile.total_weight == Fraction(7, 2)
     assert profile == fresh and hash(profile) == hash(fresh)
     assert repr(profile) == repr(fresh) == (
         "Profile(types=(VoterType(weight=Fraction(3, 1), approvals=('a', 'b')), "
         "VoterType(weight=Fraction(1, 2), approvals=('b',))), "
         "candidates=('a', 'b'), total_weight=Fraction(7, 2))"
     )
-    assert vars(fresh)["_total_weight"] == Fraction(7, 2)
     assert profile != parse_profile("3 : a, b\n1/3 : b\n")
 
 
@@ -112,15 +111,24 @@ def test_merge_ignores_approval_order():
     assert merged.types[0].approvals == ("a", "b")
 
 
+def _supporter_weight(profile, name):
+    """The weight of ``name``'s supporters, added left to right over the index."""
+    weight = 0
+    for k in profile.supporters(name):
+        weight = weight + profile.types[k].weight
+    return weight
+
+
 def test_supporters_profile12(profile12):
-    assert profile12.supporters("a1") == ((0, 1), 10)
-    assert profile12.supporters("c") == ((2,), 3)
+    assert profile12.supporters("a1") == (0, 1)
+    assert _supporter_weight(profile12, "a1") == 10
+    assert profile12.supporters("c") == (2,)
+    assert _supporter_weight(profile12, "c") == 3
 
 
 def test_supporters_profile13(profile13):
-    indices, weight = profile13.supporters("B")
-    assert indices == (1, 3, 4)
-    assert weight == 13
+    assert profile13.supporters("B") == (1, 3, 4)
+    assert _supporter_weight(profile13, "B") == 13
 
 
 def test_supporters_unknown_candidate(profile12):
@@ -293,22 +301,33 @@ def test_render_parse_round_trip(profile):
     assert parse_profile(render_profile(profile)) == profile
 
 
-@given(profiles)
-def test_supporter_weights_sum_identity(profile):
-    total = sum(profile.supporters(name)[1] for name in profile.candidates)
+@given(profiles, st.data())
+def test_supporter_weights_sum_identity(profile, data):
+    total = sum(_supporter_weight(profile, name) for name in profile.candidates)
     assert total == sum(t.weight * len(t.approvals) for t in profile.types)
     as_floats = Profile(
         VoterType(float(t.weight), t.approvals) for t in profile.types
     )
-    for prof in (profile, as_floats):
+    m = len(profile.types)
+    float_loads = data.draw(
+        st.lists(st.floats(1 / 64, 64), min_size=m, max_size=m).map(tuple)
+    )
+    for prof, values in (
+        (profile, (0,) * m), (as_floats, (0,) * m), (as_floats, float_loads)
+    ):
+        loads = LoadVector(values, 1)
         for name in prof.candidates:
-            # the index agrees with a brute-force scan, float64 bits included
-            indices, weight = prof.supporters(name)
+            # the index agrees with a brute-force scan
+            indices = prof.supporters(name)
             scan = [k for k, t in enumerate(prof.types) if name in t.approvals]
             assert list(indices) == sorted(indices) == scan
-            # added strictly left to right, as on every Python version
-            expected = 0
+            # the subproblem adds strictly left to right, as on every Python
+            # version: float64 bits included
+            weight = carried = 0
             for k in indices:
-                expected = expected + prof.types[k].weight
-            assert type(weight) is type(expected)
-            assert repr(weight) == repr(expected)
+                weight = weight + prof.types[k].weight
+                carried = carried + prof.types[k].weight * values[k]
+            sub = Subproblem(prof, loads, name)
+            for got, expected in ((sub.supporter_weight, weight), (sub.sums[0], carried)):
+                assert type(got) is type(expected)
+                assert repr(got) == repr(expected)
