@@ -178,17 +178,17 @@ class _ShareLane:
 
 
 class _ExactLane(_ShareLane):
-    """Exact arithmetic on running :class:`IntegerLoads` (numerators ``N``
-    over one denominator ``D``) and each candidate's ``sums[name] =
-    (sum(U*N), sum(U*N*N), max N)``, the first round of its solves.
+    """Exact arithmetic on running :class:`IntegerLoads`: numerators ``N``
+    over one denominator ``D``.  Each subproblem sums its own supporters'
+    ``(sum(U*N), sum(U*N*N), max N)`` when it is built, so the lane keeps no
+    per-candidate state besides its solve cache.
 
     A seat at level ``p/(D*q)``, in lowest terms, sets ``D`` to ``D*q``: the
-    active types take ``N = p``; every other numerator and running sum is
-    multiplied by ``q`` (``q*q`` for squares).  Each moved type adds its
-    increase to the sums of the candidates it approves and to the totals
-    ``sum(U*N*N)``, for the variance, and ``sum(U*N)``, which must equal the
-    number of seats: the consistency check of :func:`variance`.  Only the
-    winner's solve becomes fractions.
+    active types take ``N = p`` and every other numerator is multiplied by
+    ``q``.  So are the run totals ``sum(U*N*N)``, for the variance (by
+    ``q*q``), and ``sum(U*N)``, which must equal the number of seats: the
+    consistency check of :func:`variance`; each moved type then adds its
+    increase to both.  Only the winner's solve becomes fractions.
 
     A cached key stays at the ``D`` it was solved at; :meth:`exact` scales it
     to today's ``D`` by ``(D_now // D_then) ** key_power``.  Its float key,
@@ -199,7 +199,6 @@ class _ExactLane(_ShareLane):
     def __init__(self, profile: Profile, method: Method):
         super().__init__(profile)
         self.at = IntegerLoads(profile, LoadVector.zero(profile))
-        self.sums = dict.fromkeys(profile.candidates, (0, 0, 0))
         var = method is Method.VAR_PHRAGMEN
         self.key_power = 2 if var else 1
         self.scale = self.at.multiplier if var else 1  # L*D*D or D, at D = 1
@@ -218,18 +217,16 @@ class _ExactLane(_ShareLane):
         return key if now == then else key * (now // then) ** self.key_power
 
     def subproblem(self, loads: LoadVector, name: CandidateId) -> IntegerSubproblem:
-        return IntegerSubproblem(self.at, name, self.sums[name])
+        return IntegerSubproblem(self.at, name)
 
     def advance(self, loads: LoadVector, solution: Solve) -> tuple:
-        at, sums, types = self.at, self.sums, self.profile.types
+        at = self.at
         record, moved = self._record(solution)
         level = solution.level
         if solution.sub.denominator != at.denominator:
             # solved at an earlier seat: the same level over today's D
             level *= at.denominator // solution.sub.denominator
         p, q = level.numerator, level.denominator
-        for name, (carried, squares, top) in sums.items():
-            sums[name] = carried * q, squares * q * q, top * q
         numerators = at.numerators = [n * q for n in at.numerators]
         at.denominator *= q
         self.scale *= q**self.key_power
@@ -240,9 +237,6 @@ class _ExactLane(_ShareLane):
             squares = carried * (p + before)  # U*(after**2 - before**2)
             mass += carried
             total += squares
-            for name in types[k].approvals:
-                c, sq, top = sums[name]
-                sums[name] = c + carried, sq + squares, p if p > top else top
             numerators[k] = p
         self.mass, self.squares = mass, total
         n = loads.seats_assigned + 1
@@ -396,11 +390,11 @@ def run_election(
     Both methods elect through :func:`corrected_solution`; a seq-Phragmén
     solve that clamps is an error.  The exact lane solves on integer loads
     over one run-wide denominator (:class:`IntegerSubproblem`), scoring in
-    closed form from each candidate's running sums; ``variance_after``
-    comes from the running total ``sum(u*r*r)``.  The float lane scores
-    share by share and rescans the variance, so its bits do not depend on
-    the closed form.  :func:`verify_election` re-checks every exact-lane
-    score against the share-by-share reference.
+    closed form from sums each solve takes over its own supporters;
+    ``variance_after`` comes from the running total ``sum(u*r*r)``.  The
+    float lane scores share by share and rescans the variance, so its bits
+    do not depend on the closed form.  :func:`verify_election` re-checks
+    every exact-lane score against the share-by-share reference.
     """
     if seats < 1:
         raise ElectionConfigError(f"seats must be >= 1, got {seats}")

@@ -14,19 +14,19 @@ One production solver elects: :func:`corrected_solution` solves with the
 equality constraint alone, clamps every negative share to zero and re-solves
 on the remaining supporters until all shares are feasible.
 
-The subproblem's class is the arithmetic lane.  Every subproblem carries
-``sums``, ``(sum(u*r), sum(u*r*r), max r)`` over its supporters, for the
-solver's first round, and the ``unit`` of load a seat adds; the level and
-active-set loop is the same in both lanes:
+The subproblem's class is the arithmetic lane.  Every subproblem sums its
+own supporters in one pass over the profile's supporter index (the profile
+stores only who approves whom): ``supporter_weight`` and ``sums``,
+``(sum(u*r), sum(u*r*r), max r)``, for the solver's first round; it carries
+the ``unit`` of load a seat adds.  The level and active-set loop is the same
+in both lanes:
 
-* :class:`Subproblem` sums ``sum(u)`` and ``sum(u*r)`` afresh, in one pass
-  over the profile's supporter index (the profile stores only who approves
-  whom), and reports no bound on its loads (``math.inf``), so the solver
-  scans every round; it scores share by share with :func:`_score`.  The
-  float64 lane elects with it, so float bits stay those of the
-  share-by-share sum, and it is the reference
-  everywhere else: the two oracles always score through :func:`_score`, and
-  so does the engine's uncached verifier.
+* :class:`Subproblem` keeps no ``sum(u*r*r)`` and reports no bound on its
+  loads (``math.inf``), so the solver scans every round; it scores share by
+  share with :func:`_score`.  The float64 lane elects with it, so float bits
+  stay those of the share-by-share sum, and it is the reference everywhere
+  else: the two oracles always score through :func:`_score`, and so does
+  the engine's uncached verifier.
 * :class:`IntegerSubproblem`, the exact lane, works on integers: weights
   ``U = u*L`` over the lcm ``L`` of their denominators, loads ``N`` over one
   denominator ``D`` (:class:`IntegerLoads`), and a seat adds ``L*D``.  With
@@ -155,25 +155,31 @@ class IntegerLoads:
 
 class IntegerSubproblem:
     """The exact lane's subproblem (see the module docstring) at the current
-    denominator ``D`` of :class:`IntegerLoads`, which it keeps.  ``sums`` is
-    ``(sum(U*N), sum(U*N*N), max N)`` over the supporters: the engine's
-    running sums, or else computed afresh.  ``unit = L*D`` is a ``Fraction``
-    so that :func:`corrected_solution`'s level is the exact ``A/W``, ``D``
-    times the common level."""
+    denominator ``D`` of :class:`IntegerLoads`, which it keeps; its ``sums``
+    are ``(sum(U*N), sum(U*N*N), max N)``, zero loads skipped.  ``unit =
+    L*D`` is a ``Fraction`` so that :func:`corrected_solution`'s level is
+    the exact ``A/W``, ``D`` times the common level."""
 
     __slots__ = ("candidate", "entries", "supporter_weight", "sums", "unit", "denominator", "at")
 
-    def __init__(self, at: IntegerLoads, candidate: CandidateId, sums: tuple | None = None):
-        supporters = at.profile.supporters(candidate)
+    def __init__(self, at: IntegerLoads, candidate: CandidateId):
+        weights, numerators = at.weights, at.numerators
+        entries = []
+        weight = carried = squares = top = 0
+        for k in at.profile.supporters(candidate):
+            u, n = weights[k], numerators[k]
+            entries.append((k, u, n))
+            weight += u
+            if n:
+                carried += u * n
+                squares += u * (n * n)  # squaring n alone is the fast big-int path
+                if n > top:
+                    top = n
         self.at = at
         self.candidate = candidate
-        self.entries = tuple((k, at.weights[k], at.numerators[k]) for k in supporters)
-        self.supporter_weight = sum(u for _, u, _ in self.entries)
-        self.sums = sums or (
-            sum(u * n for _, u, n in self.entries),
-            sum(u * n * n for _, u, n in self.entries),
-            max(n for _, _, n in self.entries),
-        )
+        self.entries = tuple(entries)
+        self.supporter_weight = weight
+        self.sums = carried, squares, top
         self.denominator = at.denominator
         self.unit = Fraction(at.multiplier * at.denominator)
 
@@ -189,7 +195,7 @@ class IntegerSubproblem:
         if not clamp_rounds:  # the first round: ``active`` is every supporter
             squares = self.sums[1]
         else:
-            squares = sum(u * n * n for _, u, n in active)
+            squares = sum(u * (n * n) for _, u, n in active)
         score = level * (carried + self.unit) - squares
         return Solve(self.candidate, level, score, corrected, clamp_rounds, active, self)
 

@@ -491,25 +491,28 @@ def test_exact_lane_never_scores_share_by_share(monkeypatch, method, mode):
     assert len(calls) >= seats
 
 
-def test_exact_lane_running_sums_match_a_fresh_scan(monkeypatch):
-    # after every seat: the loads and each candidate's running integer sums,
-    # which over (L*D, L*D*D, D) are a fresh scan of the fraction loads
-    seen = []
-    original = engine._ExactLane.advance
+def test_exact_lane_numerators_and_subproblem_sums_match_a_fresh_scan(monkeypatch):
+    # after every seat, the numerators over D are the loads; and every
+    # subproblem the lane builds has sums that, over (L*D, L*D*D, D), are a
+    # fresh scan of the fraction loads it was built at
+    seen, built = [], []
+    advance, subproblem = engine._ExactLane.advance, engine._ExactLane.subproblem
 
     def recording(lane, loads, solution):
-        out = original(lane, loads, solution)
+        out = advance(lane, loads, solution)
         at = lane.at
-        unit = at.multiplier * at.denominator
-        scales = (unit, unit * at.denominator, at.denominator)
-        sums = {
-            name: tuple(F(v, scale) for v, scale in zip(triple, scales))
-            for name, triple in lane.sums.items()
-        }
-        seen.append((out[1], sums, [F(n, at.denominator) for n in at.numerators]))
+        seen.append((out[1], [F(n, at.denominator) for n in at.numerators]))
         return out
 
+    def checking(lane, loads, name):
+        sub = subproblem(lane, loads, name)
+        unit = sub.at.multiplier * sub.denominator
+        scales = (unit, unit * sub.denominator, sub.denominator)
+        built.append((loads, name, tuple(F(v, s) for v, s in zip(sub.sums, scales))))
+        return sub
+
     monkeypatch.setattr(engine._ExactLane, "advance", recording)
+    monkeypatch.setattr(engine._ExactLane, "subproblem", checking)
     rng = random.Random(20260810)
     profiles = [random_profile(rng) for _ in range(20)]
     profiles += [sparse_profile(rng) for _ in range(3)]
@@ -518,18 +521,20 @@ def test_exact_lane_running_sums_match_a_fresh_scan(monkeypatch):
     for profile, method, mode in product(profiles, methods, Mode):
         seats = min(8, len(profile.candidates)) if mode is Mode.CANDIDATE else 8
         seen.clear()
+        built.clear()
         run_election(profile, method, seats, mode=mode)
         assert len(seen) == seats
-        for loads, sums, numerators in seen:
+        for loads, numerators in seen:
             assert numerators == list(loads.values)
-            for name in profile.candidates:
-                supporters = profile.supporters(name)
-                fresh = [(profile.types[k].weight, loads.values[k]) for k in supporters]
-                assert sums[name] == (
-                    sum(u * r for u, r in fresh),
-                    sum(u * r * r for u, r in fresh),
-                    max(r for _, r in fresh),
-                )
+        assert len(built) >= seats
+        for loads, name, sums in built:
+            supporters = profile.supporters(name)
+            fresh = [(profile.types[k].weight, loads.values[k]) for k in supporters]
+            assert sums == (
+                sum(u * r for u, r in fresh),
+                sum(u * r * r for u, r in fresh),
+                max(r for _, r in fresh),
+            )
 
 
 def test_exact_lane_matches_the_uncached_reference_seat_by_seat():
@@ -564,9 +569,9 @@ def test_first_round_clamps_match_the_uncached_reference(monkeypatch):
     """Runs whose solves clamp, where the first round must scan its supporters.
 
     Such a solve has a supporter above the unconstrained level, so the
-    running highest load must send the first round to the scan.  The runs
-    are checked seat by seat against the uncached share-by-share lane,
-    which never reads the running sums.
+    subproblem's highest load must send the first round to the scan.  The
+    runs are checked seat by seat against the uncached share-by-share lane,
+    which reads no highest load and scans every round.
     """
     clamped = []
 

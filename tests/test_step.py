@@ -362,22 +362,21 @@ def skewed_subproblems(rng, profiles):
 
 
 def integer_subproblem(sub):
-    """The exact lane's subproblem at ``sub``'s loads, with its candidate's
-    ``(sum(U*N), sum(U*N*N), max N)`` passed in as the engine passes the sums
-    it keeps: a fraction scan of ``(sum(u*r), sum(u*r*r), max r)`` times
-    ``(L*D, L*D*D, D)``."""
+    """The exact lane's subproblem at ``sub``'s loads, whose ``(sum(U*N),
+    sum(U*N*N), max N)`` must be a fraction scan of ``(sum(u*r), sum(u*r*r),
+    max r)`` times ``(L*D, L*D*D, D)``."""
     values = [0] * len(sub.profile.types)
     for k, _, r in sub.entries:
         values[k] = r
     at = IntegerLoads(sub.profile, LoadVector(tuple(values), 0))
+    exact = IntegerSubproblem(at, sub.candidate)
     unit = at.multiplier * at.denominator
-    sums = (
+    assert exact.sums == (
         sum(u * r for _, u, r in sub.entries) * unit,
         sum(u * r * r for _, u, r in sub.entries) * unit * at.denominator,
         max(r for _, _, r in sub.entries) * at.denominator,
     )
-    assert all(F(v).denominator == 1 for v in sums)
-    return IntegerSubproblem(at, sub.candidate, tuple(int(v) for v in sums))
+    return exact
 
 
 def test_closed_form_score_on_clamped_instances():
@@ -433,14 +432,9 @@ def test_share_lane_is_the_plain_clamp_loop():
         for profile, at in ((floats, float_loads), (sub.profile, loads)):
             share = Subproblem(profile, at, sub.candidate)
             assert repr(corrected_solution(share).record()) == repr(plain_clamp_loop(share))
-        # the exact lane's integer solver, with its sums passed in and
-        # computed afresh
+        # the exact lane's integer solver
         want = plain_clamp_loop(sub)
-        exact = integer_subproblem(sub)
-        assert corrected_solution(exact).record() == want
-        fresh = IntegerSubproblem(IntegerLoads(sub.profile, loads), sub.candidate)
-        assert fresh.sums == exact.sums
-        assert corrected_solution(fresh).record() == want
+        assert corrected_solution(integer_subproblem(sub)).record() == want
         instances += 1
         clamped += want.corrected
     assert instances > 800
