@@ -185,33 +185,43 @@ def _solution_payload(sol: StepSolution) -> dict:
     }
 
 
+def _solve_instance(
+    at: IntegerLoads, loads: LoadVector, candidate: CandidateId
+) -> tuple[StepSolution, StepSolution, StepSolution]:
+    """``candidate``'s seat at ``loads`` (``at`` on integers) by the exact
+    lane's production solver, water-filling and the subset oracle."""
+    sub = Subproblem(at.profile, loads, candidate)
+    exact = corrected_solution(IntegerSubproblem(at, candidate)).record()
+    return exact, waterfill_solution(sub), subset_oracle(sub)
+
+
 def solver_instance_record(
     profile: Profile,
     loads: LoadVector,
     candidate: CandidateId,
     *,
     mode: Mode = Mode.CANDIDATE,
-    seat: int | None = None,
 ) -> dict:
-    """Serialize one subproblem with all three solver outcomes.
+    """Serialize one subproblem, at the seat after ``loads``, with all three solvers.
 
     The record is self-contained: :func:`replay_record` reparses the profile
     and loads from it and recomputes every solver from scratch.
     """
-    sub = Subproblem(profile, loads, candidate)
-    exact = IntegerSubproblem(IntegerLoads(profile, loads), candidate)
+    exact, waterfill, subset = _solve_instance(
+        IntegerLoads(profile, loads), loads, candidate
+    )
     return {
         "kind": "solver-instance",
         "profile": render_profile(profile),
         "method": Method.VAR_PHRAGMEN.value,
         "mode": mode.value,
-        "seat": seat if seat is not None else loads.seats_assigned + 1,
+        "seat": loads.seats_assigned + 1,
         "candidate": candidate,
         "loads": [rational_str(v) for v in loads.values],
         "seats_assigned": loads.seats_assigned,
-        "corrected": _solution_payload(corrected_solution(exact).record()),
-        "waterfill": _solution_payload(waterfill_solution(sub)),
-        "subset": _solution_payload(subset_oracle(sub)),
+        "corrected": _solution_payload(exact),
+        "waterfill": _solution_payload(waterfill),
+        "subset": _solution_payload(subset),
     }
 
 
@@ -240,21 +250,13 @@ def compare_solvers_over_election(
     result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
     instances = 0
     disagreements: list[dict] = []
-    for rec, loads, eligible in seat_states(profile, result):
+    for _, loads, eligible in seat_states(profile, result):
         at = IntegerLoads(profile, loads)
         for name in eligible:
-            sub = Subproblem(profile, loads, name)
-            trio = (
-                corrected_solution(IntegerSubproblem(at, name)).record(),
-                waterfill_solution(sub),
-                subset_oracle(sub),
-            )
             instances += 1
-            if not _solutions_agree(*trio):
+            if not _solutions_agree(*_solve_instance(at, loads, name)):
                 disagreements.append(
-                    solver_instance_record(
-                        profile, loads, name, mode=mode, seat=rec.seat_index
-                    )
+                    solver_instance_record(profile, loads, name, mode=mode)
                 )
     return instances, disagreements
 
@@ -300,11 +302,7 @@ def replay_record(record: dict) -> dict:
             seats_assigned=record["seats_assigned"],
         )
         fresh = solver_instance_record(
-            profile,
-            loads,
-            record["candidate"],
-            mode=Mode(record["mode"]),
-            seat=record["seat"],
+            profile, loads, record["candidate"], mode=Mode(record["mode"])
         )
         keys = ("corrected", "waterfill", "subset")
     elif kind == "closed-list-equivalence-failure":

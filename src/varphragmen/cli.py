@@ -83,9 +83,9 @@ def _alpha_range(text: str) -> tuple[Fraction, Fraction, int]:
 
 def _read_profile(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.read().removeprefix("\ufeff")  # a byte-order mark, if any
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ProfileParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
 

@@ -11,10 +11,11 @@ record.
 
 Elections are independent of each other and may run in parallel; a run only
 ever builds fresh immutable load vectors, and its lane (arithmetic and solve
-cache) is its own.  The exact lane solves on integers, loads as numerators
-over one run-wide denominator, and compares exactly only the keys that a
-float filter leaves near the least; the float64 lane solves share by share.
-Both solve to a light ``Solve``; only each seat's winner is recorded.
+cache) is its own.  The share lane is the uncached reference.  The exact lane
+solves on integers, loads as numerators over one run-wide denominator, and
+compares exactly only the keys that a float filter leaves near the least; the
+float64 lane solves share by share.  All three solve to a light ``Solve``;
+only each seat's winner is recorded.
 """
 
 from __future__ import annotations
@@ -95,19 +96,20 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
 
 
 class _ShareLane:
-    """Share-by-share arithmetic: the float64 lane, and the uncached reference.
+    """Share-by-share arithmetic for ``method``: the uncached reference.
 
     Subproblems are plain :class:`Subproblem` instances, which compute each
-    ``u*r`` afresh and score share by share; a seat adds the shares of the
-    types it moved, and the variance is rescanned after every seat.
+    ``u*r`` afresh and score share by share.  The backends' lanes,
+    :class:`_FloatLane` and :class:`_ExactLane`, add the seat step ``advance``.
 
-    ``solved`` is the run's solve cache: each candidate's ``(float key, key,
+    ``solved`` is the lane's solve cache: each candidate's ``(float key, key,
     solve)`` at the current loads, filled by :meth:`solve`, evicted by
-    :meth:`advance`.  Here the float key is the key itself.
+    :meth:`_record`.  Here the float key is the key itself.
     """
 
-    def __init__(self, profile: Profile):
+    def __init__(self, profile: Profile, method: Method):
         self.profile = profile
+        self.method = method
         self.solved: dict[CandidateId, tuple[Rational, Rational, Solve]] = {}
 
     def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
@@ -121,7 +123,7 @@ class _ShareLane:
         return key
 
     def solve(
-        self, loads: LoadVector, name: CandidateId, method: Method
+        self, loads: LoadVector, name: CandidateId
     ) -> tuple[Rational, Rational, Solve]:
         """``name``'s float key, key (score for var-Phragmén, level for
         seq-Phragmén) and solve."""
@@ -129,7 +131,7 @@ class _ShareLane:
         if entry is not None:
             return entry
         sol = corrected_solution(self.subproblem(loads, name))
-        if method is Method.VAR_PHRAGMEN:
+        if self.method is Method.VAR_PHRAGMEN:
             key = sol.score
         else:
             # The max-load method moves every supporter to the common level;
@@ -155,12 +157,37 @@ class _ShareLane:
                 self.solved.pop(name, None)
         return record, moved
 
+
+class _FloatLane(_ShareLane):
+    """The float64 backend: the share lane on ``profile``'s weights in float64,
+    refused (exit 3) when a weight, its reciprocal or their total does not fit."""
+
+    def __init__(self, profile: Profile, method: Method):
+        types = []
+        for k, t in enumerate(profile.types, start=1):
+            try:
+                weight = float(t.weight)
+            except OverflowError:
+                weight = math.inf
+            # a weight whose reciprocal is inf would make a level inf and a
+            # score ``0 * inf``, NaN
+            if not 0 < weight < math.inf or 1 / weight == math.inf:
+                problem = "overflows" if weight == math.inf else "is too small for"
+                raise ElectionConfigError(
+                    f"voter type {k} weight {problem} float64; use --backend exact"
+                )
+            types.append(VoterType(weight=weight, approvals=t.approvals))
+        super().__init__(Profile(types), method)
+        if not math.isfinite(self.profile.total_weight):
+            raise ElectionConfigError(
+                "total voter weight overflows float64; use --backend exact"
+            )
+
     def advance(self, loads: LoadVector, solution: Solve) -> tuple:
         """Take in a seat at ``loads``: its record, the loads and the variance after it.
 
         Only the moved types' loads change; the others keep their objects.
-        Only float runs reach this (the exact lane overrides it), so a score
-        or variance that overflowed is reported here, before it is recorded.
+        A score or variance that overflowed is reported before it is recorded.
         """
         record, moved = self._record(solution)
         values = list(loads.values)
@@ -191,15 +218,15 @@ class _ExactLane(_ShareLane):
     increase to both.  Only the winner's solve becomes fractions.
 
     A cached key stays at the ``D`` it was solved at; :meth:`exact` scales it
-    to today's ``D`` by ``(D_now // D_then) ** key_power``.  Its float key,
-    the score over ``L*D*D`` or the level over ``D``, does not depend on
-    ``D``.
+    to today's ``D`` by ``(D_now // D_then) ** key_power``, the power 2 for
+    the var-Phragmén ``method`` and 1 for the others.  Its float key, the
+    score over ``L*D*D`` or the level over ``D``, does not depend on ``D``.
     """
 
     def __init__(self, profile: Profile, method: Method):
-        super().__init__(profile)
+        super().__init__(profile, method)
         self.at = IntegerLoads(profile, LoadVector.zero(profile))
-        var = method is Method.VAR_PHRAGMEN
+        var = self.method is Method.VAR_PHRAGMEN
         self.key_power = 2 if var else 1
         self.scale = self.at.multiplier if var else 1  # L*D*D or D, at D = 1
         self.total_weight = sum(self.at.weights)
@@ -258,8 +285,8 @@ def _filter_bound(least: Rational) -> Rational:
     An exact-lane float key is one correct rounding of a positive key, so its
     relative error is at most ``2**-53``, and equal keys round to equal
     floats; the floor covers keys below the smallest normal float.  In the
-    share lane the float key is the key itself, and the bound only narrows
-    the comparison to keys near the least.
+    share and float64 lanes the float key is the key itself, and the bound
+    only narrows the comparison to keys near the least.
     """
     least = max(least, sys.float_info.min)
     return least + least / 2**50
@@ -278,20 +305,20 @@ def select_winner(
     its :class:`Solve` (``.record()`` is its seat distribution) and all the
     candidates tied at the optimum; ties resolve to the smallest name.
 
-    ``lane`` is the arithmetic :func:`run_election` chose for its backend,
-    with its solve cache: candidates it already solved at ``loads`` are not
-    re-solved.  Without a lane, every candidate is solved afresh, share by
-    share: the reference.  The contenders are the candidates whose float key
-    is within :func:`_filter_bound` of the least; only their keys are
+    ``lane`` is the lane :func:`run_election` built for its backend and
+    ``method``, with its solve cache: candidates solved at ``loads`` are not
+    re-solved.  Without one, a fresh :class:`_ShareLane` solves every
+    candidate: the reference.  The contenders are the candidates whose float
+    key is within :func:`_filter_bound` of the least; only their keys are
     compared exactly, and ties are gathered from those keys.
     """
     if method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
         raise ValueError(f"select_winner does not handle {method.value}")
     if lane is None:
-        lane = _ShareLane(profile)
+        lane = _ShareLane(profile, method)
     scored: list[tuple[Rational, Rational, CandidateId, Solve]] = []
     for name in sorted(set(eligible).intersection(profile.candidates)):
-        approx, key, sol = lane.solve(loads, name, method)
+        approx, key, sol = lane.solve(loads, name)
         scored.append((approx, key, name, sol))
     if not scored:
         raise ElectionConfigError("no eligible candidate with support")
@@ -321,29 +348,6 @@ def seat_states(profile: Profile, result: ElectionResult) -> Iterator[tuple]:
         yield rec, loads, _eligible(profile.candidates, result.mode, counts)
         loads = rec.loads_after
         counts[rec.solution.candidate] += 1
-
-
-def _float_profile(profile: Profile) -> Profile:
-    types = []
-    for k, t in enumerate(profile.types, start=1):
-        try:
-            weight = float(t.weight)
-        except OverflowError:
-            weight = math.inf
-        # a weight whose reciprocal is inf would make a level inf and a score
-        # ``0 * inf``, NaN
-        if not 0 < weight < math.inf or 1 / weight == math.inf:
-            problem = "overflows" if weight == math.inf else "is too small for"
-            raise ElectionConfigError(
-                f"voter type {k} weight {problem} float64; use --backend exact"
-            )
-        types.append(VoterType(weight=weight, approvals=t.approvals))
-    work = Profile(types)
-    if not math.isfinite(work.total_weight):
-        raise ElectionConfigError(
-            "total voter weight overflows float64; use --backend exact"
-        )
-    return work
 
 
 def _party_weights(profile: Profile) -> dict[CandidateId, Rational]:
@@ -382,7 +386,8 @@ def run_election(
     Each seat picks the winner (:func:`select_winner` or
     :func:`_highest_quotients`) and hands its solve to the lane, which
     records it and returns the loads and the variance after the seat.  The
-    backend picks the lane once per run.  Its solve cache drops every
+    backend picks the lane's class, built once per run for ``method``; the
+    lane holds the profile the run reads.  Its solve cache drops every
     candidate approved by a type the seat moved, so a seat re-solves only
     those; the results are identical, float bits included, to re-solving
     every candidate at every seat.
@@ -398,11 +403,8 @@ def run_election(
     """
     if seats < 1:
         raise ElectionConfigError(f"seats must be >= 1, got {seats}")
-    if backend is Backend.EXACT:
-        work, lane = profile, _ExactLane(profile, method)
-    else:
-        work = _float_profile(profile)
-        lane = _ShareLane(work)
+    lane = (_ExactLane if backend is Backend.EXACT else _FloatLane)(profile, method)
+    work = lane.profile
     if mode is Mode.CANDIDATE and seats > len(work.candidates):
         raise ElectionConfigError(
             f"cannot fill {seats} seats from {len(work.candidates)} candidates "

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from varphragmen import (
     monotonicity_probe,
     oracle_agreement_campaign,
     parse_profile,
+    parse_rational,
     replay_record,
     run_election,
     solver_instance_record,
@@ -26,6 +28,7 @@ from varphragmen import (
 )
 from varphragmen.analysis import closed_list_sequences
 from varphragmen.model import Mode
+from varphragmen.step import IntegerSubproblem
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +174,35 @@ def test_profile12_replay_compares_all_seats(profile12):
     assert disagreements == []
 
 
+def test_campaign_checks_the_integer_lane_the_elections_run_on(monkeypatch):
+    # an integer lane that scores one too high disagrees with both oracles at
+    # every instance, and its record shows that score; a campaign that solved
+    # on the share lane (Subproblem) instead would find every instance agreeing
+    record = IntegerSubproblem.record
+
+    def off_by_one(sub, solve):
+        sol = record(sub, solve)
+        return replace(sol, score=sol.score + 1)
+
+    monkeypatch.setattr(IntegerSubproblem, "record", off_by_one)
+    report = oracle_agreement_campaign(seed=11, trials=6)
+    assert report.instances > 0
+    assert len(report.disagreements) == report.instances
+    for rec in report.disagreements:
+        scores = [parse_rational(rec[k]["score"]) for k in ("corrected", "waterfill")]
+        assert scores[0] == scores[1] + 1
+        assert replay_record(rec)["matches_recorded"]
+
+
 # ---------------------------------------------------------------------------
 # serialization and replay
 
 def test_solver_instance_record_replays(profile12, loads12_after_seat2):
     record = solver_instance_record(
-        profile12, loads12_after_seat2, "a2", mode=Mode.CANDIDATE, seat=3
+        profile12, loads12_after_seat2, "a2", mode=Mode.CANDIDATE
     )
     json.dumps(record)  # must be a plain JSON document
+    assert record["seat"] == 3
     assert record["corrected"]["x"] == ["1/9", "0", "0"]
     assert record["corrected"] == record["waterfill"] == record["subset"]
     replayed = replay_record(record)
@@ -191,7 +215,8 @@ def test_solver_instance_record_replays_loads_past_the_int_digit_limit():
     profile = Profile([VoterType(tiny, ("a", "b")), VoterType(F(1), ("b",))])
     result = run_election(profile, Method.VAR_PHRAGMEN, 1, mode=Mode.PARTY)
     loads = result.records[0].loads_after
-    record = solver_instance_record(profile, loads, "a", mode=Mode.PARTY, seat=2)
+    record = solver_instance_record(profile, loads, "a", mode=Mode.PARTY)
+    assert record["seat"] == 2
     assert min(len(cell) for cell in record["loads"]) > 10_000
     assert replay_record(record)["matches_recorded"]
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -144,6 +145,21 @@ def test_elect_stdin(capsys, monkeypatch):
     )
     assert code == 0
     assert "a1" in out
+
+
+def test_a_byte_order_mark_reads_as_the_plain_profile(capsys, monkeypatch, tmp_path):
+    # some Windows editors start a UTF-8 file with U+FEFF; the README's
+    # profile.txt saved that way prints what the plain file prints
+    text = readme_examples()[0]["profile.txt"]
+    plain, marked = tmp_path / "profile.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    argv = ("elect", "--method", "var-phragmen", "--seats", "3", "--trace")
+    expected = run_cli(capsys, *argv, str(plain))
+    assert expected[0] == 0 and expected[1]
+    assert run_cli(capsys, *argv, str(marked)) == expected
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+    assert run_cli(capsys, *argv, "-") == expected
 
 
 def test_elect_decimals_flag(capsys, p12_path):

@@ -136,7 +136,7 @@ def test_variance_rejects_inconsistent_loads(profile12):
     with pytest.raises(ValueError, match="inconsistent"):
         variance(profile12, bad)
     # float loads are checked with a tolerance; a mass of 0.9 misses it
-    floats = engine._float_profile(profile12)
+    floats = engine._FloatLane(profile12, Method.VAR_PHRAGMEN).profile
     with pytest.raises(ValueError, match="inconsistent"):
         variance(floats, LoadVector(values=(0.1, 0.0, 0.0), seats_assigned=1))
 
@@ -320,7 +320,7 @@ def test_cached_election_matches_per_seat_reference():
         seats = min(8, len(profile.candidates)) if mode is Mode.CANDIDATE else 8
         result = run_election(profile, method, seats, mode=mode, backend=backend)
         exact = backend is Backend.EXACT
-        work = profile if exact else engine._float_profile(profile)
+        work = profile if exact else engine._FloatLane(profile, method).profile
         for rec, loads, eligible in engine.seat_states(work, result):
             # no cache: every eligible candidate solved afresh
             winner, solution, tied = select_winner(work, loads, eligible, method)
