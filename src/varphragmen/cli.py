@@ -126,6 +126,8 @@ def _csv_dump(rows: list[list[str]]) -> str:
 
 
 def cmd_elect(args: argparse.Namespace) -> int:
+    if args.format == "json" and args.show_uncorrected:
+        raise ValueError("--show-uncorrected applies to table and csv output, not --format json")
     profile = parse_profile(_read_profile(args.profile))
     result = run_election(
         profile,
@@ -250,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     elect.add_argument(
         "--show-uncorrected",
         action="store_true",
-        help="trace the raw shares before negativity correction (implies --trace)",
+        help="trace the raw shares before negativity correction (implies --trace; "
+        "table and csv output only)",
     )
     elect.set_defaults(func=cmd_elect)
 

@@ -13,7 +13,7 @@ Elections are independent of each other and may run in parallel; a run only
 ever builds fresh immutable load vectors, and its lane (arithmetic and solve
 cache) is its own.  The share lane is the uncached reference.  The exact lane
 solves on integers, loads as numerators over one run-wide denominator, and
-compares exactly only the keys that a float filter leaves near the least; the
+compares exactly only the keys whose float equals the least float key; the
 float64 lane solves share by share.  All three solve to a light ``Solve``;
 only each seat's winner is recorded.
 """
@@ -21,7 +21,6 @@ only each seat's winner is recorded.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
@@ -99,8 +98,8 @@ class _ShareLane:
     """Share-by-share arithmetic for ``method``: the uncached reference.
 
     Subproblems are plain :class:`Subproblem` instances, which compute each
-    ``u*r`` afresh and score share by share.  The backends' lanes,
-    :class:`_FloatLane` and :class:`_ExactLane`, add the seat step ``advance``.
+    ``u*r`` afresh and score their active set share by share.  The backends'
+    lanes, :class:`_FloatLane` and :class:`_ExactLane`, add ``advance``.
 
     ``solved`` is the lane's solve cache: each candidate's ``(float key, key,
     solve)`` at the current loads, filled by :meth:`solve`, evicted by
@@ -149,9 +148,10 @@ class _ShareLane:
         return entry
 
     def _record(self, solution: Solve) -> tuple[StepSolution, list[int]]:
-        """The seat's record and the types it moved, whose candidates are evicted."""
+        """The seat's record and the types it moved (active, below the
+        level), whose candidates are evicted."""
         record = solution.record()
-        moved = [k for k, _, _ in solution.active if record.x[k]]
+        moved = [k for k, _, r in solution.active if r != solution.level]
         for k in moved:
             for name in self.profile.types[k].approvals:
                 self.solved.pop(name, None)
@@ -279,19 +279,6 @@ class _ExactLane(_ShareLane):
         return record, LoadVector(tuple(values), n), after
 
 
-def _filter_bound(least: Rational) -> Rational:
-    """The largest float key within rounding of the least float key ``least``.
-
-    An exact-lane float key is one correct rounding of a positive key, so its
-    relative error is at most ``2**-53``, and equal keys round to equal
-    floats; the floor covers keys below the smallest normal float.  In the
-    share and float64 lanes the float key is the key itself, and the bound
-    only narrows the comparison to keys near the least.
-    """
-    least = max(least, sys.float_info.min)
-    return least + least / 2**50
-
-
 def select_winner(
     profile: Profile,
     loads: LoadVector,
@@ -309,8 +296,10 @@ def select_winner(
     ``method``, with its solve cache: candidates solved at ``loads`` are not
     re-solved.  Without one, a fresh :class:`_ShareLane` solves every
     candidate: the reference.  The contenders are the candidates whose float
-    key is within :func:`_filter_bound` of the least; only their keys are
-    compared exactly, and ties are gathered from those keys.
+    key equals the least float key; only their keys are compared exactly,
+    and ties are gathered from those keys.  An exact-lane float key is one
+    correctly rounded division, which is monotone, so the least key and its
+    ties all round to the least float; elsewhere the float key is the key.
     """
     if method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
         raise ValueError(f"select_winner does not handle {method.value}")
@@ -322,11 +311,11 @@ def select_winner(
         scored.append((approx, key, name, sol))
     if not scored:
         raise ElectionConfigError("no eligible candidate with support")
-    bound = _filter_bound(min([approx for approx, _, _, _ in scored]))
+    least = min([approx for approx, _, _, _ in scored])
     contenders = [
         (lane.exact(key, sol), name, sol)
         for approx, key, name, sol in scored
-        if approx <= bound
+        if approx == least
     ]
     # in name order, so the first of the least keys has the smallest name
     best_key, winner, solution = min(contenders, key=itemgetter(0))

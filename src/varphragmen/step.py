@@ -16,17 +16,15 @@ on the remaining supporters until all shares are feasible.
 
 The subproblem's class is the arithmetic lane.  Every subproblem sums its
 own supporters in one pass over the profile's supporter index (the profile
-stores only who approves whom): ``supporter_weight`` and ``sums``,
-``(sum(u*r), sum(u*r*r), max r)``, for the solver's first round; it carries
-the ``unit`` of load a seat adds.  The level and active-set loop is the same
-in both lanes:
+stores only who approves whom): ``supporter_weight``, ``carried =
+sum(u*r)`` and ``top = max r`` for the solver's first round; it carries the
+``unit`` of load a seat adds.  The level and active-set loop is the same in
+both lanes:
 
-* :class:`Subproblem` keeps no ``sum(u*r*r)`` and reports no bound on its
-  loads (``math.inf``), so the solver scans every round; it scores share by
-  share with :func:`_score`.  The float64 lane elects with it, so float bits
-  stay those of the share-by-share sum, and it is the reference everywhere
-  else: the two oracles always score through :func:`_score`, and so does
-  the engine's uncached verifier.
+* :class:`Subproblem` scores share by share, ``u*(2*r*x + x*x)`` over the
+  active set in supporter order.  The float64 lane elects with it, and it
+  is the reference everywhere else, the two oracles included.
+  :func:`_score` is that sum over a dense share vector, for recorded shares.
 * :class:`IntegerSubproblem`, the exact lane, works on integers: weights
   ``U = u*L`` over the lcm ``L`` of their denominators, loads ``N`` over one
   denominator ``D`` (:class:`IntegerLoads`), and a seat adds ``L*D``.  With
@@ -63,7 +61,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .model import (
     CandidateId,
@@ -79,18 +77,16 @@ class Subproblem:
     """A candidate's seat-distribution subproblem at the current loads.
 
     One pass over the profile's supporter index builds the ``(type index,
-    weight, load)`` entries and sums ``supporter_weight`` and ``sum(u*r)``
-    left to right, in :func:`left_sum`'s order and float bits.  Every
-    candidate of a profile has at least one supporter; a name outside the
-    profile raises ``UnknownCandidateError`` from :meth:`Profile.supporters`.
-
-    ``sums`` is ``(sum(u*r), None, math.inf)`` for the first round of
-    :func:`corrected_solution`: this share-by-share lane (see the module
-    docstring) keeps no ``sum(u*r*r)`` and no bound on its loads.  A seat
+    weight, load)`` entries, sums ``supporter_weight`` and ``carried =
+    sum(u*r)`` left to right, in :func:`left_sum`'s order and float bits, and
+    finds ``top``, the first highest load.  Every candidate of a profile has
+    at least one supporter; a name outside the profile raises
+    ``UnknownCandidateError`` from :meth:`Profile.supporters`.  A seat
     carries ``unit`` of load, 1 in this lane.
     """
 
-    __slots__ = ("profile", "candidate", "supporters", "supporter_weight", "entries", "sums")
+    __slots__ = ("profile", "candidate", "supporters", "supporter_weight", "entries", "carried",
+                 "top")
 
     unit = 1
 
@@ -104,14 +100,16 @@ class Subproblem:
         types, values = profile.types, loads.values
         entries = []
         carried = weight = 0
+        top = values[supporters[0]]
         for k in supporters:
             u, r = types[k].weight, values[k]
             entries.append((k, u, r))
             carried += u * r
             weight += u
+            if r > top:
+                top = r
         self.entries = tuple(entries)
-        self.supporter_weight = weight
-        self.sums = carried, None, math.inf
+        self.supporter_weight, self.carried, self.top = weight, carried, top
 
     def solution(
         self,
@@ -121,11 +119,12 @@ class Subproblem:
         clamp_rounds: tuple[frozenset[int], ...] = (),
         corrected: bool = False,
     ) -> Solve:
-        """Move ``active`` to ``level``; score share by share (``carried`` is the exact lane's)."""
-        x: dict[int, Rational] = dict.fromkeys(self.supporters, 0)
-        for k, _, r in active:
-            x[k] = level - r if r else level
-        score = _score(self, x)
+        """Move ``active`` to ``level``; score its shares one by one, in
+        supporter order (``carried`` is the exact lane's)."""
+        score: Rational = 0
+        for _, u, r in active:
+            x = level - r if r else level
+            score += u * (2 * r * x + x * x)
         return Solve(self.candidate, level, score, corrected, clamp_rounds, active, self)
 
     def record(self, solve: Solve) -> StepSolution:
@@ -155,12 +154,14 @@ class IntegerLoads:
 
 class IntegerSubproblem:
     """The exact lane's subproblem (see the module docstring) at the current
-    denominator ``D`` of :class:`IntegerLoads`, which it keeps; its ``sums``
-    are ``(sum(U*N), sum(U*N*N), max N)``, zero loads skipped.  ``unit =
-    L*D`` is a ``Fraction`` so that :func:`corrected_solution`'s level is
-    the exact ``A/W``, ``D`` times the common level."""
+    denominator ``D`` of :class:`IntegerLoads`, which it keeps: ``carried =
+    sum(U*N)``, ``squares = sum(U*N*N)`` and ``top = max N``, zero loads
+    skipped.  ``unit = L*D`` is a ``Fraction`` so that the level of
+    :func:`corrected_solution` is the exact ``A/W``, ``D`` times the common
+    level."""
 
-    __slots__ = ("candidate", "entries", "supporter_weight", "sums", "unit", "denominator", "at")
+    __slots__ = ("candidate", "entries", "supporter_weight", "carried", "squares", "top", "unit",
+                 "denominator", "at")
 
     def __init__(self, at: IntegerLoads, candidate: CandidateId):
         weights, numerators = at.weights, at.numerators
@@ -178,8 +179,7 @@ class IntegerSubproblem:
         self.at = at
         self.candidate = candidate
         self.entries = tuple(entries)
-        self.supporter_weight = weight
-        self.sums = carried, squares, top
+        self.supporter_weight, self.carried, self.squares, self.top = weight, carried, squares, top
         self.denominator = at.denominator
         self.unit = Fraction(at.multiplier * at.denominator)
 
@@ -193,7 +193,7 @@ class IntegerSubproblem:
     ) -> Solve:
         """Move ``active`` to ``level``; score ``level*A - sum(U*N*N)`` over it."""
         if not clamp_rounds:  # the first round: ``active`` is every supporter
-            squares = self.sums[1]
+            squares = self.squares
         else:
             squares = sum(u * (n * n) for _, u, n in active)
         score = level * (carried + self.unit) - squares
@@ -238,7 +238,7 @@ def unconstrained_level(sub: Subproblem) -> Rational:
     is also the winning score of the max-load sequential method, which moves
     every supporter to exactly this level.
     """
-    return (sub.sums[0] + 1) / sub.supporter_weight
+    return (sub.carried + 1) / sub.supporter_weight
 
 
 def unconstrained_solution(sub: Subproblem) -> Solve:
@@ -248,13 +248,14 @@ def unconstrained_solution(sub: Subproblem) -> Solve:
     :func:`unconstrained_level`; no constraint is enforced, so ``corrected``
     is false.
     """
-    return sub.solution(unconstrained_level(sub), sub.sums[0], sub.entries)
+    return sub.solution(unconstrained_level(sub), sub.carried, sub.entries)
 
 
-def _score(sub: Subproblem, x: Mapping[int, Rational] | Sequence[Rational]) -> Rational:
-    """Objective ``sum(u*(2*r*x + x*x))`` of the shares ``x``, share by share.
+def _score(sub: Subproblem, x: Sequence[Rational]) -> Rational:
+    """Objective ``sum(u*(2*r*x + x*x))`` of the dense shares ``x``, share by share.
 
-    The reference score: independent of the level and of any cached product.
+    The reference score of recorded shares: independent of the level, the
+    active set and any cached product.
     """
     return left_sum(u * (2 * r * x[k] + x[k] * x[k]) for k, u, r in sub.entries)
 
@@ -268,18 +269,16 @@ def corrected_solution(sub: Subproblem | IntegerSubproblem) -> Solve:
     because each round strictly shrinks the active set and the minimum-load
     supporter always keeps a positive share.
 
-    The first round reads its carried load and highest load from
-    ``sub.sums`` and scans the supporters only if that load exceeds the level
-    (the share-by-share lane's ``math.inf`` always does).  After a clamp,
-    ``sum(u*r)`` and ``sum(u)`` are re-summed over the active entries, and
-    every later round scans: the highest load exceeds the lowered level.
-    The subproblem's lane scores the :class:`Solve`: in closed form on
-    integers (:class:`IntegerSubproblem`) or share by share with the
-    reference :func:`_score` (:class:`Subproblem`).
+    The first round reads ``sub.carried`` and scans the supporters only if
+    ``sub.top`` exceeds the level.  After a clamp, ``sum(u*r)`` and ``sum(u)``
+    are re-summed over the active entries, and every later round scans:
+    ``top`` exceeds the lowered level.  The subproblem's lane scores the
+    :class:`Solve`, in closed form (:class:`IntegerSubproblem`) or share by
+    share (:class:`Subproblem`).
     """
     active: Sequence[tuple[int, Rational, Rational]] = sub.entries
     weight = sub.supporter_weight
-    carried, _, top = sub.sums
+    carried, top = sub.carried, sub.top
     rounds: list[frozenset[int]] = []
     while True:
         level = (carried + sub.unit) / weight

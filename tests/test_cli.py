@@ -233,6 +233,16 @@ def test_elect_exit_codes(capsys, p12_path, tmp_path):
     assert code == 2
     assert "not an integer: 'x'" in err
 
+    # JSON carries no uncorrected shares: a usage error, not a silent drop
+    code, out, err = run_cli(
+        capsys, "elect", "--method", "var-phragmen", "--seats", "3",
+        "--format", "json", "--show-uncorrected", p12_path,
+    )
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    assert "--show-uncorrected" in line and "--format json" in line
+
     code, _, err = run_cli(
         capsys, "probe", "--party", "a1", "--seats", "1", "--delta", "abc", p12_path
     )

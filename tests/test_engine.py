@@ -493,8 +493,8 @@ def test_exact_lane_never_scores_share_by_share(monkeypatch, method, mode):
 
 def test_exact_lane_numerators_and_subproblem_sums_match_a_fresh_scan(monkeypatch):
     # after every seat, the numerators over D are the loads; and every
-    # subproblem the lane builds has sums that, over (L*D, L*D*D, D), are a
-    # fresh scan of the fraction loads it was built at
+    # subproblem the lane builds has carried, squares and top that, over
+    # (L*D, L*D*D, D), are a fresh scan of the fraction loads it was built at
     seen, built = [], []
     advance, subproblem = engine._ExactLane.advance, engine._ExactLane.subproblem
 
@@ -508,7 +508,8 @@ def test_exact_lane_numerators_and_subproblem_sums_match_a_fresh_scan(monkeypatc
         sub = subproblem(lane, loads, name)
         unit = sub.at.multiplier * sub.denominator
         scales = (unit, unit * sub.denominator, sub.denominator)
-        built.append((loads, name, tuple(F(v, s) for v, s in zip(sub.sums, scales))))
+        sums = (sub.carried, sub.squares, sub.top)
+        built.append((loads, name, tuple(F(v, s) for v, s in zip(sums, scales))))
         return sub
 
     monkeypatch.setattr(engine._ExactLane, "advance", recording)

@@ -322,12 +322,17 @@ def test_supporter_weights_sum_identity(profile, data):
             scan = [k for k, t in enumerate(prof.types) if name in t.approvals]
             assert list(indices) == sorted(indices) == scan
             # the subproblem adds strictly left to right, as on every Python
-            # version: float64 bits included
+            # version: float64 bits included; its top is the first highest load
             weight = carried = 0
+            top = values[indices[0]]
             for k in indices:
                 weight = weight + prof.types[k].weight
                 carried = carried + prof.types[k].weight * values[k]
+                if values[k] > top:
+                    top = values[k]
             sub = Subproblem(prof, loads, name)
-            for got, expected in ((sub.supporter_weight, weight), (sub.sums[0], carried)):
+            for got, expected in (
+                (sub.supporter_weight, weight), (sub.carried, carried), (sub.top, top)
+            ):
                 assert type(got) is type(expected)
                 assert repr(got) == repr(expected)

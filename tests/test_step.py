@@ -362,16 +362,16 @@ def skewed_subproblems(rng, profiles):
 
 
 def integer_subproblem(sub):
-    """The exact lane's subproblem at ``sub``'s loads, whose ``(sum(U*N),
-    sum(U*N*N), max N)`` must be a fraction scan of ``(sum(u*r), sum(u*r*r),
-    max r)`` times ``(L*D, L*D*D, D)``."""
+    """The exact lane's subproblem at ``sub``'s loads, whose ``carried``,
+    ``squares`` and ``top`` must be a fraction scan of ``(sum(u*r),
+    sum(u*r*r), max r)`` times ``(L*D, L*D*D, D)``."""
     values = [0] * len(sub.profile.types)
     for k, _, r in sub.entries:
         values[k] = r
     at = IntegerLoads(sub.profile, LoadVector(tuple(values), 0))
     exact = IntegerSubproblem(at, sub.candidate)
     unit = at.multiplier * at.denominator
-    assert exact.sums == (
+    assert (exact.carried, exact.squares, exact.top) == (
         sum(u * r for _, u, r in sub.entries) * unit,
         sum(u * r * r for _, u, r in sub.entries) * unit * at.denominator,
         max(r for _, _, r in sub.entries) * at.denominator,
