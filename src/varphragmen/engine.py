@@ -12,9 +12,10 @@ record.
 Elections are independent of each other and may run in parallel; a run only
 ever builds fresh immutable load vectors, and its lane (arithmetic and solve
 cache) is its own.  The share lane is the uncached reference.  The exact lane
-solves on integers, loads as numerators over one run-wide denominator, and
-compares exactly only the keys whose float equals the least float key; the
-float64 lane solves share by share.  All three solve to a light ``Solve``;
+solves on integers, loads as numerators over one run-wide denominator,
+re-solves no candidate whose last float key lies above the least fresh one,
+and compares exactly only the keys whose float equals the least float key;
+the float64 lane solves share by share.  All three solve to a light ``Solve``;
 only each seat's winner is recorded.
 """
 
@@ -103,8 +104,14 @@ class _ShareLane:
 
     ``solved`` is the lane's solve cache: each candidate's ``(float key, key,
     solve)`` at the current loads, filled by :meth:`solve`, evicted by
-    :meth:`_record`.  Here the float key is the key itself.
+    :meth:`_record`.  Here the float key is the key itself.  This lane and
+    the float64 lane keep no ``bounds``, so :func:`select_winner` solves
+    every eligible candidate on them.
     """
+
+    #: Each candidate's last float key, which its fresh key never undercuts
+    #: (:class:`_ExactLane`); ``None`` here: no key is skipped.
+    bounds: dict[CandidateId, float] | None = None
 
     def __init__(self, profile: Profile, method: Method):
         self.profile = profile
@@ -221,6 +228,13 @@ class _ExactLane(_ShareLane):
     to today's ``D`` by ``(D_now // D_then) ** key_power``, the power 2 for
     the var-Phragmén ``method`` and 1 for the others.  Its float key, the
     score over ``L*D*D`` or the level over ``D``, does not depend on ``D``.
+
+    ``bounds`` holds each candidate's last float key, minus infinity until
+    its first solve; :meth:`solve` sets it and eviction leaves it.  It is a
+    lower bound on the candidate's fresh float key: the seat's feasible
+    shares do not depend on the loads, the score and the level never fall
+    as a load rises, loads only rise, and the float key is one correctly
+    rounded, hence monotone, division.
     """
 
     def __init__(self, profile: Profile, method: Method):
@@ -231,6 +245,14 @@ class _ExactLane(_ShareLane):
         self.scale = self.at.multiplier if var else 1  # L*D*D or D, at D = 1
         self.total_weight = sum(self.at.weights)
         self.mass = self.squares = 0
+        self.bounds = dict.fromkeys(profile.candidates, -math.inf)
+
+    def solve(
+        self, loads: LoadVector, name: CandidateId
+    ) -> tuple[float, Fraction, Solve]:
+        entry = super().solve(loads, name)
+        self.bounds[name] = entry[0]
+        return entry
 
     def approximate(self, key: Fraction) -> float:
         """The absolute key, by one correctly rounded ``int`` division."""
@@ -297,27 +319,44 @@ def select_winner(
     re-solved.  Without one, a fresh :class:`_ShareLane` solves every
     candidate: the reference.  The contenders are the candidates whose float
     key equals the least float key; only their keys are compared exactly,
-    and ties are gathered from those keys.  An exact-lane float key is one
-    correctly rounded division, which is monotone, so the least key and its
-    ties all round to the least float; elsewhere the float key is the key.
+    in name order, and ties are gathered from those keys.  An exact-lane
+    float key is one correctly rounded division, which is monotone, so the
+    least key and its ties all round to the least float; elsewhere the float
+    key is the key.
+
+    A lane with ``bounds`` (the exact lane) is visited in ``(bound, name)``
+    order and solved until a bound lies strictly above the least fresh float
+    key found so far.  That candidate and every later one are skipped
+    unsolved: a fresh key is never below its bound, so none can contend.  A
+    bound equal to the least key is solved, as it may tie.  Without bounds
+    every candidate is solved, in name order.
     """
     if method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
         raise ValueError(f"select_winner does not handle {method.value}")
     if lane is None:
         lane = _ShareLane(profile, method)
-    scored: list[tuple[Rational, Rational, CandidateId, Solve]] = []
-    for name in sorted(set(eligible).intersection(profile.candidates)):
-        approx, key, sol = lane.solve(loads, name)
-        scored.append((approx, key, name, sol))
-    if not scored:
+    names = sorted(set(eligible).intersection(profile.candidates))
+    if not names:
         raise ElectionConfigError("no eligible candidate with support")
-    least = min([approx for approx, _, _, _ in scored])
+    bounds = lane.bounds
+    if bounds is not None:
+        names.sort(key=bounds.__getitem__)  # stable: (bound, name) order
+    scored: list[tuple[Rational, Rational, CandidateId, Solve]] = []
+    least = math.inf
+    for name in names:
+        if bounds is not None and bounds[name] > least:
+            break  # this fresh key and every later one are above ``least``
+        approx, key, sol = lane.solve(loads, name)
+        if not scored or approx < least:  # min()'s fold, which keeps a first NaN
+            least = approx
+        scored.append((approx, key, name, sol))
     contenders = [
         (lane.exact(key, sol), name, sol)
         for approx, key, name, sol in scored
         if approx == least
     ]
     # in name order, so the first of the least keys has the smallest name
+    contenders.sort(key=itemgetter(1))
     best_key, winner, solution = min(contenders, key=itemgetter(0))
     tied = [name for key, name, _ in contenders if key == best_key]
     return winner, solution, tied
@@ -378,8 +417,10 @@ def run_election(
     backend picks the lane's class, built once per run for ``method``; the
     lane holds the profile the run reads.  Its solve cache drops every
     candidate approved by a type the seat moved, so a seat re-solves only
-    those; the results are identical, float bits included, to re-solving
-    every candidate at every seat.
+    those; the exact lane re-solves, of those, only the candidates whose
+    last float key, a lower bound, does not rule them out.  The results are
+    identical, float bits included, to re-solving every candidate at every
+    seat.
 
     Both methods elect through :func:`corrected_solution`; a seq-Phragmén
     solve that clamps is an error.  The exact lane solves on integer loads

@@ -365,54 +365,67 @@ def test_seat_states_match_the_seat_loop(monkeypatch):
         assert repr(walked) == repr(handed)
 
 
-@pytest.mark.parametrize("mode", [Mode.CANDIDATE, Mode.PARTY])
-def test_rescoring_touches_only_changed_types(monkeypatch, mode):
-    profile = sparse_profile(random.Random(5))
-    seats = 12
-    solved = []
+def solves_per_seat(monkeypatch) -> list[list[str]]:
+    """The candidates each seat of a run solves, in solve order, one list a seat."""
+    per_seat: list[list[str]] = []
+
+    def seat(*args):
+        per_seat.append([])
+        return select_winner(*args)
 
     def counting(sub):
-        solved.append(sub.candidate)
+        per_seat[-1].append(sub.candidate)
         return corrected_solution(sub)
 
+    monkeypatch.setattr(engine, "select_winner", seat)
     monkeypatch.setattr(engine, "corrected_solution", counting)
+    return per_seat
+
+
+@pytest.mark.parametrize("mode", [Mode.CANDIDATE, Mode.PARTY])
+def test_rescoring_touches_only_changed_types(monkeypatch, mode):
+    # seat 1 solves every eligible candidate once; a later seat solves only
+    # candidates approved by a type that some seat moved since their last
+    # solve, and of those only the ones their bounds do not rule out; the
+    # eager count has each seat re-solve every candidate the previous seat
+    # moved
+    profile = sparse_profile(random.Random(5))
+    seats = 12
+    solved = solves_per_seat(monkeypatch)
     result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
-    expected = 0
-    previous = None
-    for rec, _, eligible in engine.seat_states(profile, result):
-        if previous is None:
-            expected += len(eligible)
-        else:
-            moved = {
-                name
-                for k, share in enumerate(previous.x)
-                if share > 0
-                for name in profile.types[k].approvals
-            }
-            expected += len(moved.intersection(eligible))
-        previous = rec.solution
-    assert len(solved) == expected
-    assert len(solved) < len(profile.candidates) * seats
+    assert len(solved) == seats
+    stale = moved = set(profile.candidates)  # none is solved before seat 1
+    eager = 0
+    for names, (rec, _, eligible) in zip(solved, engine.seat_states(profile, result)):
+        assert len(set(names)) == len(names)
+        assert set(names) <= stale.intersection(eligible)
+        if rec.seat_index == 1:
+            assert sorted(names) == sorted(eligible)
+        eager += len(moved.intersection(eligible))
+        moved = {
+            name
+            for k, share in enumerate(rec.solution.x)
+            if share > 0
+            for name in profile.types[k].approvals
+        }
+        stale = stale.difference(names) | moved
+    assert sum(map(len, solved)) < eager < len(profile.candidates) * seats
 
 
 def test_a_supporter_at_the_level_keeps_its_candidates_cached(monkeypatch):
     # at seat 4, c's supporter type 2 already sits at the level 4/15: it stays
     # active with a zero share and moves nothing, so a, approved by types 0
-    # and 2 only, keeps its solve for seat 5
-    solved = []
-
-    def counting(sub):
-        solved.append(sub.candidate)
-        return corrected_solution(sub)
-
-    monkeypatch.setattr(engine, "corrected_solution", counting)
+    # and 2 only, keeps its solve for seat 5; within a seat the solve order
+    # follows the bounds, so the seats are compared as sets
+    solved = solves_per_seat(monkeypatch)
     profile = parse_profile("3 : a\n4 : c\n2 : a, c\n6 : c\n")
     result = run_election(profile, Method.VAR_PHRAGMEN, 5, mode=Mode.PARTY)
     seat4 = result.records[3]
     assert seat4.solution.candidate == "c"
     assert seat4.solution.x[2] == 0
     assert result.records[2].loads_after.values[2] == seat4.solution.level
-    assert solved == ["a", "c"] * 4 + ["c"]
+    assert list(map(len, solved)) == [2] * 4 + [1]
+    assert list(map(set, solved)) == [{"a", "c"}] * 4 + [{"c"}]
 
 
 def test_exact_lane_metamorphic_relations():
@@ -538,18 +551,30 @@ def test_exact_lane_numerators_and_subproblem_sums_match_a_fresh_scan(monkeypatc
             )
 
 
+def near_tie_profile(rng, n_types=10, n_candidates=6):
+    """Weights 1-4 over four approval sets, repeated: many candidates share a key."""
+    pool = [f"c{i}" for i in range(n_candidates)]
+    sets = [tuple(rng.sample(pool, rng.randint(1, 3))) for _ in range(4)]
+    return Profile(
+        VoterType(F(rng.randint(1, 4)), rng.choice(sets)) for _ in range(n_types)
+    )
+
+
 def test_exact_lane_matches_the_uncached_reference_seat_by_seat():
     """Exact runs against :func:`select_winner` without a lane, seat by seat.
 
     The reference solves every eligible candidate afresh, share by share, at
     the recorded loads; the exact lane decides on integers with cached,
-    rescaled keys.  Both methods and modes, with knife-edge ties: at
-    alpha = 1/2 the two parties tie at every other seat.
+    rescaled keys, and skips the candidates whose stale bounds rule them
+    out.  Both methods and modes, with knife-edge ties: at alpha = 1/2 the
+    two parties tie at every other seat, and the near-tie profiles put
+    several candidates, stale or fresh, at one key.
     """
     rng = random.Random(7)
     profiles = [random_profile(rng) for _ in range(25)]
     profiles += [sparse_profile(rng, n_types=30, n_candidates=12) for _ in range(2)]
     profiles.append(TwoPartyFamily(alpha=F(1, 2), zeta=F(376, 1000)).profile())
+    profiles += [near_tie_profile(rng) for _ in range(20)]
     ties = 0
     for profile, method, mode in product(
         profiles, (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN), Mode
@@ -564,6 +589,31 @@ def test_exact_lane_matches_the_uncached_reference_seat_by_seat():
             assert rec.variance_after == variance(profile, rec.loads_after)
             ties += len(tied) > 1
     assert ties >= 4
+
+
+@pytest.mark.parametrize("method", [Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN])
+def test_a_stale_bound_at_the_least_key_is_solved_and_can_win(method):
+    """A stale bound equal to the least fresh float key is solved, not skipped.
+
+    A bound stands for any float at or below the candidate's fresh key, so
+    the lane's bounds are set by hand at zero loads, where a's and b's keys
+    are 1/2 and c's is 1.  b has none (minus infinity), so it is visited
+    first and sets the least key.  a, the smaller name, is visited after it,
+    at a bound equal to that key: it must be solved, tie b and win.  c's
+    bound is above the least key, so c is skipped.
+    """
+    profile = parse_profile("2 : a\n2 : b\n1 : c\n")
+    loads = LoadVector.zero(profile)
+    lane = engine._ExactLane(profile, method)
+    lane.bounds.update(a=0.5, c=1.0)
+    eligible = profile.candidates
+    winner, solution, tied = select_winner(profile, loads, eligible, method, lane)
+    assert (winner, tied) == ("a", ["a", "b"])
+    assert sorted(lane.solved) == ["a", "b"]
+    assert lane.bounds == {"a": 0.5, "b": 0.5, "c": 1.0}
+    reference, ref_solution, ref_tied = select_winner(profile, loads, eligible, method)
+    assert (reference, ref_tied) == (winner, tied)
+    assert repr(ref_solution.record()) == repr(solution.record())
 
 
 def test_first_round_clamps_match_the_uncached_reference(monkeypatch):
