@@ -90,9 +90,14 @@ def left_sum(values: Iterable[Rational]) -> Rational:
 
 
 def _ratio(token: str) -> Fraction:
-    """The value of a ``p`` or ``p/q`` token of any length, by :func:`_str_int`."""
+    """The value of a ``p`` or ``p/q`` token of any length, by :func:`_str_int`.
+
+    A ``p`` token is already in lowest terms, so it is built without a gcd.
+    """
     num, _, den = token.partition("/")
-    return Fraction(_str_int(num), _str_int(den) if den else 1)
+    if not den:
+        return Fraction(_str_int(num))
+    return Fraction(_str_int(num), _str_int(den))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -217,6 +222,11 @@ def parse_profile(text: str) -> Profile:
     Format: one voter type per line, ``W : name, name, ...`` with ``W`` an
     integer or ``p/q``; names may be separated by commas and/or whitespace;
     ``#`` starts a comment; blank lines are ignored.
+
+    Whitespace is what ``str.isspace`` says it is, which is exactly what
+    ``\\s`` matches in a ``str`` regex, so the names are split with
+    ``str.split`` once every comma is a space.  The names themselves are
+    :class:`VoterType`'s to check.
     """
     types: list[VoterType] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -234,7 +244,7 @@ def parse_profile(text: str) -> Profile:
             raise ProfileParseError(
                 f"weight must be an integer or p/q, got {weight_token!r}", line_no
             )
-        names = tuple(tok for tok in re.split(r"[,\s]+", tail.strip()) if tok)
+        names = tuple(tail.replace(",", " ").split())
         try:
             types.append(VoterType(_ratio(weight_token), names))
         except ZeroDivisionError:

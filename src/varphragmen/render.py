@@ -8,6 +8,7 @@ used throughout the trace tables).
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_not
@@ -62,10 +63,12 @@ def write_json(stream: TextIO, value: object, indent: str = "") -> None:
     """Write ``json.dumps(value, indent=2)`` to ``stream``, in chunks.
 
     Before Python 3.13, ``json`` encodes indented output in pure Python.
-    Here strings go through the C string encoder, a list of strings goes out
-    in one join, and every other scalar through ``json.dumps``.  Dict keys
-    must be strings.  ``indent`` is the indentation of the line ``value``
-    starts on.
+    Here strings go through the C string encoder and every other scalar
+    through ``json.dumps``.  A list of strings goes out in one piece: when
+    its joined text holds only characters that encoder leaves as they are
+    (printable ASCII other than ``"`` and ``\\``), one more join places the
+    quotes; otherwise each string is encoded.  Dict keys must be strings.
+    ``indent`` is the indentation of the line ``value`` starts on.
     """
     write = stream.write
     inner = indent + "  "
@@ -80,7 +83,7 @@ def write_json(stream: TextIO, value: object, indent: str = "") -> None:
         write(f"\n{indent}}}")
     elif isinstance(value, (list, tuple)) and value:
         try:
-            cells = f",\n{inner}".join(map(encode_basestring_ascii, value))
+            text = "".join(value)
         except TypeError:  # an item that is not a string
             separator = "[\n"
             for item in value:
@@ -89,9 +92,32 @@ def write_json(stream: TextIO, value: object, indent: str = "") -> None:
                 separator = ",\n"
             write(f"\n{indent}]")
         else:
+            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+                cells = '"' + f'",\n{inner}"'.join(value) + '"'
+            else:
+                cells = f",\n{inner}".join(map(encode_basestring_ascii, value))
             write(f"[\n{inner}{cells}\n{indent}]")
     else:
         write(json.dumps(value))
+
+
+class _RecordDigits(dict):
+    """The decimal digits of the integers one record renders, each converted once.
+
+    One memo serves one record: kept for a whole long exact run, it would
+    hold thousands of strings of over a thousand digits each.
+    """
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = _int_str(n)
+        return text
+
+    def rational_str(self, value: Rational) -> str:
+        """:func:`rational_str` of ``value``, its integers read from the memo."""
+        if type(value) is not Fraction:
+            return rational_str(value)
+        num, den = value.as_integer_ratio()
+        return self[num] if den == 1 else f"{self[num]}/{self[den]}"
 
 
 def election_json(
@@ -114,16 +140,22 @@ def election_json(
       record's cell, and a load equal to the level, of the same type, the
       level's cell (the supporters of a seat that needs no correction all end
       at its level);
-    * every other value goes through :func:`rational_str`.
+    * every other value is rendered as :func:`rational_str` renders it, but
+      the integers of a ``Fraction`` go through a memo kept for one record
+      (:class:`_RecordDigits`), so each distinct integer of a record is
+      converted once: in the paper's two-party runs ``score`` and
+      ``variance_after`` share their denominator, and a share often has the
+      level's.
     """
     placeholder, zero = rational_str(0), decimal_str(0, decimals)
     records = []
     loads = LoadVector.zero(profile).values
     load_cells = [placeholder] * len(loads)
     for rec in result.records:
+        cell = _RecordDigits().rational_str
         sol = rec.solution
         level = sol.level
-        level_cell, level_display = rational_str(level), decimal_str(level, decimals)
+        level_cell, level_display = cell(level), decimal_str(level, decimals)
         x_cells = [placeholder] * len(sol.x)
         x_display = [zero] * len(sol.x)
         for k in compress(count(), map(is_not, sol.x, repeat(0))):
@@ -131,7 +163,7 @@ def election_json(
             if v is level:
                 x_cells[k], x_display[k] = level_cell, level_display
             else:
-                x_cells[k] = rational_str(v)
+                x_cells[k] = cell(v)
                 x_display[k] = decimal_str(v, decimals) if v else zero
         values = rec.loads_after.values
         if len(values) == len(loads):
@@ -146,7 +178,7 @@ def election_json(
             if type(v) is type(level) and v == level and v:
                 load_cells[k] = level_cell
             else:
-                load_cells[k] = rational_str(v)
+                load_cells[k] = cell(v)
         loads = values
         records.append(
             {
@@ -156,12 +188,12 @@ def election_json(
                 "x_display": x_display,
                 "level": level_cell,
                 "level_display": level_display,
-                "score": rational_str(sol.score),
+                "score": cell(sol.score),
                 "score_display": decimal_str(sol.score, decimals),
                 "corrected": sol.corrected,
                 "tied": list(rec.tied_with),
                 "loads_after": load_cells,
-                "variance_after": rational_str(rec.variance_after),
+                "variance_after": cell(rec.variance_after),
             }
         )
     return {

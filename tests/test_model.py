@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -64,6 +65,50 @@ def test_parse_comments_blanks_and_separators():
     assert profile.types[1].approvals == ("y", "z")
     assert profile.candidates == ("x", "y", "z")
     assert profile.total_weight == Fraction(9, 2)
+
+
+def _regex_approvals(text):
+    """Each voter line's names as the regex ``[,\\s]+`` splits them: the reference."""
+    approvals = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            tail = line.partition(":")[2]
+            approvals.append(tuple(tok for tok in re.split(r"[,\s]+", tail.strip()) if tok))
+    return approvals
+
+
+@pytest.mark.parametrize(
+    "separator",
+    ["\t", "\xa0", "\u2003", "\u3000", ",", ",,,", " , ", ",\t,\xa0", " \u3000, ,"],
+)
+def test_names_split_on_commas_and_whitespace_as_the_regex_splits_them(separator):
+    text = (
+        f"2 : a{separator}b\n"
+        f"1 :{separator}c{separator}{separator}d{separator}# comment\n"
+        f"3 : {separator}e, f {separator}\n"
+    )
+    approvals = [t.approvals for t in parse_profile(text).types]
+    assert approvals == _regex_approvals(text) == [("a", "b"), ("c", "d"), ("e", "f")]
+
+
+@pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x85", "\u2028"])
+def test_line_breaking_whitespace_ends_the_line_before_names_are_split(separator):
+    # str.splitlines breaks at these, so neither split ever sees them
+    text = f"2 : a{separator}1 : b\n"
+    approvals = [t.approvals for t in parse_profile(text).types]
+    assert approvals == _regex_approvals(text) == [("a",), ("b",)]
+    with pytest.raises(ProfileParseError, match="line 2"):
+        parse_profile(f"2 : a{separator}b\n")
+
+
+def test_the_whitespace_regex_class_is_str_isspace():
+    # parse_profile splits names with str.split, which breaks at exactly the
+    # characters for which str.isspace() holds; over every code point
+    # (about 0.3 s) that is the set \s matches in a str pattern
+    space = re.compile(r"\s").fullmatch
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in chars if bool(space(c)) != c.isspace()] == []
 
 
 @pytest.mark.parametrize(

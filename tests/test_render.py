@@ -18,6 +18,8 @@ from varphragmen import (
     LoadVector,
     Method,
     Mode,
+    Profile,
+    VoterType,
     parse_profile,
     rational_str,
     render_profile,
@@ -113,6 +115,15 @@ json_values = st.recursive(
 @example({"": [-0.0, float("nan"), float("inf"), -float("inf")], "k": {}})
 @example([[], {}, [[]], {"a": []}, True, False, None, -(10**500)])
 @example(["a", 1, None, ["b"], {"c": "d"}])
+# the edges of the one-join path: printable ASCII other than the quote and the backslash
+@example(["\x7f"])
+@example([" ", "~"])
+@example(['a"b'])
+@example(["a\\b"])
+@example(["\u00e9"])
+@example(["\u2028"])
+@example(["", ""])
+@example([f"{k}/{k + 1}" for k in range(1000)] + ["\n"] + [str(k) for k in range(1000)])
 def test_write_json_matches_json_dumps(value):
     stream = io.StringIO()
     write_json(stream, value)
@@ -167,6 +178,24 @@ def test_election_json_reuses_cells_only_where_they_render_alike(decimals):
     assert any(
         v == rec.solution.level for rec in party_run.records for v in rec.loads_after.values
     )
+    # and integers that repeat within a record, which are converted once:
+    # score and variance_after share a denominator, and a share that is not
+    # the level object has the level's
+    for rec in party_run.records:
+        assert rec.solution.score.denominator == rec.variance_after.denominator
+    assert any(
+        v is not rec.solution.level and F(v).denominator == rec.solution.level.denominator
+        for rec in party_run.records
+        for v in rec.solution.x
+        if v
+    )
+    # one score per seat, 1/u, of 4401 digits, past the limit of str() (the
+    # profile of test_verify_election_prints_values_past_the_int_digit_limit)
+    long_profile = Profile(
+        [VoterType(F(1, 10**4400 + 1), ("a",)), VoterType(F(1, 10**4400 + 3), ("b",))]
+    )
+    long_run = run_election(long_profile, Method.VAR_PHRAGMEN, 2)
+    assert all(len(rational_str(rec.solution.score)) > 4300 for rec in long_run.records)
     # loads that do not follow from x: equal to the level in another type,
     # equal to the previous load in another type, the same object as before,
     # float zeros of both signs at a zero level, and a vector of another
@@ -194,6 +223,7 @@ def test_election_json_reuses_cells_only_where_they_render_alike(decimals):
         (float_profile, float_run, "float64"),
         (party_profile, party_run, "exact"),
         (party_profile, replace(party_run, records=hand_built), "exact"),
+        (long_profile, long_run, "exact"),
     ]
     for profile, result, backend in cases:
         assert election_json(
