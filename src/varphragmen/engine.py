@@ -10,13 +10,14 @@ candidate name everywhere, and all tied candidates are reported on the seat
 record.
 
 Elections are independent of each other and may run in parallel; a run only
-ever builds fresh immutable load vectors, and its lane (arithmetic and solve
-cache) is its own.  The share lane is the uncached reference.  The exact lane
-solves on integers, loads as numerators over one run-wide denominator,
-re-solves no candidate whose last float key lies above the least fresh one,
-and compares exactly only the keys whose float equals the least float key;
-the float64 lane solves share by share.  All three solve to a light ``Solve``;
-only each seat's winner is recorded.
+ever builds fresh immutable load vectors, and its lane is its own.  The share
+lane is the uncached reference.  The exact lane solves on integers, loads as
+numerators over one run-wide denominator, keeps only each candidate's last
+float key, a lower bound, re-solves no candidate whose bound lies above the
+least fresh float key, and compares exactly only the keys whose float equals
+the least; the float64 lane solves share by share and caches each solve until
+a seat moves a supporter.  All three solve to a light ``Solve``; only each
+seat's winner is recorded.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .model import (
     Profile,
     Rational,
     SeatRecord,
-    StepSolution,
     VoterType,
     left_sum,
     rational_str,
@@ -101,12 +101,7 @@ class _ShareLane:
     Subproblems are plain :class:`Subproblem` instances, which compute each
     ``u*r`` afresh and score their active set share by share.  The backends'
     lanes, :class:`_FloatLane` and :class:`_ExactLane`, add ``advance``.
-
-    ``solved`` is the lane's solve cache: each candidate's ``(float key, key,
-    solve)`` at the current loads, filled by :meth:`solve`, evicted by
-    :meth:`_record`.  Here the float key is the key itself.  This lane and
-    the float64 lane keep no ``bounds``, so :func:`select_winner` solves
-    every eligible candidate on them.
+    The float key is the key itself.
     """
 
     #: Each candidate's last float key, which its fresh key never undercuts
@@ -116,7 +111,6 @@ class _ShareLane:
     def __init__(self, profile: Profile, method: Method):
         self.profile = profile
         self.method = method
-        self.solved: dict[CandidateId, tuple[Rational, Rational, Solve]] = {}
 
     def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
         return Subproblem(self.profile, loads, name)
@@ -124,18 +118,11 @@ class _ShareLane:
     def approximate(self, key: Rational) -> Rational:
         return key
 
-    def exact(self, key: Rational, solve: Solve) -> Rational:
-        """``key`` as it compares at the current loads."""
-        return key
-
     def solve(
         self, loads: LoadVector, name: CandidateId
     ) -> tuple[Rational, Rational, Solve]:
         """``name``'s float key, key (score for var-Phragmén, level for
         seq-Phragmén) and solve."""
-        entry = self.solved.get(name)
-        if entry is not None:
-            return entry
         sol = corrected_solution(self.subproblem(loads, name))
         if self.method is Method.VAR_PHRAGMEN:
             key = sol.score
@@ -151,23 +138,19 @@ class _ShareLane:
                     "max-load positivity violated"
                 )
             key = sol.level
-        entry = self.solved[name] = self.approximate(key), key, sol
-        return entry
-
-    def _record(self, solution: Solve) -> tuple[StepSolution, list[int]]:
-        """The seat's record and the types it moved (active, below the
-        level), whose candidates are evicted."""
-        record = solution.record()
-        moved = [k for k, _, r in solution.active if r != solution.level]
-        for k in moved:
-            for name in self.profile.types[k].approvals:
-                self.solved.pop(name, None)
-        return record, moved
+        return self.approximate(key), key, sol
 
 
 class _FloatLane(_ShareLane):
     """The float64 backend: the share lane on ``profile``'s weights in float64,
-    refused (exit 3) when a weight, its reciprocal or their total does not fit."""
+    refused (exit 3) when a weight, its reciprocal or their total does not fit.
+
+    ``solved`` is the lane's solve cache: each candidate's ``(float key, key,
+    solve)`` at the current loads.  :meth:`advance` evicts every candidate
+    approved by a type the seat moved (active, below the level).  The lane
+    keeps no ``bounds``: a float64 key, a sum of many roundings, is not
+    proven never to fall.
+    """
 
     def __init__(self, profile: Profile, method: Method):
         types = []
@@ -189,17 +172,28 @@ class _FloatLane(_ShareLane):
             raise ElectionConfigError(
                 "total voter weight overflows float64; use --backend exact"
             )
+        self.solved: dict[CandidateId, tuple[float, float, Solve]] = {}
+
+    def solve(self, loads: LoadVector, name: CandidateId) -> tuple[float, float, Solve]:
+        entry = self.solved.get(name)
+        if entry is None:
+            entry = self.solved[name] = super().solve(loads, name)
+        return entry
 
     def advance(self, loads: LoadVector, solution: Solve) -> tuple:
         """Take in a seat at ``loads``: its record, the loads and the variance after it.
 
-        Only the moved types' loads change; the others keep their objects.
-        A score or variance that overflowed is reported before it is recorded.
+        Only the moved types' loads change, and only their candidates leave
+        the cache; the other loads keep their objects.  A score or variance
+        that overflowed is reported before it is recorded.
         """
-        record, moved = self._record(solution)
+        record = solution.record()
         values = list(loads.values)
-        for k in moved:
-            values[k] += record.x[k]
+        for k, _, r in solution.active:
+            if r != solution.level:
+                values[k] += record.x[k]
+                for name in self.profile.types[k].approvals:
+                    self.solved.pop(name, None)
         loads = LoadVector(tuple(values), loads.seats_assigned + 1)
         after = variance(self.profile, loads)
         for what, value in (("score", record.score), ("variance", after)):
@@ -215,7 +209,7 @@ class _ExactLane(_ShareLane):
     """Exact arithmetic on running :class:`IntegerLoads`: numerators ``N``
     over one denominator ``D``.  Each subproblem sums its own supporters'
     ``(sum(U*N), sum(U*N*N), max N)`` when it is built, so the lane keeps no
-    per-candidate state besides its solve cache.
+    per-candidate state besides its ``bounds``; every key is at today's ``D``.
 
     A seat at level ``p/(D*q)``, in lowest terms, sets ``D`` to ``D*q``: the
     active types take ``N = p`` and every other numerator is multiplied by
@@ -224,14 +218,12 @@ class _ExactLane(_ShareLane):
     consistency check of :func:`variance`; each moved type then adds its
     increase to both.  Only the winner's solve becomes fractions.
 
-    A cached key stays at the ``D`` it was solved at; :meth:`exact` scales it
-    to today's ``D`` by ``(D_now // D_then) ** key_power``, the power 2 for
-    the var-Phragmén ``method`` and 1 for the others.  Its float key, the
-    score over ``L*D*D`` or the level over ``D``, does not depend on ``D``.
+    A float key, the score over ``L*D*D`` or the level over ``D`` (``scale``,
+    of power 2 or 1 in ``D``), does not depend on ``D``.
 
     ``bounds`` holds each candidate's last float key, minus infinity until
-    its first solve; :meth:`solve` sets it and eviction leaves it.  It is a
-    lower bound on the candidate's fresh float key: the seat's feasible
+    its first solve; :meth:`solve` sets it and nothing else changes it.  It
+    is a lower bound on the candidate's fresh float key: the seat's feasible
     shares do not depend on the loads, the score and the level never fall
     as a load rises, loads only rise, and the float key is one correctly
     rounded, hence monotone, division.
@@ -261,26 +253,21 @@ class _ExactLane(_ShareLane):
         except OverflowError:
             return math.inf
 
-    def exact(self, key: Fraction, solve: Solve) -> Fraction:
-        now, then = self.at.denominator, solve.sub.denominator
-        return key if now == then else key * (now // then) ** self.key_power
-
     def subproblem(self, loads: LoadVector, name: CandidateId) -> IntegerSubproblem:
         return IntegerSubproblem(self.at, name)
 
     def advance(self, loads: LoadVector, solution: Solve) -> tuple:
         at = self.at
-        record, moved = self._record(solution)
+        record = solution.record()
         level = solution.level
-        if solution.sub.denominator != at.denominator:
-            # solved at an earlier seat: the same level over today's D
-            level *= at.denominator // solution.sub.denominator
         p, q = level.numerator, level.denominator
         numerators = at.numerators = [n * q for n in at.numerators]
         at.denominator *= q
         self.scale *= q**self.key_power
         mass, total = self.mass * q, self.squares * q * q
-        for k in moved:
+        for k, _, n in solution.active:
+            if n == level:
+                continue  # active at the level already: it does not move
             before = numerators[k]
             carried = at.weights[k] * (p - before)
             squares = carried * (p + before)  # U*(after**2 - before**2)
@@ -315,14 +302,13 @@ def select_winner(
     candidates tied at the optimum; ties resolve to the smallest name.
 
     ``lane`` is the lane :func:`run_election` built for its backend and
-    ``method``, with its solve cache: candidates solved at ``loads`` are not
-    re-solved.  Without one, a fresh :class:`_ShareLane` solves every
-    candidate: the reference.  The contenders are the candidates whose float
-    key equals the least float key; only their keys are compared exactly,
-    in name order, and ties are gathered from those keys.  An exact-lane
-    float key is one correctly rounded division, which is monotone, so the
-    least key and its ties all round to the least float; elsewhere the float
-    key is the key.
+    ``method``; every key it gives is its candidate's key at ``loads``.
+    Without one, a fresh :class:`_ShareLane` solves every candidate: the
+    reference.  The contenders are the candidates whose float key equals the
+    least float key; only their keys are compared exactly, in name order,
+    and ties are gathered from those keys.  An exact-lane float key is one
+    correctly rounded division, which is monotone, so the least key and its
+    ties all round to the least float; elsewhere the float key is the key.
 
     A lane with ``bounds`` (the exact lane) is visited in ``(bound, name)``
     order and solved until a bound lies strictly above the least fresh float
@@ -351,9 +337,7 @@ def select_winner(
             least = approx
         scored.append((approx, key, name, sol))
     contenders = [
-        (lane.exact(key, sol), name, sol)
-        for approx, key, name, sol in scored
-        if approx == least
+        (key, name, sol) for approx, key, name, sol in scored if approx == least
     ]
     # in name order, so the first of the least keys has the smallest name
     contenders.sort(key=itemgetter(1))
@@ -415,9 +399,9 @@ def run_election(
     :func:`_highest_quotients`) and hands its solve to the lane, which
     records it and returns the loads and the variance after the seat.  The
     backend picks the lane's class, built once per run for ``method``; the
-    lane holds the profile the run reads.  Its solve cache drops every
-    candidate approved by a type the seat moved, so a seat re-solves only
-    those; the exact lane re-solves, of those, only the candidates whose
+    lane holds the profile the run reads.  The float64 lane's solve cache
+    drops every candidate approved by a type the seat moved, so a seat
+    re-solves only those; the exact lane re-solves only the candidates whose
     last float key, a lower bound, does not rule them out.  The results are
     identical, float bits included, to re-solving every candidate at every
     seat.
@@ -512,9 +496,10 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
     Raises :class:`VerificationError` listing all violations: seat mass,
     nonnegativity, common-level structure, load bookkeeping, variance
     identities, recorded score, and the winner's optimality against every
-    candidate that was eligible at that seat, each solved afresh without
-    :func:`run_election`'s cache.  The loop carries the loads the recorded
-    shares lead to, and counts only the winners of records it could check.
+    candidate that was eligible at that seat, each solved afresh share by
+    share, not on :func:`run_election`'s lane.  The loop carries the loads
+    the recorded shares lead to, and counts only the winners of records it
+    could check.
     """
     problems: list[str] = []
     types = profile.types

@@ -59,6 +59,10 @@ def render_table(rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+#: The bytes the C string encoder leaves as they are: printable ASCII but ``"``, ``\``.
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
 def write_json(stream: TextIO, value: object, indent: str = "") -> None:
     """Write ``json.dumps(value, indent=2)`` to ``stream``, in chunks.
 
@@ -66,8 +70,8 @@ def write_json(stream: TextIO, value: object, indent: str = "") -> None:
     Here strings go through the C string encoder and every other scalar
     through ``json.dumps``.  A list of strings goes out in one piece: when
     its joined text holds only characters that encoder leaves as they are
-    (printable ASCII other than ``"`` and ``\\``), one more join places the
-    quotes; otherwise each string is encoded.  Dict keys must be strings.
+    (``_PLAIN``), one more join places the quotes; otherwise each string is
+    encoded.  Dict keys must be strings.
     ``indent`` is the indentation of the line ``value`` starts on.
     """
     write = stream.write
@@ -92,7 +96,7 @@ def write_json(stream: TextIO, value: object, indent: str = "") -> None:
                 separator = ",\n"
             write(f"\n{indent}]")
         else:
-            if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+            if text.isascii() and not text.encode("ascii").translate(None, _PLAIN):
                 cells = '"' + f'",\n{inner}"'.join(value) + '"'
             else:
                 cells = f",\n{inner}".join(map(encode_basestring_ascii, value))

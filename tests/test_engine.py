@@ -384,21 +384,29 @@ def solves_per_seat(monkeypatch) -> list[list[str]]:
 
 @pytest.mark.parametrize("mode", [Mode.CANDIDATE, Mode.PARTY])
 def test_rescoring_touches_only_changed_types(monkeypatch, mode):
-    # seat 1 solves every eligible candidate once; a later seat solves only
-    # candidates approved by a type that some seat moved since their last
-    # solve, and of those only the ones their bounds do not rule out; the
-    # eager count has each seat re-solve every candidate the previous seat
-    # moved
+    # seat 1 solves every eligible candidate once; a later seat solves a
+    # candidate at most once: one approved by a type that some seat moved
+    # since its last solve, or one whose key did not change, and so is its
+    # bound's float, only at the seat's least float key: the uncached
+    # reference's score then rounds to the winner's; the eager count has each
+    # seat re-solve every candidate the previous seat moved
     profile = sparse_profile(random.Random(5))
     seats = 12
     solved = solves_per_seat(monkeypatch)
     result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
     assert len(solved) == seats
     stale = moved = set(profile.candidates)  # none is solved before seat 1
-    eager = 0
-    for names, (rec, _, eligible) in zip(solved, engine.seat_states(profile, result)):
+    eager = unchanged = 0
+    for names, (rec, loads, eligible) in zip(
+        solved, engine.seat_states(profile, result)
+    ):
         assert len(set(names)) == len(names)
-        assert set(names) <= stale.intersection(eligible)
+        assert set(names) <= set(eligible)
+        least = float(rec.solution.score)
+        for name in set(names).difference(stale):
+            unchanged += 1
+            reference = corrected_solution(Subproblem(profile, loads, name))
+            assert float(reference.score) == least
         if rec.seat_index == 1:
             assert sorted(names) == sorted(eligible)
         eager += len(moved.intersection(eligible))
@@ -410,16 +418,22 @@ def test_rescoring_touches_only_changed_types(monkeypatch, mode):
         }
         stale = stale.difference(names) | moved
     assert sum(map(len, solved)) < eager < len(profile.candidates) * seats
+    assert unchanged
 
 
-def test_a_supporter_at_the_level_keeps_its_candidates_cached(monkeypatch):
+@pytest.mark.parametrize("backend", Backend)
+def test_a_supporter_at_the_level_keeps_its_candidates_cached(monkeypatch, backend):
     # at seat 4, c's supporter type 2 already sits at the level 4/15: it stays
     # active with a zero share and moves nothing, so a, approved by types 0
-    # and 2 only, keeps its solve for seat 5; within a seat the solve order
+    # and 2 only, is not re-solved at seat 5: the float64 lane keeps a's
+    # solve in its cache, and in the exact lane a's bound, its unchanged key
+    # 11/15, lies above c's fresh key 37/60; within a seat the solve order
     # follows the bounds, so the seats are compared as sets
     solved = solves_per_seat(monkeypatch)
     profile = parse_profile("3 : a\n4 : c\n2 : a, c\n6 : c\n")
-    result = run_election(profile, Method.VAR_PHRAGMEN, 5, mode=Mode.PARTY)
+    result = run_election(
+        profile, Method.VAR_PHRAGMEN, 5, mode=Mode.PARTY, backend=backend
+    )
     seat4 = result.records[3]
     assert seat4.solution.candidate == "c"
     assert seat4.solution.x[2] == 0
@@ -564,11 +578,11 @@ def test_exact_lane_matches_the_uncached_reference_seat_by_seat():
     """Exact runs against :func:`select_winner` without a lane, seat by seat.
 
     The reference solves every eligible candidate afresh, share by share, at
-    the recorded loads; the exact lane decides on integers with cached,
-    rescaled keys, and skips the candidates whose stale bounds rule them
-    out.  Both methods and modes, with knife-edge ties: at alpha = 1/2 the
-    two parties tie at every other seat, and the near-tie profiles put
-    several candidates, stale or fresh, at one key.
+    the recorded loads; the exact lane decides on integers, and skips the
+    candidates whose stale bounds rule them out.  Both methods and modes,
+    with knife-edge ties: at alpha = 1/2 the two parties tie at every other
+    seat, and the near-tie profiles put several candidates, stale or fresh,
+    at one key.
     """
     rng = random.Random(7)
     profiles = [random_profile(rng) for _ in range(25)]
@@ -591,6 +605,21 @@ def test_exact_lane_matches_the_uncached_reference_seat_by_seat():
     assert ties >= 4
 
 
+def recording_solves(lane) -> list:
+    """``(name, float key, key)`` of each of ``lane``'s solves from now on,
+    in solve order."""
+    solves = []
+    solve = lane.solve
+
+    def recording(loads, name):
+        approx, key, sol = solve(loads, name)
+        solves.append((name, approx, key))
+        return approx, key, sol
+
+    lane.solve = recording
+    return solves
+
+
 @pytest.mark.parametrize("method", [Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN])
 def test_a_stale_bound_at_the_least_key_is_solved_and_can_win(method):
     """A stale bound equal to the least fresh float key is solved, not skipped.
@@ -606,10 +635,11 @@ def test_a_stale_bound_at_the_least_key_is_solved_and_can_win(method):
     loads = LoadVector.zero(profile)
     lane = engine._ExactLane(profile, method)
     lane.bounds.update(a=0.5, c=1.0)
+    solves = recording_solves(lane)
     eligible = profile.candidates
     winner, solution, tied = select_winner(profile, loads, eligible, method, lane)
     assert (winner, tied) == ("a", ["a", "b"])
-    assert sorted(lane.solved) == ["a", "b"]
+    assert [name for name, _, _ in solves] == ["b", "a"]
     assert lane.bounds == {"a": 0.5, "b": 0.5, "c": 1.0}
     reference, ref_solution, ref_tied = select_winner(profile, loads, eligible, method)
     assert (reference, ref_tied) == (winner, tied)
@@ -672,12 +702,13 @@ def test_exact_keys_decide_what_float_keys_cannot_tell_apart(text, tied, method)
     only its exact ties, and every seat is the uncached reference's."""
     profile = parse_profile(text)
     lane = engine._ExactLane(profile, method)
+    solves = recording_solves(lane)
     zero = LoadVector.zero(profile)
     winner, _, first_tied = select_winner(
         profile, zero, profile.candidates, method, lane
     )
-    floats = {approx for approx, _, _ in lane.solved.values()}
-    keys = {key for _, key, _ in lane.solved.values()}
+    floats = {approx for _, approx, _ in solves}
+    keys = {key for _, _, key in solves}
     assert len(floats) == 1 and len(keys) == 2
     assert (winner, tuple(first_tied)) == (tied[0], tied)
     result = run_election(profile, method, 4, mode=Mode.PARTY)
@@ -689,9 +720,11 @@ def test_exact_keys_decide_what_float_keys_cannot_tell_apart(text, tied, method)
     verify_election(profile, result)
 
 
-def test_a_cached_key_is_compared_at_the_current_denominator():
-    # b wins seat 1, which sets D to b's weight; at seat 2, a's key, cached
-    # at D = 1, and b's fresh key 3/W round to one float, and b's is smaller
+def test_an_unchanged_key_is_compared_at_the_current_denominator():
+    # b wins seat 1, which sets D to b's weight; at seat 2, a's key, unchanged
+    # since seat 1, and b's fresh key 3/W round to one float, and b's is
+    # smaller: a's bound equals the least float key, so a is solved again at
+    # today's D and the exact keys decide
     profile = parse_profile(f"{10**20} : a\n{3 * 10**20 + 1} : b\n")
     b_key, a_key = F(3, 3 * 10**20 + 1), F(1, 10**20)
     assert b_key < a_key and float(b_key) == float(a_key)
