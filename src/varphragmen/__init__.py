@@ -25,7 +25,6 @@ from .engine import (
     VerificationError,
     apportion_sequence,
     run_election,
-    select_winner,
     variance,
     verify_election,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "render_profile",
     "replay_record",
     "run_election",
-    "select_winner",
     "solver_instance_record",
     "subset_oracle",
     "sweep_seat_share",

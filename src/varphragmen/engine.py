@@ -10,14 +10,17 @@ candidate name everywhere, and all tied candidates are reported on the seat
 record.
 
 Elections are independent of each other and may run in parallel; a run only
-ever builds fresh immutable load vectors, and its lane is its own.  The share
-lane is the uncached reference.  The exact lane solves on integers, loads as
-numerators over one run-wide denominator, keeps only each candidate's last
-float key, a lower bound, re-solves no candidate whose bound lies above the
-least fresh float key, and compares exactly only the keys whose float equals
-the least; the float64 lane solves share by share and caches each solve until
-a seat moves a supporter.  All three solve to a light ``Solve``; only each
-seat's winner is recorded.
+ever builds fresh immutable load vectors, and its lane is its own.  A lane is
+a seat's whole state: the profile, the method, the current loads and a lower
+bound on each candidate's float key; :func:`select_winner` reads nothing
+else, and a backend's lane moves its loads on as it takes in each seat.  The
+share lane is the uncached reference.  The exact lane solves on integers,
+loads as numerators over one run-wide denominator, raises each candidate's
+bound to its last float key, so that no candidate whose bound lies above the
+least fresh float key is re-solved, and compares exactly only the keys whose
+float equals the least; the float64 lane solves share by share and caches
+each solve until a seat moves a supporter.  All three solve to a light
+``Solve``; only each seat's winner is recorded.
 """
 
 from __future__ import annotations
@@ -96,34 +99,35 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
 
 
 class _ShareLane:
-    """Share-by-share arithmetic for ``method``: the uncached reference.
+    """Share-by-share arithmetic for ``method`` at ``loads``: the uncached reference.
 
-    Subproblems are plain :class:`Subproblem` instances, which compute each
-    ``u*r`` afresh and score their active set share by share.  The backends'
-    lanes, :class:`_FloatLane` and :class:`_ExactLane`, add ``advance``.
-    The float key is the key itself.
+    Subproblems are plain :class:`Subproblem` instances at ``self.loads``,
+    which compute each ``u*r`` afresh and score their active set share by
+    share.  The backends' lanes, :class:`_FloatLane` and :class:`_ExactLane`,
+    add ``advance``, which takes in a seat and moves ``loads`` on.  The float
+    key is the key itself.
+
+    ``bounds`` holds a lower bound on each candidate's float key at
+    ``loads``: minus infinity, which rules no candidate out, until
+    :meth:`_ExactLane.solve` raises it; no other lane does.
     """
 
-    #: Each candidate's last float key, which its fresh key never undercuts
-    #: (:class:`_ExactLane`); ``None`` here: no key is skipped.
-    bounds: dict[CandidateId, float] | None = None
-
-    def __init__(self, profile: Profile, method: Method):
+    def __init__(self, profile: Profile, method: Method, loads: LoadVector):
         self.profile = profile
         self.method = method
+        self.loads = loads
+        self.bounds = dict.fromkeys(profile.candidates, -math.inf)
 
-    def subproblem(self, loads: LoadVector, name: CandidateId) -> Subproblem:
-        return Subproblem(self.profile, loads, name)
+    def subproblem(self, name: CandidateId) -> Subproblem:
+        return Subproblem(self.profile, self.loads, name)
 
     def approximate(self, key: Rational) -> Rational:
         return key
 
-    def solve(
-        self, loads: LoadVector, name: CandidateId
-    ) -> tuple[Rational, Rational, Solve]:
+    def solve(self, name: CandidateId) -> tuple[Rational, Rational, Solve]:
         """``name``'s float key, key (score for var-Phragmén, level for
-        seq-Phragmén) and solve."""
-        sol = corrected_solution(self.subproblem(loads, name))
+        seq-Phragmén) and solve at ``loads``."""
+        sol = corrected_solution(self.subproblem(name))
         if self.method is Method.VAR_PHRAGMEN:
             key = sol.score
         else:
@@ -146,13 +150,14 @@ class _FloatLane(_ShareLane):
     refused (exit 3) when a weight, its reciprocal or their total does not fit.
 
     ``solved`` is the lane's solve cache: each candidate's ``(float key, key,
-    solve)`` at the current loads.  :meth:`advance` evicts every candidate
-    approved by a type the seat moved (active, below the level).  The lane
-    keeps no ``bounds``: a float64 key, a sum of many roundings, is not
-    proven never to fall.
+    solve)`` at ``loads``.  :meth:`advance` evicts every candidate approved
+    by a type the seat moved (active, below the level).  The lane never
+    raises a bound: a float64 key, a sum of many roundings, is not proven
+    never to fall, so every eligible candidate is solved or served from the
+    cache at every seat.
     """
 
-    def __init__(self, profile: Profile, method: Method):
+    def __init__(self, profile: Profile, method: Method, loads: LoadVector):
         types = []
         for k, t in enumerate(profile.types, start=1):
             try:
@@ -167,34 +172,34 @@ class _FloatLane(_ShareLane):
                     f"voter type {k} weight {problem} float64; use --backend exact"
                 )
             types.append(VoterType(weight=weight, approvals=t.approvals))
-        super().__init__(Profile(types), method)
+        super().__init__(Profile(types), method, loads)
         if not math.isfinite(self.profile.total_weight):
             raise ElectionConfigError(
                 "total voter weight overflows float64; use --backend exact"
             )
         self.solved: dict[CandidateId, tuple[float, float, Solve]] = {}
 
-    def solve(self, loads: LoadVector, name: CandidateId) -> tuple[float, float, Solve]:
+    def solve(self, name: CandidateId) -> tuple[float, float, Solve]:
         entry = self.solved.get(name)
         if entry is None:
-            entry = self.solved[name] = super().solve(loads, name)
+            entry = self.solved[name] = super().solve(name)
         return entry
 
-    def advance(self, loads: LoadVector, solution: Solve) -> tuple:
-        """Take in a seat at ``loads``: its record, the loads and the variance after it.
+    def advance(self, solution: Solve) -> tuple:
+        """Take in a seat: move ``loads`` on, return its record and the variance after it.
 
         Only the moved types' loads change, and only their candidates leave
         the cache; the other loads keep their objects.  A score or variance
         that overflowed is reported before it is recorded.
         """
         record = solution.record()
-        values = list(loads.values)
+        values = list(self.loads.values)
         for k, _, r in solution.active:
             if r != solution.level:
                 values[k] += record.x[k]
                 for name in self.profile.types[k].approvals:
                     self.solved.pop(name, None)
-        loads = LoadVector(tuple(values), loads.seats_assigned + 1)
+        loads = self.loads = LoadVector(tuple(values), self.loads.seats_assigned + 1)
         after = variance(self.profile, loads)
         for what, value in (("score", record.score), ("variance", after)):
             if not math.isfinite(value):
@@ -202,7 +207,7 @@ class _FloatLane(_ShareLane):
                     f"seat {loads.seats_assigned}: float64 {what} is {value}; "
                     "use --backend exact"
                 )
-        return record, loads, after
+        return record, after
 
 
 class _ExactLane(_ShareLane):
@@ -210,6 +215,7 @@ class _ExactLane(_ShareLane):
     over one denominator ``D``.  Each subproblem sums its own supporters'
     ``(sum(U*N), sum(U*N*N), max N)`` when it is built, so the lane keeps no
     per-candidate state besides its ``bounds``; every key is at today's ``D``.
+    The run totals below are summed once from the loads the lane is built at.
 
     A seat at level ``p/(D*q)``, in lowest terms, sets ``D`` to ``D*q``: the
     active types take ``N = p`` and every other numerator is multiplied by
@@ -229,20 +235,19 @@ class _ExactLane(_ShareLane):
     rounded, hence monotone, division.
     """
 
-    def __init__(self, profile: Profile, method: Method):
-        super().__init__(profile, method)
-        self.at = IntegerLoads(profile, LoadVector.zero(profile))
+    def __init__(self, profile: Profile, method: Method, loads: LoadVector):
+        super().__init__(profile, method, loads)
+        at = self.at = IntegerLoads(profile, loads)
         var = self.method is Method.VAR_PHRAGMEN
         self.key_power = 2 if var else 1
-        self.scale = self.at.multiplier if var else 1  # L*D*D or D, at D = 1
-        self.total_weight = sum(self.at.weights)
-        self.mass = self.squares = 0
-        self.bounds = dict.fromkeys(profile.candidates, -math.inf)
+        self.scale = (at.multiplier if var else 1) * at.denominator**self.key_power  # L*D*D or D
+        self.total_weight = sum(at.weights)
+        weighted = [u * n for u, n in zip(at.weights, at.numerators)]
+        self.mass = sum(weighted)
+        self.squares = sum(c * n for c, n in zip(weighted, at.numerators))
 
-    def solve(
-        self, loads: LoadVector, name: CandidateId
-    ) -> tuple[float, Fraction, Solve]:
-        entry = super().solve(loads, name)
+    def solve(self, name: CandidateId) -> tuple[float, Fraction, Solve]:
+        entry = super().solve(name)
         self.bounds[name] = entry[0]
         return entry
 
@@ -253,10 +258,10 @@ class _ExactLane(_ShareLane):
         except OverflowError:
             return math.inf
 
-    def subproblem(self, loads: LoadVector, name: CandidateId) -> IntegerSubproblem:
+    def subproblem(self, name: CandidateId) -> IntegerSubproblem:
         return IntegerSubproblem(self.at, name)
 
-    def advance(self, loads: LoadVector, solution: Solve) -> tuple:
+    def advance(self, solution: Solve) -> tuple:
         at = self.at
         record = solution.record()
         level = solution.level
@@ -275,64 +280,58 @@ class _ExactLane(_ShareLane):
             total += squares
             numerators[k] = p
         self.mass, self.squares = mass, total
-        n = loads.seats_assigned + 1
+        n = self.loads.seats_assigned + 1
         unit = at.multiplier * at.denominator
         if mass != n * unit:
             shown = rational_str(Fraction(mass, unit))
             raise ValueError(f"inconsistent loads: total mass {shown} != {n} seats")
-        values = list(loads.values)
+        values = list(self.loads.values)
         for k, _, _ in solution.active:
             values[k] = record.level
+        self.loads = LoadVector(tuple(values), n)
         w = self.total_weight
         after = Fraction(total * w - n * n * unit * unit, unit * at.denominator * w)
-        return record, LoadVector(tuple(values), n), after
+        return record, after
 
 
 def select_winner(
-    profile: Profile,
-    loads: LoadVector,
-    eligible: Iterable[CandidateId],
-    method: Method,
-    lane: _ShareLane | None = None,
+    lane: _ShareLane, eligible: Iterable[CandidateId]
 ) -> tuple[CandidateId, Solve, list[CandidateId]]:
-    """Pick the next seat's winner among ``eligible`` candidates.
+    """Pick the next seat's winner among ``eligible`` candidates on ``lane``.
 
-    Names absent from the profile are silently skipped.  Returns the winner,
-    its :class:`Solve` (``.record()`` is its seat distribution) and all the
-    candidates tied at the optimum; ties resolve to the smallest name.
+    The lane is the seat's whole state: its profile, its method, its loads
+    and its bounds.  Names absent from the profile are silently skipped.
+    Returns the winner, its :class:`Solve` (``.record()`` is its seat
+    distribution) and all the candidates tied at the optimum; ties resolve
+    to the smallest name.
 
-    ``lane`` is the lane :func:`run_election` built for its backend and
-    ``method``; every key it gives is its candidate's key at ``loads``.
-    Without one, a fresh :class:`_ShareLane` solves every candidate: the
-    reference.  The contenders are the candidates whose float key equals the
-    least float key; only their keys are compared exactly, in name order,
-    and ties are gathered from those keys.  An exact-lane float key is one
-    correctly rounded division, which is monotone, so the least key and its
-    ties all round to the least float; elsewhere the float key is the key.
+    The contenders are the candidates whose float key equals the least
+    float key; only their keys are compared exactly, in name order, and ties
+    are gathered from those keys.  An exact-lane float key is one correctly
+    rounded division, which is monotone, so the least key and its ties all
+    round to the least float; elsewhere the float key is the key.
 
-    A lane with ``bounds`` (the exact lane) is visited in ``(bound, name)``
-    order and solved until a bound lies strictly above the least fresh float
-    key found so far.  That candidate and every later one are skipped
-    unsolved: a fresh key is never below its bound, so none can contend.  A
-    bound equal to the least key is solved, as it may tie.  Without bounds
-    every candidate is solved, in name order.
+    The candidates are visited in ``(bound, name)`` order and solved until
+    a bound lies strictly above the least fresh float key found so far.
+    That candidate and every later one are skipped unsolved: a fresh key is
+    never below its bound, so none can contend.  A bound equal to the least
+    key is solved, as it may tie.  Only the exact lane raises a bound; on
+    the share and float64 lanes every bound is minus infinity, so every
+    candidate is solved, in name order.
     """
-    if method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
-        raise ValueError(f"select_winner does not handle {method.value}")
-    if lane is None:
-        lane = _ShareLane(profile, method)
-    names = sorted(set(eligible).intersection(profile.candidates))
+    if lane.method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
+        raise ValueError(f"select_winner does not handle {lane.method.value}")
+    names = sorted(set(eligible).intersection(lane.profile.candidates))
     if not names:
         raise ElectionConfigError("no eligible candidate with support")
     bounds = lane.bounds
-    if bounds is not None:
-        names.sort(key=bounds.__getitem__)  # stable: (bound, name) order
+    names.sort(key=bounds.__getitem__)  # stable: (bound, name) order
     scored: list[tuple[Rational, Rational, CandidateId, Solve]] = []
     least = math.inf
     for name in names:
-        if bounds is not None and bounds[name] > least:
+        if bounds[name] > least:
             break  # this fresh key and every later one are above ``least``
-        approx, key, sol = lane.solve(loads, name)
+        approx, key, sol = lane.solve(name)
         if not scored or approx < least:  # min()'s fold, which keeps a first NaN
             least = approx
         scored.append((approx, key, name, sol))
@@ -395,11 +394,15 @@ def run_election(
     of times (:func:`_eligible`).  The highest-averages methods demand a
     closed-list profile and party mode.
 
-    Each seat picks the winner (:func:`select_winner` or
+    ``method``, ``mode`` and ``backend`` may also be given as their string
+    values; an unknown one raises ``ValueError``.
+
+    Each seat picks the winner (:func:`select_winner` on the lane, or
     :func:`_highest_quotients`) and hands its solve to the lane, which
-    records it and returns the loads and the variance after the seat.  The
-    backend picks the lane's class, built once per run for ``method``; the
-    lane holds the profile the run reads.  The float64 lane's solve cache
+    records it, moves its loads on and returns the variance after the seat.
+    The backend picks the lane's class, built once per run for ``method`` at
+    zero loads; the lane holds the profile the run reads and the loads each
+    record takes.  The float64 lane's solve cache
     drops every candidate approved by a type the seat moved, so a seat
     re-solves only those; the exact lane re-solves only the candidates whose
     last float key, a lower bound, does not rule them out.  The results are
@@ -415,9 +418,11 @@ def run_election(
     do not depend on the closed form.  :func:`verify_election` re-checks
     every exact-lane score against the share-by-share reference.
     """
+    method, mode, backend = Method(method), Mode(mode), Backend(backend)
     if seats < 1:
         raise ElectionConfigError(f"seats must be >= 1, got {seats}")
-    lane = (_ExactLane if backend is Backend.EXACT else _FloatLane)(profile, method)
+    lane_class = _ExactLane if backend is Backend.EXACT else _FloatLane
+    lane = lane_class(profile, method, LoadVector.zero(profile))
     work = lane.profile
     if mode is Mode.CANDIDATE and seats > len(work.candidates):
         raise ElectionConfigError(
@@ -435,28 +440,26 @@ def run_election(
             raise ElectionConfigError(f"{method.value} runs in party mode only")
         party_weight = _party_weights(work)
 
-    loads = LoadVector.zero(work)
     counts: dict[CandidateId, int] = {name: 0 for name in work.candidates}
     records: list[SeatRecord] = []
     for seat in range(1, seats + 1):
         if quotient_rule is None:
             eligible = _eligible(work.candidates, mode, counts)
-            winner, solution, tied = select_winner(work, loads, eligible, method, lane)
+            winner, solution, tied = select_winner(lane, eligible)
         else:
             tied = _highest_quotients(party_weight, counts, quotient_rule)
             winner = tied[0]
-            solution = corrected_solution(lane.subproblem(loads, winner))
-        solution, after, variance_after = lane.advance(loads, solution)
+            solution = corrected_solution(lane.subproblem(winner))
+        solution, variance_after = lane.advance(solution)
         records.append(
             SeatRecord(
                 seat_index=seat,
                 solution=solution,
-                loads_after=after,
+                loads_after=lane.loads,
                 variance_after=variance_after,
                 tied_with=tuple(tied),
             )
         )
-        loads = after
         counts[winner] += 1
     return ElectionResult(
         method=method, mode=mode, records=tuple(records), seat_counts=counts

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from copy import deepcopy
@@ -22,16 +23,22 @@ from varphragmen import (
     parse_profile,
     rational_str,
     run_election,
-    select_winner,
     unconstrained_solution,
     variance,
     verify_election,
 )
 from varphragmen import engine, step
 from varphragmen.analysis import TwoPartyFamily, random_closed_list_profile, random_profile
+from varphragmen.engine import select_winner
 from varphragmen.model import StepSolution, left_sum
 
 from conftest import PROFILE_12
+
+
+def select_uncached(profile, loads, eligible, method):
+    """:func:`select_winner` on a fresh share lane at ``loads``: every eligible
+    candidate solved afresh, share by share (the reference)."""
+    return select_winner(engine._ShareLane(profile, method, loads), eligible)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +87,7 @@ def test_profile12_seat2_scores(profile12, loads12_after_seat1):
         for name in ("a2", "b", "c")
     }
     assert scores == {"a2": F(3, 10), "b": F(117, 400), "c": F(1, 3)}
-    winner, solution, tied = select_winner(
+    winner, solution, tied = select_uncached(
         profile12, loads12_after_seat1, {"a2", "b", "c"}, Method.VAR_PHRAGMEN
     )
     assert winner == "b"
@@ -93,7 +100,7 @@ def test_profile12_seat3_scores(profile12, loads12_after_seat2):
     c = corrected_solution(Subproblem(profile12, loads12_after_seat2, "c"))
     assert a2.score == F(14, 45)
     assert c.score == F(53, 60)
-    winner, _, _ = select_winner(
+    winner, _, _ = select_uncached(
         profile12, loads12_after_seat2, {"a2", "c"}, Method.VAR_PHRAGMEN
     )
     assert winner == "a2"
@@ -136,7 +143,8 @@ def test_variance_rejects_inconsistent_loads(profile12):
     with pytest.raises(ValueError, match="inconsistent"):
         variance(profile12, bad)
     # float loads are checked with a tolerance; a mass of 0.9 misses it
-    floats = engine._FloatLane(profile12, Method.VAR_PHRAGMEN).profile
+    zero = LoadVector.zero(profile12)
+    floats = engine._FloatLane(profile12, Method.VAR_PHRAGMEN, zero).profile
     with pytest.raises(ValueError, match="inconsistent"):
         variance(floats, LoadVector(values=(0.1, 0.0, 0.0), seats_assigned=1))
 
@@ -247,7 +255,7 @@ def test_seq_phragmen_profile12(profile12):
 def test_seq_phragmen_asserts_max_load_positivity(profile12, loads12_after_seat2):
     # loads no seq-Phragmén run reaches: a2's level falls below type 1's load
     with pytest.raises(AssertionError, match="max-load positivity violated"):
-        select_winner(profile12, loads12_after_seat2, {"a2"}, Method.SEQ_PHRAGMEN)
+        select_uncached(profile12, loads12_after_seat2, {"a2"}, Method.SEQ_PHRAGMEN)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +275,50 @@ def test_candidate_mode_needs_enough_candidates(profile12):
 
 def test_select_winner_skips_unsupported_names(profile12):
     loads = LoadVector.zero(profile12)
-    winner, _, _ = select_winner(
+    winner, _, _ = select_uncached(
         profile12, loads, {"a1", "ghost"}, Method.VAR_PHRAGMEN
     )
     assert winner == "a1"
     with pytest.raises(ElectionConfigError, match="no eligible"):
-        select_winner(profile12, loads, {"ghost"}, Method.VAR_PHRAGMEN)
+        select_uncached(profile12, loads, {"ghost"}, Method.VAR_PHRAGMEN)
     with pytest.raises(ValueError):
-        select_winner(profile12, loads, {"a1"}, Method.SAINTE_LAGUE)
+        select_uncached(profile12, loads, {"a1"}, Method.SAINTE_LAGUE)
+
+
+#: Runs that name one of ``method``, ``mode`` and ``backend`` by its string
+#: value.  On this profile var-Phragmén elects a1, b, a2, seq-Phragmén a1,
+#: a2, b, and party mode re-elects a1.
+STRING_FORMS = [
+    ("var-phragmen", Mode.CANDIDATE, Backend.EXACT),
+    ("seq-phragmen", Mode.CANDIDATE, Backend.EXACT),
+    (Method.VAR_PHRAGMEN, "party", Backend.EXACT),
+    (Method.VAR_PHRAGMEN, Mode.CANDIDATE, "exact"),
+    (Method.VAR_PHRAGMEN, Mode.PARTY, "float64"),
+]
+
+
+@pytest.mark.parametrize(
+    "method, mode, backend",
+    STRING_FORMS,
+    ids=["var-phragmen", "seq-phragmen", "party", "exact", "float64"],
+)
+def test_a_string_value_elects_as_its_enum(profile12, method, mode, backend):
+    seats = 4 if mode == Mode.PARTY else 3
+    by_string = run_election(profile12, method, seats, mode=mode, backend=backend)
+    by_enum = run_election(
+        profile12, Method(method), seats, mode=Mode(mode), backend=Backend(backend)
+    )
+    # repr tells an enum from its string value, and Fraction from float
+    assert repr(by_string) == repr(by_enum)
+    assert by_string.method is Method(method) and by_string.mode is Mode(mode)
+
+
+@pytest.mark.parametrize("field", ["method", "mode", "backend"])
+def test_an_unknown_string_value_is_refused(profile12, field):
+    args = {"method": Method.VAR_PHRAGMEN, "mode": Mode.CANDIDATE, "backend": Backend.EXACT}
+    args[field] = "bogus"
+    with pytest.raises(ValueError, match="'bogus' is not a valid"):
+        run_election(profile12, seats=3, **args)
 
 
 def test_determinism(profile13):
@@ -320,10 +364,11 @@ def test_cached_election_matches_per_seat_reference():
         seats = min(8, len(profile.candidates)) if mode is Mode.CANDIDATE else 8
         result = run_election(profile, method, seats, mode=mode, backend=backend)
         exact = backend is Backend.EXACT
-        work = profile if exact else engine._FloatLane(profile, method).profile
+        zero = LoadVector.zero(profile)
+        work = profile if exact else engine._FloatLane(profile, method, zero).profile
         for rec, loads, eligible in engine.seat_states(work, result):
             # no cache: every eligible candidate solved afresh
-            winner, solution, tied = select_winner(work, loads, eligible, method)
+            winner, solution, tied = select_uncached(work, loads, eligible, method)
             assert rec.solution.candidate == winner
             # repr tells int 0, Fraction and float bits apart
             assert repr(rec.solution) == repr(solution.record())
@@ -343,9 +388,9 @@ def test_seat_states_match_the_seat_loop(monkeypatch):
     # run_election's own loop handed to select_winner, seat by seat
     handed = []
 
-    def recording(profile, loads, eligible, method, lane=None):
-        handed.append((loads, list(eligible)))
-        return select_winner(profile, loads, eligible, method, lane)
+    def recording(lane, eligible):
+        handed.append((lane.loads, list(eligible)))
+        return select_winner(lane, eligible)
 
     monkeypatch.setattr(engine, "select_winner", recording)
     rng = random.Random(20260810)
@@ -525,18 +570,18 @@ def test_exact_lane_numerators_and_subproblem_sums_match_a_fresh_scan(monkeypatc
     seen, built = [], []
     advance, subproblem = engine._ExactLane.advance, engine._ExactLane.subproblem
 
-    def recording(lane, loads, solution):
-        out = advance(lane, loads, solution)
+    def recording(lane, solution):
+        out = advance(lane, solution)
         at = lane.at
-        seen.append((out[1], [F(n, at.denominator) for n in at.numerators]))
+        seen.append((lane.loads, [F(n, at.denominator) for n in at.numerators]))
         return out
 
-    def checking(lane, loads, name):
-        sub = subproblem(lane, loads, name)
+    def checking(lane, name):
+        sub = subproblem(lane, name)
         unit = sub.at.multiplier * sub.denominator
         scales = (unit, unit * sub.denominator, sub.denominator)
         sums = (sub.carried, sub.squares, sub.top)
-        built.append((loads, name, tuple(F(v, s) for v, s in zip(sums, scales))))
+        built.append((lane.loads, name, tuple(F(v, s) for v, s in zip(sums, scales))))
         return sub
 
     monkeypatch.setattr(engine._ExactLane, "advance", recording)
@@ -565,6 +610,30 @@ def test_exact_lane_numerators_and_subproblem_sums_match_a_fresh_scan(monkeypatc
             )
 
 
+@pytest.mark.parametrize("backend", Backend)
+def test_a_lane_built_at_a_seat_s_loads_decides_that_seat(backend):
+    # each lane may start at any loads, not only at zero: built at the loads
+    # before a seat of a run, it elects that seat's winner, with its ties,
+    # record, loads and variance after
+    rng = random.Random(11)
+    profiles = [random_profile(rng) for _ in range(10)]
+    profiles += [parse_profile("5/7 : a, b\n3/4 : b\n11/6 : a, c\n1/9 : c\n")]
+    lane_class = engine._ExactLane if backend is Backend.EXACT else engine._FloatLane
+    for profile, method, mode in product(
+        profiles, (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN), Mode
+    ):
+        seats = min(5, len(profile.candidates)) if mode is Mode.CANDIDATE else 5
+        result = run_election(profile, method, seats, mode=mode, backend=backend)
+        for rec, loads, eligible in engine.seat_states(profile, result):
+            lane = lane_class(profile, method, loads)
+            _, solution, tied = select_winner(lane, eligible)
+            record, variance_after = lane.advance(solution)
+            assert repr(record) == repr(rec.solution)
+            assert tuple(tied) == rec.tied_with
+            assert repr(lane.loads) == repr(rec.loads_after)
+            assert repr(variance_after) == repr(rec.variance_after)
+
+
 def near_tie_profile(rng, n_types=10, n_candidates=6):
     """Weights 1-4 over four approval sets, repeated: many candidates share a key."""
     pool = [f"c{i}" for i in range(n_candidates)]
@@ -575,7 +644,7 @@ def near_tie_profile(rng, n_types=10, n_candidates=6):
 
 
 def test_exact_lane_matches_the_uncached_reference_seat_by_seat():
-    """Exact runs against :func:`select_winner` without a lane, seat by seat.
+    """Exact runs against :func:`select_winner` on a share lane, seat by seat.
 
     The reference solves every eligible candidate afresh, share by share, at
     the recorded loads; the exact lane decides on integers, and skips the
@@ -596,7 +665,7 @@ def test_exact_lane_matches_the_uncached_reference_seat_by_seat():
         seats = min(7, len(profile.candidates)) if mode is Mode.CANDIDATE else 7
         result = run_election(profile, method, seats, mode=mode)
         for rec, loads, eligible in engine.seat_states(profile, result):
-            winner, solution, tied = select_winner(profile, loads, eligible, method)
+            winner, solution, tied = select_uncached(profile, loads, eligible, method)
             assert repr(rec.solution) == repr(solution.record())
             assert rec.tied_with == tuple(tied)
             assert rec.loads_after == loads.add(solution.record().x)
@@ -611,8 +680,8 @@ def recording_solves(lane) -> list:
     solves = []
     solve = lane.solve
 
-    def recording(loads, name):
-        approx, key, sol = solve(loads, name)
+    def recording(name):
+        approx, key, sol = solve(name)
         solves.append((name, approx, key))
         return approx, key, sol
 
@@ -633,15 +702,15 @@ def test_a_stale_bound_at_the_least_key_is_solved_and_can_win(method):
     """
     profile = parse_profile("2 : a\n2 : b\n1 : c\n")
     loads = LoadVector.zero(profile)
-    lane = engine._ExactLane(profile, method)
+    lane = engine._ExactLane(profile, method, loads)
     lane.bounds.update(a=0.5, c=1.0)
     solves = recording_solves(lane)
     eligible = profile.candidates
-    winner, solution, tied = select_winner(profile, loads, eligible, method, lane)
+    winner, solution, tied = select_winner(lane, eligible)
     assert (winner, tied) == ("a", ["a", "b"])
     assert [name for name, _, _ in solves] == ["b", "a"]
     assert lane.bounds == {"a": 0.5, "b": 0.5, "c": 1.0}
-    reference, ref_solution, ref_tied = select_winner(profile, loads, eligible, method)
+    reference, ref_solution, ref_tied = select_uncached(profile, loads, eligible, method)
     assert (reference, ref_tied) == (winner, tied)
     assert repr(ref_solution.record()) == repr(solution.record())
 
@@ -674,7 +743,7 @@ def test_first_round_clamps_match_the_uncached_reference(monkeypatch):
     for profile, result in runs:
         verify_election(profile, result)
         for rec, loads, eligible in engine.seat_states(profile, result):
-            winner, solution, tied = select_winner(
+            winner, solution, tied = select_uncached(
                 profile, loads, eligible, Method.VAR_PHRAGMEN
             )
             assert repr(rec.solution) == repr(solution.record())
@@ -701,12 +770,9 @@ def test_exact_keys_decide_what_float_keys_cannot_tell_apart(text, tied, method)
     exact keys: the seat goes to the least exact key, ``tied_with`` lists
     only its exact ties, and every seat is the uncached reference's."""
     profile = parse_profile(text)
-    lane = engine._ExactLane(profile, method)
+    lane = engine._ExactLane(profile, method, LoadVector.zero(profile))
     solves = recording_solves(lane)
-    zero = LoadVector.zero(profile)
-    winner, _, first_tied = select_winner(
-        profile, zero, profile.candidates, method, lane
-    )
+    winner, _, first_tied = select_winner(lane, profile.candidates)
     floats = {approx for _, approx, _ in solves}
     keys = {key for _, _, key in solves}
     assert len(floats) == 1 and len(keys) == 2
@@ -714,7 +780,7 @@ def test_exact_keys_decide_what_float_keys_cannot_tell_apart(text, tied, method)
     result = run_election(profile, method, 4, mode=Mode.PARTY)
     assert result.records[0].tied_with == tied
     for rec, loads, eligible in engine.seat_states(profile, result):
-        winner, solution, tied_now = select_winner(profile, loads, eligible, method)
+        winner, solution, tied_now = select_uncached(profile, loads, eligible, method)
         assert repr(rec.solution) == repr(solution.record())
         assert rec.tied_with == tuple(tied_now)
     verify_election(profile, result)
@@ -732,7 +798,7 @@ def test_an_unchanged_key_is_compared_at_the_current_denominator():
     result = run_election(profile, method, 2, mode=Mode.PARTY)
     assert result.winners == ("b", "b")
     for rec, loads, eligible in engine.seat_states(profile, result):
-        winner, solution, tied = select_winner(profile, loads, eligible, method)
+        winner, solution, tied = select_uncached(profile, loads, eligible, method)
         assert repr(rec.solution) == repr(solution.record())
         assert rec.tied_with == tuple(tied)
 
@@ -939,6 +1005,27 @@ def test_float64_matches_exact_outside_knife_edge_ties():
             assert float_result.winners == exact_result.winners
             checked += 1
         assert checked >= 15, method
+
+
+def test_the_float64_lane_never_raises_a_bound(monkeypatch):
+    # a float64 key, a sum of many roundings, is not proven never to fall,
+    # so no bound may rule a candidate out: after a float64 run every bound
+    # is still minus infinity, where the exact lane's run raises them all
+    lanes = []
+
+    def recording(lane, eligible):
+        lanes.append(lane)
+        return select_winner(lane, eligible)
+
+    monkeypatch.setattr(engine, "select_winner", recording)
+    profile = sparse_profile(random.Random(5))
+    for backend in Backend:
+        run_election(profile, Method.VAR_PHRAGMEN, 12, backend=backend)
+    exact, float64 = lanes[0], lanes[-1]
+    assert isinstance(float64, engine._FloatLane)
+    assert list(float64.bounds) == list(profile.candidates)
+    assert set(float64.bounds.values()) == {-math.inf}
+    assert -math.inf not in exact.bounds.values()
 
 
 def test_float64_rejects_a_total_weight_it_cannot_hold():
