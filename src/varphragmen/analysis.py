@@ -207,6 +207,7 @@ def solver_instance_record(
     The record is self-contained: :func:`replay_record` reparses the profile
     and loads from it and recomputes every solver from scratch.
     """
+    mode = Mode(mode)
     exact, waterfill, subset = _solve_instance(
         IntegerLoads(profile, loads), loads, candidate
     )
@@ -247,6 +248,7 @@ def compare_solvers_over_election(
     the seat (shares, level, score, corrected flag).  Returns the number of
     compared instances and the serialized records of any disagreements.
     """
+    mode = Mode(mode)
     result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
     instances = 0
     disagreements: list[dict] = []

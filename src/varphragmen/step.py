@@ -50,7 +50,9 @@ level and active set independently, and returns it recorded:
 
 * :func:`waterfill_solution` — exact minimizer by water-filling: raise the
   lowest loads to a common level until the unit budget is spent.
-* :func:`subset_oracle` — brute force over all supporter subsets.
+* :func:`subset_oracle` — brute force over all supporter subsets, on
+  integers over the oracle's own common denominators, scored share by
+  share; only the winning subset is built as fractions.
 
 The three agree on every instance seen so far; the analysis module runs
 randomized campaigns that would surface and serialize any divergence.
@@ -339,6 +341,16 @@ def subset_oracle(sub: Subproblem) -> StepSolution:
     solution with the minimal score wins.  Ties prefer the larger subset,
     then the lexicographically smallest index tuple, so the result is
     deterministic even on degenerate instances.
+
+    The enumeration runs on integers over the oracle's own common
+    denominators: weights ``U = u*L`` (``L`` the lcm of the weight
+    denominators) and loads ``N = r*D`` (``D`` that of the load
+    denominators).  A subset's ``W = sum(U)`` and ``A = sum(U*N) + L*D`` put
+    its level at ``A/(D*W)``; it is infeasible if a member has ``N*W > A``,
+    and it scores ``T/(W*W)``, ``T = sum(U*(A - N*W)*(A + N*W))`` share by
+    share.  Both are the fraction values times a positive constant shared by
+    every subset, so the order and the ties are theirs.  Only the winning
+    subset is built as fractions and scored by :meth:`Subproblem.solution`.
     """
     entries = sub.entries
     m = len(entries)
@@ -347,20 +359,29 @@ def subset_oracle(sub: Subproblem) -> StepSolution:
             f"candidate {sub.candidate!r} has {m} supporter types, "
             f"exceeding the subset-oracle cap of {SUBSET_ORACLE_CAP}"
         )
+    ratios = [(u.as_integer_ratio(), r.as_integer_ratio()) for _, u, r in entries]
+    multiplier = math.lcm(*(q for (_, q), _ in ratios))
+    denominator = math.lcm(*(d for _, (_, d) in ratios))
+    unit = multiplier * denominator
+    scaled = [
+        (k, p * (multiplier // q), n * (denominator // d))
+        for (k, _, _), ((p, q), (n, d)) in zip(entries, ratios)
+    ]
     best_key = None
-    best: tuple[list[tuple[int, Rational, Rational]], Rational] | None = None
+    best: tuple[int, int, int] | None = None
     for mask in range(1, 1 << m):
-        chosen = [entries[j] for j in range(m) if mask >> j & 1]
-        carried = sum(u * r for _, u, r in chosen)
+        chosen = [scaled[j] for j in range(m) if mask >> j & 1]
         weight = sum(u for _, u, _ in chosen)
-        level = (carried + 1) / weight
-        if any(level - r < 0 for _, _, r in chosen):
+        total = sum(u * n for _, u, n in chosen) + unit
+        if any(n * weight > total for _, _, n in chosen):
             continue
-        score = sum(u * (level - r) * (level + r) for _, u, r in chosen)
-        key = (score, -len(chosen), tuple(k for k, _, _ in chosen))
+        score = sum(u * (total - n * weight) * (total + n * weight) for _, u, n in chosen)
+        key = (Fraction(score, weight * weight), -len(chosen), tuple(k for k, _, _ in chosen))
         if best_key is None or key < best_key:
             best_key = key
-            best = (chosen, level)
+            best = (mask, total, weight)
     assert best is not None  # the singleton of the min-load type is always feasible
-    chosen, level = best
+    mask, total, weight = best
+    chosen = [entries[j] for j in range(m) if mask >> j & 1]
+    level = Fraction(total, denominator * weight)
     return sub.solution(level, 0, chosen, corrected=len(chosen) != m).record()

@@ -174,10 +174,9 @@ def test_profile12_replay_compares_all_seats(profile12):
     assert disagreements == []
 
 
-def test_campaign_checks_the_integer_lane_the_elections_run_on(monkeypatch):
-    # an integer lane that scores one too high disagrees with both oracles at
-    # every instance, and its record shows that score; a campaign that solved
-    # on the share lane (Subproblem) instead would find every instance agreeing
+def integer_lane_off_by_one(monkeypatch):
+    """Make the integer lane score one too high, so that it disagrees with
+    both oracles at every instance."""
     record = IntegerSubproblem.record
 
     def off_by_one(sub, solve):
@@ -185,6 +184,13 @@ def test_campaign_checks_the_integer_lane_the_elections_run_on(monkeypatch):
         return replace(sol, score=sol.score + 1)
 
     monkeypatch.setattr(IntegerSubproblem, "record", off_by_one)
+
+
+def test_campaign_checks_the_integer_lane_the_elections_run_on(monkeypatch):
+    # every instance disagrees, and its record shows the score one too high;
+    # a campaign that solved on the share lane (Subproblem) instead would
+    # find every instance agreeing
+    integer_lane_off_by_one(monkeypatch)
     report = oracle_agreement_campaign(seed=11, trials=6)
     assert report.instances > 0
     assert len(report.disagreements) == report.instances
@@ -219,6 +225,18 @@ def test_solver_instance_record_replays_loads_past_the_int_digit_limit():
     assert record["seat"] == 2
     assert min(len(cell) for cell in record["loads"]) > 10_000
     assert replay_record(record)["matches_recorded"]
+
+
+def test_a_string_mode_is_read_as_its_enum(monkeypatch, profile12, loads12_after_seat2):
+    record = solver_instance_record(profile12, loads12_after_seat2, "a2", mode="party")
+    assert record["mode"] == "party"
+    assert replay_record(record)["matches_recorded"]
+    # every instance disagrees, so each is serialized with the mode it was
+    # given as a string
+    integer_lane_off_by_one(monkeypatch)
+    instances, disagreements = compare_solvers_over_election(profile12, 3, mode="party")
+    assert len(disagreements) == instances > 0
+    assert {rec["mode"] for rec in disagreements} == {"party"}
 
 
 def test_equivalence_record_replays():

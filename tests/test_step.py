@@ -20,8 +20,9 @@ from varphragmen import (
     unconstrained_solution,
     waterfill_solution,
 )
-from varphragmen.model import StepSolution, left_sum
-from varphragmen.step import IntegerLoads, IntegerSubproblem, _score
+from varphragmen.analysis import oracle_agreement_campaign
+from varphragmen.model import Rational, StepSolution, left_sum
+from varphragmen.step import SUBSET_ORACLE_CAP, IntegerLoads, IntegerSubproblem, _score
 
 
 def sub_for(profile, loads, candidate):
@@ -221,6 +222,74 @@ def test_subset_oracle_cap(monkeypatch):
     assert subset_oracle(sub).level == F(1, 13)
 
 
+def test_subset_oracle_keeps_a_supporter_at_the_level():
+    # after one seat: {0} and {0, 1} both reach level 1 and score 1; type 1
+    # sits at the level with a zero share, which is feasible, and the larger
+    # subset wins the tie, so its share is the Fraction level - 1, not int 0
+    profile = parse_profile("1 : z\n1 : z\n")
+    loads = LoadVector(values=(F(0), F(1)), seats_assigned=1)
+    sol = subset_oracle(sub_for(profile, loads, "z"))
+    assert repr(sol.x) == repr((F(1), F(0)))
+    assert sol.corrected is False
+
+
+def fraction_subset_oracle(sub: Subproblem) -> StepSolution:
+    """The subset oracle in ``Fraction`` arithmetic throughout: the reference
+    that :func:`subset_oracle`'s integer enumeration matches in value and in
+    ``repr``."""
+    entries = sub.entries
+    m = len(entries)
+    if m > SUBSET_ORACLE_CAP:
+        raise ValueError(
+            f"candidate {sub.candidate!r} has {m} supporter types, "
+            f"exceeding the subset-oracle cap of {SUBSET_ORACLE_CAP}"
+        )
+    best_key = None
+    best: tuple[list[tuple[int, Rational, Rational]], Rational] | None = None
+    for mask in range(1, 1 << m):
+        chosen = [entries[j] for j in range(m) if mask >> j & 1]
+        carried = sum(u * r for _, u, r in chosen)
+        weight = sum(u for _, u, _ in chosen)
+        level = (carried + 1) / weight
+        if any(level - r < 0 for _, _, r in chosen):
+            continue
+        score = sum(u * (level - r) * (level + r) for _, u, r in chosen)
+        key = (score, -len(chosen), tuple(k for k, _, _ in chosen))
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (chosen, level)
+    assert best is not None  # the singleton of the min-load type is always feasible
+    chosen, level = best
+    return sub.solution(level, 0, chosen, corrected=len(chosen) != m).record()
+
+
+def assert_same_as_fraction_oracle(sub):
+    got, want = subset_oracle(sub), fraction_subset_oracle(sub)
+    assert got == want
+    assert repr(got) == repr(want)
+    return got
+
+
+def test_subset_oracle_is_the_fraction_oracle_over_a_campaign(monkeypatch):
+    compared = []
+
+    def both(sub):
+        compared.append(sub)
+        return assert_same_as_fraction_oracle(sub)
+
+    monkeypatch.setattr("varphragmen.analysis.subset_oracle", both)
+    report = oracle_agreement_campaign(seed=20261020, trials=150)
+    assert report.all_agree
+    assert len(compared) == report.instances > 1000
+
+
+def test_subset_oracle_is_the_fraction_oracle_on_skewed_loads():
+    corrected = 0
+    for sub in skewed_subproblems(random.Random(20260810), 250):
+        corrected += assert_same_as_fraction_oracle(sub).corrected
+    assert corrected >= 200
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -266,6 +335,12 @@ def test_three_solvers_agree(state):
     # the exact lane's integer solver gives the share-by-share solution
     exact = IntegerSubproblem(IntegerLoads(profile, loads), candidate)
     assert corrected_solution(exact).record() == a
+
+
+@settings(deadline=None, max_examples=80)
+@given(election_states())
+def test_subset_oracle_is_the_fraction_oracle(state):
+    assert_same_as_fraction_oracle(Subproblem(*state))
 
 
 @settings(deadline=None, max_examples=80)
