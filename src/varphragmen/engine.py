@@ -12,15 +12,14 @@ record.
 Elections are independent of each other and may run in parallel; a run only
 ever builds fresh immutable load vectors, and its lane is its own.  A lane is
 a seat's whole state: the profile, the method, the current loads and a lower
-bound on each candidate's float key; :func:`select_winner` reads nothing
-else, and a backend's lane moves its loads on as it takes in each seat.  The
-share lane is the uncached reference.  The exact lane solves on integers,
-loads as numerators over one run-wide denominator, raises each candidate's
-bound to its last float key, so that no candidate whose bound lies above the
-least fresh float key is re-solved, and compares exactly only the keys whose
-float equals the least; the float64 lane solves share by share and caches
-each solve until a seat moves a supporter.  All three solve to a light
-``Solve``; only each seat's winner is recorded.
+bound on each candidate's float key, its only memory; :func:`select_winner`
+reads nothing else and re-solves no candidate whose bound lies above the
+least fresh float key, and a backend's lane moves its loads on as it takes in
+each seat.  The share lane is the eager reference.  The exact lane solves on
+integers, loads as numerators over one run-wide denominator, and compares
+exactly only the keys whose float equals the least; the float64 lane solves
+share by share.  All three solve to a light ``Solve``; only each seat's
+winner is recorded.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
 
 
 class _ShareLane:
-    """Share-by-share arithmetic for ``method`` at ``loads``: the uncached reference.
+    """Share-by-share arithmetic for ``method`` at ``loads``: the eager reference.
 
     Subproblems are plain :class:`Subproblem` instances at ``self.loads``,
     which compute each ``u*r`` afresh and score their active set share by
@@ -109,7 +108,7 @@ class _ShareLane:
 
     ``bounds`` holds a lower bound on each candidate's float key at
     ``loads``: minus infinity, which rules no candidate out, until
-    :meth:`_ExactLane.solve` raises it; no other lane does.
+    :meth:`solve` raises it to the float key it returns; nothing else does.
     """
 
     def __init__(self, profile: Profile, method: Method, loads: LoadVector):
@@ -142,19 +141,20 @@ class _ShareLane:
                     "max-load positivity violated"
                 )
             key = sol.level
-        return self.approximate(key), key, sol
+        approx = self.bounds[name] = self.approximate(key)
+        return approx, key, sol
 
 
 class _FloatLane(_ShareLane):
     """The float64 backend: the share lane on ``profile``'s weights in float64,
     refused (exit 3) when a weight, its reciprocal or their total does not fit.
 
-    ``solved`` is the lane's solve cache: each candidate's ``(float key, key,
-    solve)`` at ``loads``.  :meth:`advance` evicts every candidate approved
-    by a type the seat moved (active, below the level).  The lane never
-    raises a bound: a float64 key, a sum of many roundings, is not proven
-    never to fall, so every eligible candidate is solved or served from the
-    cache at every seat.
+    A bound is the candidate's float key itself while none of its supporters
+    has moved: its subproblem reads the same weight and load objects, so a
+    fresh key has the same bits.  :meth:`advance` resets to minus infinity
+    the bound of every candidate approved by a type the seat moved (active,
+    below the level): a float64 key, a sum of many roundings, is not proven
+    never to fall as a load rises, so no stale key may bound it.
     """
 
     def __init__(self, profile: Profile, method: Method, loads: LoadVector):
@@ -177,19 +177,12 @@ class _FloatLane(_ShareLane):
             raise ElectionConfigError(
                 "total voter weight overflows float64; use --backend exact"
             )
-        self.solved: dict[CandidateId, tuple[float, float, Solve]] = {}
-
-    def solve(self, name: CandidateId) -> tuple[float, float, Solve]:
-        entry = self.solved.get(name)
-        if entry is None:
-            entry = self.solved[name] = super().solve(name)
-        return entry
 
     def advance(self, solution: Solve) -> tuple:
         """Take in a seat: move ``loads`` on, return its record and the variance after it.
 
-        Only the moved types' loads change, and only their candidates leave
-        the cache; the other loads keep their objects.  A score or variance
+        Only the moved types' loads change, and only their candidates' bounds
+        are reset; the other loads keep their objects.  A score or variance
         that overflowed is reported before it is recorded.
         """
         record = solution.record()
@@ -198,7 +191,7 @@ class _FloatLane(_ShareLane):
             if r != solution.level:
                 values[k] += record.x[k]
                 for name in self.profile.types[k].approvals:
-                    self.solved.pop(name, None)
+                    self.bounds[name] = -math.inf
         loads = self.loads = LoadVector(tuple(values), self.loads.seats_assigned + 1)
         after = variance(self.profile, loads)
         for what, value in (("score", record.score), ("variance", after)):
@@ -228,7 +221,7 @@ class _ExactLane(_ShareLane):
     of power 2 or 1 in ``D``), does not depend on ``D``.
 
     ``bounds`` holds each candidate's last float key, minus infinity until
-    its first solve; :meth:`solve` sets it and nothing else changes it.  It
+    its first solve, kept across seats: nothing but a solve changes it.  It
     is a lower bound on the candidate's fresh float key: the seat's feasible
     shares do not depend on the loads, the score and the level never fall
     as a load rises, loads only rise, and the float key is one correctly
@@ -245,11 +238,6 @@ class _ExactLane(_ShareLane):
         weighted = [u * n for u, n in zip(at.weights, at.numerators)]
         self.mass = sum(weighted)
         self.squares = sum(c * n for c, n in zip(weighted, at.numerators))
-
-    def solve(self, name: CandidateId) -> tuple[float, Fraction, Solve]:
-        entry = super().solve(name)
-        self.bounds[name] = entry[0]
-        return entry
 
     def approximate(self, key: Fraction) -> float:
         """The absolute key, by one correctly rounded ``int`` division."""
@@ -315,9 +303,11 @@ def select_winner(
     a bound lies strictly above the least fresh float key found so far.
     That candidate and every later one are skipped unsolved: a fresh key is
     never below its bound, so none can contend.  A bound equal to the least
-    key is solved, as it may tie.  Only the exact lane raises a bound; on
-    the share and float64 lanes every bound is minus infinity, so every
-    candidate is solved, in name order.
+    key is solved, as it may tie.  The visit order changes no contender,
+    winner or tie unless a float key is NaN, and none is: keys are sums of
+    nonnegative terms, which may reach inf but not NaN, and the float64
+    lane's exit-3 checks keep its weights, their reciprocals and total, and
+    each recorded score and variance finite.
     """
     if lane.method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
         raise ValueError(f"select_winner does not handle {lane.method.value}")
@@ -402,10 +392,10 @@ def run_election(
     records it, moves its loads on and returns the variance after the seat.
     The backend picks the lane's class, built once per run for ``method`` at
     zero loads; the lane holds the profile the run reads and the loads each
-    record takes.  The float64 lane's solve cache
-    drops every candidate approved by a type the seat moved, so a seat
-    re-solves only those; the exact lane re-solves only the candidates whose
-    last float key, a lower bound, does not rule them out.  The results are
+    record takes.  A seat re-solves only the candidates whose bound does not
+    rule them out: on the exact lane the last float key, a lower bound; on
+    the float64 lane the unchanged key of a candidate none of whose
+    supporters the seat moved, or minus infinity.  The results are
     identical, float bits included, to re-solving every candidate at every
     seat.
 

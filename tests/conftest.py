@@ -1,8 +1,21 @@
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from varphragmen import LoadVector, parse_profile
+
+# hypothesis imports this module while it reports a failing example; with
+# libcst installed, that import raises a DeprecationWarning (from
+# mypy_extensions), which under ``-W error`` ends the whole session with
+# INTERNALERROR instead of reporting the failure.  Importing it here, once,
+# with that one warning ignored keeps ``-W error`` in force everywhere else.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 PROFILE_12 = "9: a1, a2\n1: a1, a2, b\n3: b, c\n"
 PROFILE_13 = "4: A\n1: B\n3: C\n9: A, B\n3: B, C\n"

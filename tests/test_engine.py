@@ -470,10 +470,10 @@ def test_rescoring_touches_only_changed_types(monkeypatch, mode):
 def test_a_supporter_at_the_level_keeps_its_candidates_cached(monkeypatch, backend):
     # at seat 4, c's supporter type 2 already sits at the level 4/15: it stays
     # active with a zero share and moves nothing, so a, approved by types 0
-    # and 2 only, is not re-solved at seat 5: the float64 lane keeps a's
-    # solve in its cache, and in the exact lane a's bound, its unchanged key
-    # 11/15, lies above c's fresh key 37/60; within a seat the solve order
-    # follows the bounds, so the seats are compared as sets
+    # and 2 only, is not re-solved at seat 5: both lanes keep a's bound, its
+    # unchanged float key of 11/15, which lies above c's fresh key 37/60 (the
+    # float64 lane resets a bound only for a type that moved); within a seat
+    # the solve order follows the bounds, so the seats are compared as sets
     solved = solves_per_seat(monkeypatch)
     profile = parse_profile("3 : a\n4 : c\n2 : a, c\n6 : c\n")
     result = run_election(
@@ -1007,25 +1007,41 @@ def test_float64_matches_exact_outside_knife_edge_ties():
         assert checked >= 15, method
 
 
-def test_the_float64_lane_never_raises_a_bound(monkeypatch):
+def test_a_float64_bound_is_its_fresh_key_or_minus_infinity(monkeypatch):
     # a float64 key, a sum of many roundings, is not proven never to fall,
-    # so no bound may rule a candidate out: after a float64 run every bound
-    # is still minus infinity, where the exact lane's run raises them all
-    lanes = []
+    # so no stale key may rule a candidate out: after every seat, each
+    # candidate approved by a type the seat moved has its bound reset, and
+    # every other finite bound is the float key a fresh solve gives at the
+    # new loads, bit for bit
+    original = engine._FloatLane.advance
+    checked = 0
 
-    def recording(lane, eligible):
-        lanes.append(lane)
-        return select_winner(lane, eligible)
+    def checking(lane, solution):
+        nonlocal checked
+        record, after = original(lane, solution)
+        moved = {
+            name
+            for k, share in enumerate(record.x)
+            if share > 0
+            for name in lane.profile.types[k].approvals
+        }
+        for name, bound in lane.bounds.items():
+            if name in moved:
+                assert bound == -math.inf, name
+            elif math.isfinite(bound):
+                fresh = engine._ShareLane(lane.profile, lane.method, lane.loads)
+                assert repr(bound) == repr(fresh.solve(name)[0]), name
+                checked += 1
+        return record, after
 
-    monkeypatch.setattr(engine, "select_winner", recording)
-    profile = sparse_profile(random.Random(5))
-    for backend in Backend:
-        run_election(profile, Method.VAR_PHRAGMEN, 12, backend=backend)
-    exact, float64 = lanes[0], lanes[-1]
-    assert isinstance(float64, engine._FloatLane)
-    assert list(float64.bounds) == list(profile.candidates)
-    assert set(float64.bounds.values()) == {-math.inf}
-    assert -math.inf not in exact.bounds.values()
+    monkeypatch.setattr(engine._FloatLane, "advance", checking)
+    rng = random.Random(27)
+    profiles = [random_profile(rng) for _ in range(6)] + [sparse_profile(rng)]
+    methods = (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN)
+    for profile, method, mode in product(profiles, methods, Mode):
+        seats = min(6, len(profile.candidates)) if mode is Mode.CANDIDATE else 6
+        run_election(profile, method, seats, mode=mode, backend=Backend.FLOAT64)
+    assert checked
 
 
 def test_float64_rejects_a_total_weight_it_cannot_hold():
