@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .engine import _party_weights, apportion_sequence, run_election, seat_states
+from .engine import _ExactLane, _party_weights, apportion_sequence, run_election, seat_states
 from .model import (
     Backend,
     CandidateId,
@@ -42,7 +42,7 @@ from .model import (
     rational_str,
     render_profile,
 )
-from .step import IntegerLoads, IntegerSubproblem, Subproblem, corrected_solution
+from .step import Subproblem, corrected_solution
 from .step import subset_oracle, waterfill_solution
 
 PARTY_POOL = tuple("ABCDEF")
@@ -186,12 +186,12 @@ def _solution_payload(sol: StepSolution) -> dict:
 
 
 def _solve_instance(
-    at: IntegerLoads, loads: LoadVector, candidate: CandidateId
+    lane: _ExactLane, candidate: CandidateId
 ) -> tuple[StepSolution, StepSolution, StepSolution]:
-    """``candidate``'s seat at ``loads`` (``at`` on integers) by the exact
-    lane's production solver, water-filling and the subset oracle."""
-    sub = Subproblem(at.profile, loads, candidate)
-    exact = corrected_solution(IntegerSubproblem(at, candidate)).record()
+    """``candidate``'s seat at ``lane``'s loads by the production solver on
+    ``lane``, as elections solve it, water-filling and the subset oracle."""
+    sub = Subproblem(lane.profile, lane.loads, candidate)
+    exact = corrected_solution(lane.subproblem(candidate)).record()
     return exact, waterfill_solution(sub), subset_oracle(sub)
 
 
@@ -208,9 +208,8 @@ def solver_instance_record(
     and loads from it and recomputes every solver from scratch.
     """
     mode = Mode(mode)
-    exact, waterfill, subset = _solve_instance(
-        IntegerLoads(profile, loads), loads, candidate
-    )
+    lane = _ExactLane(profile, Method.VAR_PHRAGMEN, loads)
+    exact, waterfill, subset = _solve_instance(lane, candidate)
     return {
         "kind": "solver-instance",
         "profile": render_profile(profile),
@@ -245,18 +244,19 @@ def compare_solvers_over_election(
     For every candidate eligible at every seat, as :func:`seat_states`
     walks the finished election, the corrected solution, the water-filling
     solution and the subset oracle are compared exactly at the loads before
-    the seat (shares, level, score, corrected flag).  Returns the number of
-    compared instances and the serialized records of any disagreements.
+    the seat (shares, level, score, corrected flag), the first on an exact
+    lane built at those loads.  Returns the number of compared instances and
+    the serialized records of any disagreements.
     """
     mode = Mode(mode)
     result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)
     instances = 0
     disagreements: list[dict] = []
     for _, loads, eligible in seat_states(profile, result):
-        at = IntegerLoads(profile, loads)
+        lane = _ExactLane(profile, Method.VAR_PHRAGMEN, loads)
         for name in eligible:
             instances += 1
-            if not _solutions_agree(*_solve_instance(at, loads, name)):
+            if not _solutions_agree(*_solve_instance(lane, name)):
                 disagreements.append(
                     solver_instance_record(profile, loads, name, mode=mode)
                 )

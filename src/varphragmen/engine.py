@@ -45,7 +45,6 @@ from .model import (
     rational_str,
 )
 from .step import (
-    IntegerLoads,
     IntegerSubproblem,
     Solve,
     Subproblem,
@@ -204,11 +203,12 @@ class _FloatLane(_ShareLane):
 
 
 class _ExactLane(_ShareLane):
-    """Exact arithmetic on running :class:`IntegerLoads`: numerators ``N``
-    over one denominator ``D``.  Each subproblem sums its own supporters'
+    """Exact arithmetic on the integer loads the lane holds: ``weights`` ``U``
+    over their lcm ``multiplier`` ``L``, ``numerators`` ``N`` over one
+    ``denominator`` ``D``.  Each subproblem sums its own supporters'
     ``(sum(U*N), sum(U*N*N), max N)`` when it is built, so the lane keeps no
     per-candidate state besides its ``bounds``; every key is at today's ``D``.
-    The run totals below are summed once from the loads the lane is built at.
+    ``D`` and the run totals below start from the loads the lane is built at.
 
     A seat at level ``p/(D*q)``, in lowest terms, sets ``D`` to ``D*q``: the
     active types take ``N = p`` and every other numerator is multiplied by
@@ -230,14 +230,18 @@ class _ExactLane(_ShareLane):
 
     def __init__(self, profile: Profile, method: Method, loads: LoadVector):
         super().__init__(profile, method, loads)
-        at = self.at = IntegerLoads(profile, loads)
+        ratios = [t.weight.as_integer_ratio() for t in profile.types]  # floats too
+        multiplier = self.multiplier = math.lcm(*(q for _, q in ratios))
+        weights = self.weights = [p * (multiplier // q) for p, q in ratios]
+        denominator = self.denominator = math.lcm(*(r.denominator for r in loads.values))
+        numerators = self.numerators = [int(r * denominator) for r in loads.values]
         var = self.method is Method.VAR_PHRAGMEN
         self.key_power = 2 if var else 1
-        self.scale = (at.multiplier if var else 1) * at.denominator**self.key_power  # L*D*D or D
-        self.total_weight = sum(at.weights)
-        weighted = [u * n for u, n in zip(at.weights, at.numerators)]
+        self.scale = (multiplier if var else 1) * denominator**self.key_power  # L*D*D or D
+        self.total_weight = sum(weights)
+        weighted = [u * n for u, n in zip(weights, numerators)]
         self.mass = sum(weighted)
-        self.squares = sum(c * n for c, n in zip(weighted, at.numerators))
+        self.squares = sum(c * n for c, n in zip(weighted, numerators))
 
     def approximate(self, key: Fraction) -> float:
         """The absolute key, by one correctly rounded ``int`` division."""
@@ -247,29 +251,28 @@ class _ExactLane(_ShareLane):
             return math.inf
 
     def subproblem(self, name: CandidateId) -> IntegerSubproblem:
-        return IntegerSubproblem(self.at, name)
+        return IntegerSubproblem(self, name)
 
     def advance(self, solution: Solve) -> tuple:
-        at = self.at
         record = solution.record()
         level = solution.level
         p, q = level.numerator, level.denominator
-        numerators = at.numerators = [n * q for n in at.numerators]
-        at.denominator *= q
+        numerators = self.numerators = [n * q for n in self.numerators]
+        self.denominator *= q
         self.scale *= q**self.key_power
         mass, total = self.mass * q, self.squares * q * q
         for k, _, n in solution.active:
             if n == level:
                 continue  # active at the level already: it does not move
             before = numerators[k]
-            carried = at.weights[k] * (p - before)
+            carried = self.weights[k] * (p - before)
             squares = carried * (p + before)  # U*(after**2 - before**2)
             mass += carried
             total += squares
             numerators[k] = p
         self.mass, self.squares = mass, total
         n = self.loads.seats_assigned + 1
-        unit = at.multiplier * at.denominator
+        unit = self.multiplier * self.denominator
         if mass != n * unit:
             shown = rational_str(Fraction(mass, unit))
             raise ValueError(f"inconsistent loads: total mass {shown} != {n} seats")
@@ -278,7 +281,7 @@ class _ExactLane(_ShareLane):
             values[k] = record.level
         self.loads = LoadVector(tuple(values), n)
         w = self.total_weight
-        after = Fraction(total * w - n * n * unit * unit, unit * at.denominator * w)
+        after = Fraction(total * w - n * n * unit * unit, unit * self.denominator * w)
         return record, after
 
 

@@ -27,12 +27,13 @@ both lanes:
   :func:`_score` is that sum over a dense share vector, for recorded shares.
 * :class:`IntegerSubproblem`, the exact lane, works on integers: weights
   ``U = u*L`` over the lcm ``L`` of their denominators, loads ``N`` over one
-  denominator ``D`` (:class:`IntegerLoads`), and a seat adds ``L*D``.  With
-  ``A = sum(U*N) + L*D`` and ``W = sum(U)`` over the active set, the level
-  is ``A/W``, the clamp test ``N*W > A`` and the score, in closed form as
-  every active supporter ends at the level, ``A*A/W - sum(U*N*N)``.  ``W``
-  is small, so deciding a seat takes no big ``gcd``; only a recorded solve
-  is reduced to fractions.
+  denominator ``D``, and a seat adds ``L*D``.  The engine's exact lane holds
+  these integer loads, builds them and moves them on; the subproblem reads
+  them.  With ``A = sum(U*N) + L*D`` and ``W = sum(U)`` over the active set,
+  the level is ``A/W``, the clamp test ``N*W > A`` and the score, in closed
+  form as every active supporter ends at the level, ``A*A/W - sum(U*N*N)``.
+  ``W`` is small, so deciding a seat takes no big ``gcd``; only a recorded
+  solve is reduced to fractions.
 
 Zero terms cost nothing in either lane: a supporter with zero load moves
 straight to ``level`` (``level - 0 == level`` in value and type, float bits
@@ -140,36 +141,23 @@ class Subproblem:
         )
 
 
-class IntegerLoads:
-    """Weights ``weights[k]/multiplier`` and loads ``numerators[k]/denominator``,
-    over the lcm of their denominators; the engine's exact lane keeps one
-    instance running through a whole election."""
-
-    def __init__(self, profile: Profile, loads: LoadVector):
-        self.profile = profile
-        ratios = [t.weight.as_integer_ratio() for t in profile.types]  # floats too
-        self.multiplier = math.lcm(*(q for _, q in ratios))
-        self.weights = [p * (self.multiplier // q) for p, q in ratios]
-        self.denominator = math.lcm(*(r.denominator for r in loads.values))
-        self.numerators = [int(r * self.denominator) for r in loads.values]
-
-
 class IntegerSubproblem:
-    """The exact lane's subproblem (see the module docstring) at the current
-    denominator ``D`` of :class:`IntegerLoads`, which it keeps: ``carried =
+    """The exact lane's subproblem (see the module docstring), read from the
+    integer loads that ``lane`` (the engine's exact lane) holds: ``carried =
     sum(U*N)``, ``squares = sum(U*N*N)`` and ``top = max N``, zero loads
-    skipped.  ``unit = L*D`` is a ``Fraction`` so that the level of
-    :func:`corrected_solution` is the exact ``A/W``, ``D`` times the common
-    level."""
+    skipped.  It keeps the lane's denominator ``D`` at the time, as a seat
+    moves the lane's on, and the number of types, not the lane.  ``unit =
+    L*D`` is a ``Fraction`` so that the level of :func:`corrected_solution`
+    is the exact ``A/W``, ``D`` times the common level."""
 
     __slots__ = ("candidate", "entries", "supporter_weight", "carried", "squares", "top", "unit",
-                 "denominator", "at")
+                 "denominator", "size")
 
-    def __init__(self, at: IntegerLoads, candidate: CandidateId):
-        weights, numerators = at.weights, at.numerators
+    def __init__(self, lane, candidate: CandidateId):
+        weights, numerators = lane.weights, lane.numerators
         entries = []
         weight = carried = squares = top = 0
-        for k in at.profile.supporters(candidate):
+        for k in lane.profile.supporters(candidate):
             u, n = weights[k], numerators[k]
             entries.append((k, u, n))
             weight += u
@@ -178,12 +166,12 @@ class IntegerSubproblem:
                 squares += u * (n * n)  # squaring n alone is the fast big-int path
                 if n > top:
                     top = n
-        self.at = at
         self.candidate = candidate
         self.entries = tuple(entries)
         self.supporter_weight, self.carried, self.squares, self.top = weight, carried, squares, top
-        self.denominator = at.denominator
-        self.unit = Fraction(at.multiplier * at.denominator)
+        self.size = len(weights)
+        self.denominator = lane.denominator
+        self.unit = Fraction(lane.multiplier * lane.denominator)
 
     def solution(
         self,
@@ -204,7 +192,7 @@ class IntegerSubproblem:
     def record(self, solve: Solve) -> StepSolution:
         """``solve`` in reduced fractions, its shares over every type."""
         level = solve.level / self.denominator
-        x: list[Rational] = [0] * len(self.at.weights)
+        x: list[Rational] = [0] * self.size
         for k, _, n in solve.active:
             x[k] = (solve.level - n) / self.denominator if n else level
         score = solve.score / (self.unit * self.denominator)

@@ -27,6 +27,7 @@ from varphragmen import (
     two_party_family,
 )
 from varphragmen.analysis import closed_list_sequences
+from varphragmen.engine import _ExactLane
 from varphragmen.model import Mode
 from varphragmen.step import IntegerSubproblem
 
@@ -186,17 +187,41 @@ def integer_lane_off_by_one(monkeypatch):
     monkeypatch.setattr(IntegerSubproblem, "record", off_by_one)
 
 
-def test_campaign_checks_the_integer_lane_the_elections_run_on(monkeypatch):
-    # every instance disagrees, and its record shows the score one too high;
+def integer_lane_built_one_high(monkeypatch):
+    """Build every exact lane with each nonzero numerator one higher.  An
+    election's lane, built at zero loads, is untouched; a lane built at a
+    later seat's loads is not."""
+    init = _ExactLane.__init__
+
+    def one_high(lane, *args):
+        init(lane, *args)
+        lane.numerators = [n + 1 if n else 0 for n in lane.numerators]
+
+    monkeypatch.setattr(_ExactLane, "__init__", one_high)
+
+
+@pytest.mark.parametrize(
+    "perturb", [integer_lane_off_by_one, integer_lane_built_one_high],
+    ids=["off-by-one", "built-one-high"],
+)
+def test_campaign_checks_the_integer_lane_the_elections_run_on(monkeypatch, perturb):
     # a campaign that solved on the share lane (Subproblem) instead would
     # find every instance agreeing
-    integer_lane_off_by_one(monkeypatch)
+    perturb(monkeypatch)
     report = oracle_agreement_campaign(seed=11, trials=6)
     assert report.instances > 0
-    assert len(report.disagreements) == report.instances
+    if perturb is integer_lane_off_by_one:
+        # every instance disagrees, and its record shows the score one too high
+        assert len(report.disagreements) == report.instances
+        for rec in report.disagreements:
+            scores = [parse_rational(rec[k]["score"]) for k in ("corrected", "waterfill")]
+            assert scores[0] == scores[1] + 1
+    else:
+        # the campaign builds a lane at each seat's loads, and only those
+        # after the first seat are nonzero
+        assert report.disagreements
+        assert all(rec["seat"] >= 2 for rec in report.disagreements)
     for rec in report.disagreements:
-        scores = [parse_rational(rec[k]["score"]) for k in ("corrected", "waterfill")]
-        assert scores[0] == scores[1] + 1
         assert replay_record(rec)["matches_recorded"]
 
 

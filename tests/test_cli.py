@@ -365,6 +365,24 @@ def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypat
         assert out.splitlines() == lines, argv
 
 
+def test_readme_library_examples_run_and_show_what_they_say(capsys):
+    # the two python blocks of the Library section run in one namespace, in
+    # order, and give the values their comments show
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    out = capsys.readouterr().out
+    result = namespace["result"]
+    assert result.winners == ("a1", "b", "a2")
+    assert result.records[2].solution.x == (Fraction(1, 9), 0, 0)
+    assert result.records[2].solution.corrected is True
+    assert out.splitlines()[0].startswith("1 a1 {'a1': Fraction(1, 10), ")
+
+
 # ---------------------------------------------------------------------------
 # probe
 

@@ -572,13 +572,12 @@ def test_exact_lane_numerators_and_subproblem_sums_match_a_fresh_scan(monkeypatc
 
     def recording(lane, solution):
         out = advance(lane, solution)
-        at = lane.at
-        seen.append((lane.loads, [F(n, at.denominator) for n in at.numerators]))
+        seen.append((lane.loads, [F(n, lane.denominator) for n in lane.numerators]))
         return out
 
     def checking(lane, name):
         sub = subproblem(lane, name)
-        unit = sub.at.multiplier * sub.denominator
+        unit = lane.multiplier * sub.denominator
         scales = (unit, unit * sub.denominator, sub.denominator)
         sums = (sub.carried, sub.squares, sub.top)
         built.append((lane.loads, name, tuple(F(v, s) for v, s in zip(sums, scales))))

@@ -21,8 +21,9 @@ from varphragmen import (
     waterfill_solution,
 )
 from varphragmen.analysis import oracle_agreement_campaign
+from varphragmen.engine import _ExactLane
 from varphragmen.model import Rational, StepSolution, left_sum
-from varphragmen.step import SUBSET_ORACLE_CAP, IntegerLoads, IntegerSubproblem, _score
+from varphragmen.step import SUBSET_ORACLE_CAP, _score
 
 
 def sub_for(profile, loads, candidate):
@@ -333,7 +334,7 @@ def test_three_solvers_agree(state):
         assert a == unconstrained_solution(sub).record()
         assert a.score == closed_form_score(sub)
     # the exact lane's integer solver gives the share-by-share solution
-    exact = IntegerSubproblem(IntegerLoads(profile, loads), candidate)
+    exact = _ExactLane(profile, Method.VAR_PHRAGMEN, loads).subproblem(candidate)
     assert corrected_solution(exact).record() == a
 
 
@@ -443,13 +444,13 @@ def integer_subproblem(sub):
     values = [0] * len(sub.profile.types)
     for k, _, r in sub.entries:
         values[k] = r
-    at = IntegerLoads(sub.profile, LoadVector(tuple(values), 0))
-    exact = IntegerSubproblem(at, sub.candidate)
-    unit = at.multiplier * at.denominator
+    lane = _ExactLane(sub.profile, Method.VAR_PHRAGMEN, LoadVector(tuple(values), 0))
+    exact = lane.subproblem(sub.candidate)
+    unit = lane.multiplier * lane.denominator
     assert (exact.carried, exact.squares, exact.top) == (
         sum(u * r for _, u, r in sub.entries) * unit,
-        sum(u * r * r for _, u, r in sub.entries) * unit * at.denominator,
-        max(r for _, _, r in sub.entries) * at.denominator,
+        sum(u * r * r for _, u, r in sub.entries) * unit * lane.denominator,
+        max(r for _, _, r in sub.entries) * lane.denominator,
     )
     return exact
 
