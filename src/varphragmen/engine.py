@@ -73,16 +73,20 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
 
     The direct evaluation: the float lane of :func:`run_election` and
     :func:`verify_election` call it after every seat, while the exact lane
-    keeps both sums running instead.  Requires a consistent load vector
-    (``sum(u*r) == seats_assigned``); the check uses a tolerance only when
-    float loads are involved.  Both sums
-    skip the types with a zero load and add the rest left to right in type
-    order, each ``u*r`` computed once.  Loads and weights are nonnegative, so
-    a partial sum is never ``-0.0``, and adding an exact or float zero to it
-    changes no value or bit: the result equals the full scan exactly.
+    keeps both sums running instead.  Requires a load vector of the
+    profile's length and a consistent one (``sum(u*r) == seats_assigned``,
+    with a tolerance only for float loads), else raises ``ValueError``.  All
+    sums add left to right in type order: ``w`` over every type, zero loads
+    included, and the others over the types with a nonzero load, each
+    ``u*r`` computed once.  Loads and weights are nonnegative, so a partial
+    sum is never ``-0.0``, and adding an exact or float zero to it changes
+    no value or bit: the result equals the full scan exactly.
     """
-    mass = squares = 0
+    if len(loads.values) != len(profile.types):
+        raise ValueError("load vector length does not match profile")
+    mass = squares = w = 0
     for t, r in zip(profile.types, loads.values):
+        w += t.weight
         if r:
             weighted = t.weight * r
             mass += weighted
@@ -93,7 +97,7 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
         raise ValueError(
             f"inconsistent loads: total mass {rational_str(mass)} != {n} seats"
         )
-    return squares - n * n / profile.total_weight
+    return squares - n * n / w
 
 
 class _ShareLane:
@@ -146,7 +150,8 @@ class _ShareLane:
 
 class _FloatLane(_ShareLane):
     """The float64 backend: the share lane on ``profile``'s weights in float64,
-    refused (exit 3) when a weight, its reciprocal or their total does not fit.
+    refused (exit 3) when a weight, its reciprocal or their total, summed
+    left to right in type order, does not fit.
 
     A bound is the candidate's float key itself while none of its supporters
     has moved: its subproblem reads the same weight and load objects, so a
@@ -171,11 +176,11 @@ class _FloatLane(_ShareLane):
                     f"voter type {k} weight {problem} float64; use --backend exact"
                 )
             types.append(VoterType(weight=weight, approvals=t.approvals))
-        super().__init__(Profile(types), method, loads)
-        if not math.isfinite(self.profile.total_weight):
+        if not math.isfinite(left_sum(t.weight for t in types)):
             raise ElectionConfigError(
                 "total voter weight overflows float64; use --backend exact"
             )
+        super().__init__(Profile(types), method, loads)
 
     def advance(self, solution: Solve) -> tuple:
         """Take in a seat: move ``loads`` on, return its record and the variance after it.
@@ -499,7 +504,7 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
     """
     problems: list[str] = []
     types = profile.types
-    w = profile.total_weight
+    w = left_sum(t.weight for t in types)
     quotient_rule = HIGHEST_AVERAGES_DIVISORS.get(result.method)
     party_weight = _party_weights(profile) if quotient_rule else {}
     loads = LoadVector.zero(profile)

@@ -173,18 +173,16 @@ class Profile:
     """An approval profile, built from its voter types alone.
 
     ``types`` (any nonempty iterable, stored as a tuple in input order)
-    determines the rest, all derived once at construction and never written
+    determines the rest, both derived once at construction and never written
     again: ``candidates``, the union of all approval sets in first-appearance
-    order; ``total_weight``, the sum of all type weights in ascending type
-    order (:func:`left_sum`); and the supporter index behind
-    :meth:`supporters`.  A supporter set's weight belongs to the subproblem
-    that reads it, which sums it.  Only ``types`` and ``candidates`` take
-    part in equality.
+    order, and the supporter index behind :meth:`supporters`.  Building a
+    profile does no arithmetic on weights: a total weight, of all types or of
+    a supporter set, belongs to the code that reads it, which sums it.  Only
+    ``types`` and ``candidates`` take part in equality.
     """
 
     types: tuple[VoterType, ...]
     candidates: tuple[CandidateId, ...] = field(init=False)
-    total_weight: Rational = field(init=False, compare=False)
     _indices: dict[CandidateId, tuple[int, ...]] = field(
         init=False, compare=False, repr=False
     )
@@ -200,7 +198,6 @@ class Profile:
                 indices.setdefault(name, []).append(k)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "candidates", tuple(indices))
-        object.__setattr__(self, "total_weight", left_sum(t.weight for t in types))
         index = {name: tuple(ks) for name, ks in indices.items()}
         object.__setattr__(self, "_indices", index)
 

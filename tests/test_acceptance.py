@@ -180,7 +180,7 @@ def test_criterion_7_variance_bookkeeping():
     """The recorded variance equals old squared-load mass + score - s*s/w, exactly."""
     checked = 0
     for profile, result in suite_elections():
-        w = profile.total_weight
+        w = sum(t.weight for t in profile.types)
         for rec, loads, _ in seat_states(profile, result):
             old_sq = sum(
                 t.weight * r * r for t, r in zip(profile.types, loads.values)

@@ -70,7 +70,7 @@ def test_profile12_full_run(profile12):
 def test_profile12_variance_trace(profile12):
     result = run_election(profile12, Method.VAR_PHRAGMEN, 3)
     # direct evaluation of sum(u*r*r) - n*n/w at each seat
-    w = profile12.total_weight
+    w = sum(t.weight for t in profile12.types)
     for rec in result.records:
         direct = sum(
             t.weight * r * r for t, r in zip(profile12.types, rec.loads_after.values)
@@ -128,7 +128,7 @@ def test_variance_zero_loads(profile12):
 
 
 def test_variance_uniform_loads_is_zero(profile12):
-    w = profile12.total_weight
+    w = sum(t.weight for t in profile12.types)
     loads = LoadVector(values=(F(1, 13),) * 3, seats_assigned=1)
     assert w == 13
     assert variance(profile12, loads) == 0
@@ -136,6 +136,15 @@ def test_variance_uniform_loads_is_zero(profile12):
 
 def test_variance_after_seat1(profile12, loads12_after_seat1):
     assert variance(profile12, loads12_after_seat1) == F(3, 130)
+
+
+@pytest.mark.parametrize(
+    "values", [(F(1, 9),), (F(1, 13),) * 3 + (F(5),)], ids=["short", "long"]
+)
+def test_variance_rejects_a_load_vector_of_the_wrong_length(profile12, values):
+    # zip would drop the extra loads or types: 4/117 and 0 for these two
+    with pytest.raises(ValueError, match="load vector length does not match profile"):
+        variance(profile12, LoadVector(values, 1))
 
 
 def test_variance_rejects_inconsistent_loads(profile12):
@@ -366,6 +375,7 @@ def test_cached_election_matches_per_seat_reference():
         exact = backend is Backend.EXACT
         zero = LoadVector.zero(profile)
         work = profile if exact else engine._FloatLane(profile, method, zero).profile
+        total = left_sum(t.weight for t in work.types)
         for rec, loads, eligible in engine.seat_states(work, result):
             # no cache: every eligible candidate solved afresh
             winner, solution, tied = select_uncached(work, loads, eligible, method)
@@ -377,7 +387,7 @@ def test_cached_election_matches_per_seat_reference():
             squares = 0
             for t, r in zip(work.types, rec.loads_after.values):
                 squares += t.weight * r * r
-            full_scan = squares - rec.seat_index**2 / work.total_weight
+            full_scan = squares - rec.seat_index**2 / total
             assert repr(rec.variance_after) == repr(full_scan)
         if exact:
             verify_election(profile, result)
