@@ -72,8 +72,8 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
     """Load variance multiplied by the total weight: ``sum(u*r*r) - n*n/w``.
 
     The direct evaluation: the float lane of :func:`run_election` and
-    :func:`verify_election` call it after every seat, while the exact lane
-    keeps both sums running instead.  Requires a load vector of the
+    :func:`verify_election` evaluate it after every seat, while the exact
+    lane keeps both sums running instead.  Requires a load vector of the
     profile's length and a consistent one (``sum(u*r) == seats_assigned``,
     with a tolerance only for float loads), else raises ``ValueError``.  All
     sums add left to right in type order: ``w`` over every type, zero loads
@@ -82,11 +82,16 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
     sum is never ``-0.0``, and adding an exact or float zero to it changes
     no value or bit: the result equals the full scan exactly.
     """
+    return _variance(profile, loads, left_sum(t.weight for t in profile.types))
+
+
+def _variance(profile: Profile, loads: LoadVector, w: Rational) -> Rational:
+    """:func:`variance` at the total weight ``w``, which its callers that
+    evaluate it at every seat sum once, left to right in type order."""
     if len(loads.values) != len(profile.types):
         raise ValueError("load vector length does not match profile")
-    mass = squares = w = 0
+    mass = squares = 0
     for t, r in zip(profile.types, loads.values):
-        w += t.weight
         if r:
             weighted = t.weight * r
             mass += weighted
@@ -151,7 +156,8 @@ class _ShareLane:
 class _FloatLane(_ShareLane):
     """The float64 backend: the share lane on ``profile``'s weights in float64,
     refused (exit 3) when a weight, its reciprocal or their total, summed
-    left to right in type order, does not fit.
+    left to right in type order, does not fit.  It keeps that
+    ``total_weight`` for the variance after each seat.
 
     A bound is the candidate's float key itself while none of its supporters
     has moved: its subproblem reads the same weight and load objects, so a
@@ -176,7 +182,8 @@ class _FloatLane(_ShareLane):
                     f"voter type {k} weight {problem} float64; use --backend exact"
                 )
             types.append(VoterType(weight=weight, approvals=t.approvals))
-        if not math.isfinite(left_sum(t.weight for t in types)):
+        self.total_weight = left_sum(t.weight for t in types)
+        if not math.isfinite(self.total_weight):
             raise ElectionConfigError(
                 "total voter weight overflows float64; use --backend exact"
             )
@@ -197,7 +204,7 @@ class _FloatLane(_ShareLane):
                 for name in self.profile.types[k].approvals:
                     self.bounds[name] = -math.inf
         loads = self.loads = LoadVector(tuple(values), self.loads.seats_assigned + 1)
-        after = variance(self.profile, loads)
+        after = _variance(self.profile, loads, self.total_weight)
         for what, value in (("score", record.score), ("variance", after)):
             if not math.isfinite(value):
                 raise ElectionConfigError(
@@ -548,7 +555,7 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
         after_mass = sum(t.weight * r for t, r in zip(types, expected_after.values))
         if after_mass != seat:
             problem(f"total load mass {rational_str(after_mass)} != {seat} seats")
-        elif rec.variance_after != variance(profile, expected_after):
+        elif rec.variance_after != _variance(profile, expected_after, w):
             problem("variance_after does not match direct evaluation")
         if rec.variance_after != before_sq + sol.score - Fraction(seat * seat, 1) / w:
             problem("variance_after violates the score bookkeeping identity")

@@ -23,7 +23,8 @@ both lanes:
 
 * :class:`Subproblem` scores share by share, ``u*(2*r*x + x*x)`` over the
   active set in supporter order.  The float64 lane elects with it, and it
-  is the reference everywhere else, the two oracles included.
+  is the reference everywhere else; the two oracles read its entries and
+  score on their own integers (below).
   :func:`_score` is that sum over a dense share vector, for recorded shares.
 * :class:`IntegerSubproblem`, the exact lane, works on integers: weights
   ``U = u*L`` over the lcm ``L`` of their denominators, loads ``N`` over one
@@ -51,9 +52,16 @@ level and active set independently, and returns it recorded:
 
 * :func:`waterfill_solution` — exact minimizer by water-filling: raise the
   lowest loads to a common level until the unit budget is spent.
-* :func:`subset_oracle` — brute force over all supporter subsets, on
-  integers over the oracle's own common denominators, scored share by
-  share; only the winning subset is built as fractions.
+* :func:`subset_oracle` — brute force over all supporter subsets, each
+  mask's sums carried from the mask with its lowest bit cleared, scored
+  share by share and compared by cross-multiplication.
+
+Both solve on integers over their own common denominators, read from each
+supporter's ``as_integer_ratio()`` (``U = u*L``, ``N = r*D``, a seat adds
+``L*D``), independently of the exact lane, and build fractions only for the
+solve they return, scored share by share: ``level = A/(D*W)``, ``x = (A -
+N*W)/(D*W)`` on the active set and int ``0`` off it, the values and types
+that :meth:`Subproblem.record` gives.
 
 The three agree on every instance seen so far; the analysis module runs
 randomized campaigns that would surface and serialize any divergence.
@@ -281,6 +289,48 @@ def corrected_solution(sub: Subproblem | IntegerSubproblem) -> Solve:
         weight = left_sum(u for _, u, _ in active)
 
 
+def _scaled(sub: Subproblem) -> tuple[list[tuple[int, int, int]], int, int]:
+    """``sub``'s supporters on integers over an oracle's own common
+    denominators: ``(k, U, N)`` entries in supporter order, with ``U = u*L``
+    and ``N = r*D`` for ``L`` the lcm of the weight denominators and ``D``
+    that of the load denominators, and ``L`` and ``D``.  A seat adds
+    ``L*D``."""
+    ratios = [(u.as_integer_ratio(), r.as_integer_ratio()) for _, u, r in sub.entries]
+    multiplier = math.lcm(*(q for (_, q), _ in ratios))
+    denominator = math.lcm(*(d for _, (_, d) in ratios))
+    scaled = [
+        (k, p * (multiplier // q), n * (denominator // d))
+        for (k, _, _), ((p, q), (n, d)) in zip(sub.entries, ratios)
+    ]
+    return scaled, multiplier, denominator
+
+
+def _recorded(
+    sub: Subproblem,
+    active: Sequence[tuple[int, int, int]],
+    total: int,
+    weight: int,
+    multiplier: int,
+    denominator: int,
+    corrected: bool,
+) -> StepSolution:
+    """The solve moving the integer entries ``active`` to the level
+    ``A/(D*W)``, recorded: ``x = (A - N*W)/(D*W)`` on the active set, a zero
+    load sharing the level object, and int ``0`` off it; the score is
+    ``T/(L*D*D*W*W)``, ``T = sum(U*(A - N*W)*(A + N*W))`` share by share.
+    These are :meth:`Subproblem.record`'s values and types."""
+    scale = denominator * weight
+    level = Fraction(total, scale)
+    x: list[Rational] = [0] * len(sub.profile.types)
+    scaled_score = 0
+    for k, u, n in active:
+        gap = total - n * weight
+        x[k] = Fraction(gap, scale) if n else level
+        scaled_score += u * gap * (total + n * weight)
+    score = Fraction(scaled_score, multiplier * denominator * scale * weight)
+    return StepSolution(sub.candidate, tuple(x), level, score, corrected, ())
+
+
 def waterfill_solution(sub: Subproblem) -> StepSolution:
     """Exact minimizer computed by water-filling.
 
@@ -291,34 +341,47 @@ def waterfill_solution(sub: Subproblem) -> StepSolution:
     soon as it does not reach the next block's load.  The objective is
     strictly convex on the feasible set, so this level is the unique
     minimizer's.
-    """
-    entries = sorted(sub.entries, key=lambda e: (e[2], e[0]))
-    blocks: list[list[tuple[int, Rational, Rational]]] = []
-    for entry in entries:
-        if blocks and blocks[-1][0][2] == entry[2]:
-            blocks[-1].append(entry)
-        else:
-            blocks.append([entry])
 
-    carried: Rational = 0
-    weight: Rational = 0
-    level: Rational = 0
-    for pos, block in enumerate(blocks):
-        carried += sum(u * r for _, u, r in block)
-        weight += sum(u for _, u, _ in block)
-        level = (carried + 1) / weight
-        if pos + 1 == len(blocks) or level <= blocks[pos + 1][0][2]:
+    The scan runs on integers over the oracle's own common denominators
+    (see :func:`subset_oracle`): with ``W = sum(U)`` and ``A = sum(U*N) +
+    L*D`` over the prefix, the level ``A/(D*W)`` is accepted once ``A <=
+    N*W`` for the next supporter's ``N``.  That test never passes inside a
+    block: a level above ``N`` stays above it as a supporter at ``N``
+    joins.  The active set is ``N*W < A``, and the solve is corrected if a
+    supporter has ``N*W > A``.  Only the returned solve is built as
+    fractions.
+    """
+    scaled, multiplier, denominator = _scaled(sub)
+    entries = sorted(scaled, key=lambda e: (e[2], e[0]))
+    m = len(entries)
+    total, weight = multiplier * denominator, 0
+    for pos, (_, u, n) in enumerate(entries, start=1):
+        total += u * n
+        weight += u
+        if pos == m or total <= entries[pos][2] * weight:
             break
 
-    active = [(k, u, r) for k, u, r in entries if r < level]
-    # r == level would leave the unconstrained solution at exactly zero,
+    active = [e for e in entries if e[2] * weight < total]
+    # N*W == A would leave the unconstrained solution at exactly zero,
     # which is not a binding constraint.
-    corrected = any(r > level for _, _, r in entries)
-    return sub.solution(level, 0, active, corrected=corrected).record()
+    corrected = any(n * weight > total for _, _, n in entries)
+    return _recorded(sub, active, total, weight, multiplier, denominator, corrected)
 
 
 #: Enumerating more supporter types than this is rejected (2**12 subsets).
 SUBSET_ORACLE_CAP = 12
+
+
+def _members(scaled: Sequence[tuple[int, int, int]], mask: int) -> list[tuple[int, int, int]]:
+    """The entries of ``scaled`` whose bits are set in ``mask``, in order."""
+    return [entry for j, entry in enumerate(scaled) if mask >> j & 1]
+
+
+def _tie_key(scaled: Sequence[tuple[int, int, int]], mask: int) -> tuple[int, tuple[int, ...]]:
+    """Among equal scores the lowest key wins: the larger subset, then the
+    lexicographically smallest tuple of type indices."""
+    chosen = _members(scaled, mask)
+    return -len(chosen), tuple(k for k, _, _ in chosen)
 
 
 def subset_oracle(sub: Subproblem) -> StepSolution:
@@ -334,42 +397,44 @@ def subset_oracle(sub: Subproblem) -> StepSolution:
     denominators: weights ``U = u*L`` (``L`` the lcm of the weight
     denominators) and loads ``N = r*D`` (``D`` that of the load
     denominators).  A subset's ``W = sum(U)`` and ``A = sum(U*N) + L*D`` put
-    its level at ``A/(D*W)``; it is infeasible if a member has ``N*W > A``,
-    and it scores ``T/(W*W)``, ``T = sum(U*(A - N*W)*(A + N*W))`` share by
-    share.  Both are the fraction values times a positive constant shared by
-    every subset, so the order and the ties are theirs.  Only the winning
-    subset is built as fractions and scored by :meth:`Subproblem.solution`.
+    its level at ``A/(D*W)``; it is infeasible if its largest ``N`` has
+    ``N*W > A``, and it scores ``T/(W*W)``, ``T = sum(U*(A - N*W)*(A +
+    N*W))`` share by share.  Both are the fraction values times a positive
+    constant shared by every subset, so the order and the ties are theirs;
+    scores compare by cross-multiplication, and the tie key is built only
+    on an exact tie.  Masks are enumerated in increasing order, and each
+    mask's ``W``, ``A`` and largest ``N`` are its lower mask's (its lowest
+    bit cleared) plus that bit's supporter.  Only the winning subset is built
+    as fractions.
     """
-    entries = sub.entries
-    m = len(entries)
+    m = len(sub.entries)
     if m > SUBSET_ORACLE_CAP:
         raise ValueError(
             f"candidate {sub.candidate!r} has {m} supporter types, "
             f"exceeding the subset-oracle cap of {SUBSET_ORACLE_CAP}"
         )
-    ratios = [(u.as_integer_ratio(), r.as_integer_ratio()) for _, u, r in entries]
-    multiplier = math.lcm(*(q for (_, q), _ in ratios))
-    denominator = math.lcm(*(d for _, (_, d) in ratios))
-    unit = multiplier * denominator
-    scaled = [
-        (k, p * (multiplier // q), n * (denominator // d))
-        for (k, _, _), ((p, q), (n, d)) in zip(entries, ratios)
-    ]
-    best_key = None
-    best: tuple[int, int, int] | None = None
-    for mask in range(1, 1 << m):
-        chosen = [scaled[j] for j in range(m) if mask >> j & 1]
-        weight = sum(u for _, u, _ in chosen)
-        total = sum(u * n for _, u, n in chosen) + unit
-        if any(n * weight > total for _, _, n in chosen):
+    scaled, multiplier, denominator = _scaled(sub)
+    size = 1 << m
+    weights, totals, tops = [0] * size, [multiplier * denominator] * size, [0] * size
+    # the best score T/(W*W) starts at 1/0, above every subset's
+    best_mask, best_score, best_weight = 0, 1, 0
+    for mask in range(1, size):
+        low = mask & -mask
+        lower = mask ^ low
+        _, u, n = scaled[low.bit_length() - 1]
+        weight = weights[mask] = weights[lower] + u
+        total = totals[mask] = totals[lower] + u * n
+        top = tops[mask] = n if n > tops[lower] else tops[lower]
+        if top * weight > total:
             continue
-        score = sum(u * (total - n * weight) * (total + n * weight) for _, u, n in chosen)
-        key = (Fraction(score, weight * weight), -len(chosen), tuple(k for k, _, _ in chosen))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (mask, total, weight)
-    assert best is not None  # the singleton of the min-load type is always feasible
-    mask, total, weight = best
-    chosen = [entries[j] for j in range(m) if mask >> j & 1]
-    level = Fraction(total, denominator * weight)
-    return sub.solution(level, 0, chosen, corrected=len(chosen) != m).record()
+        score = 0
+        for _, u, n in _members(scaled, mask):
+            score += u * (total - n * weight) * (total + n * weight)
+        lhs, rhs = score * best_weight * best_weight, best_score * weight * weight
+        if lhs < rhs or lhs == rhs and _tie_key(scaled, mask) < _tie_key(scaled, best_mask):
+            best_mask, best_score, best_weight = mask, score, weight
+    assert best_mask  # the singleton of the min-load type is always feasible
+    return _recorded(
+        sub, _members(scaled, best_mask), totals[best_mask], best_weight, multiplier,
+        denominator, best_mask != size - 1,
+    )

@@ -158,6 +158,18 @@ def test_variance_rejects_inconsistent_loads(profile12):
         variance(floats, LoadVector(values=(0.1, 0.0, 0.0), seats_assigned=1))
 
 
+def test_float64_variance_adds_the_weights_left_to_right():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right, not fsum's 0.6:
+    # the float64 lane's variance divides by the sum that the direct
+    # evaluation on its float profile adds, to the last bit
+    profile = parse_profile("1/10 : a\n1/5 : a, b\n3/10 : b\n")
+    floats = engine._FloatLane(profile, Method.VAR_PHRAGMEN, LoadVector.zero(profile)).profile
+    assert left_sum(t.weight for t in floats.types) != math.fsum(t.weight for t in floats.types)
+    result = run_election(profile, Method.VAR_PHRAGMEN, 6, mode=Mode.PARTY, backend=Backend.FLOAT64)
+    for rec in result.records:
+        assert repr(rec.variance_after) == repr(variance(floats, rec.loads_after))
+
+
 # ---------------------------------------------------------------------------
 # highest averages
 

@@ -186,6 +186,18 @@ def test_waterfill_two_block_instance():
     assert sol.x == (F(1, 10), 0, 0)
 
 
+def test_waterfill_leaves_a_supporter_at_the_level_out():
+    # after one seat: type 1 sits at the level 1, which is not a binding
+    # constraint, so it stays off the active set with the int share 0 (the
+    # subset oracle's larger tied subset gives it the Fraction level - 1);
+    # only the repr tells the two apart
+    profile = parse_profile("1 : z\n1 : z\n")
+    loads = LoadVector(values=(F(0), F(1)), seats_assigned=1)
+    sol = waterfill_solution(sub_for(profile, loads, "z"))
+    assert repr(sol.x) == repr((F(1), 0))
+    assert sol.corrected is False
+
+
 # ---------------------------------------------------------------------------
 # subset oracle
 
@@ -291,6 +303,62 @@ def test_subset_oracle_is_the_fraction_oracle_on_skewed_loads():
     assert corrected >= 200
 
 
+def fraction_waterfill_solution(sub: Subproblem) -> StepSolution:
+    """Water-filling in ``Fraction`` arithmetic throughout: the reference
+    that :func:`waterfill_solution`'s integer scan matches in value and in
+    ``repr``."""
+    entries = sorted(sub.entries, key=lambda e: (e[2], e[0]))
+    blocks: list[list[tuple[int, Rational, Rational]]] = []
+    for entry in entries:
+        if blocks and blocks[-1][0][2] == entry[2]:
+            blocks[-1].append(entry)
+        else:
+            blocks.append([entry])
+
+    carried: Rational = 0
+    weight: Rational = 0
+    level: Rational = 0
+    for pos, block in enumerate(blocks):
+        carried += sum(u * r for _, u, r in block)
+        weight += sum(u for _, u, _ in block)
+        level = (carried + 1) / weight
+        if pos + 1 == len(blocks) or level <= blocks[pos + 1][0][2]:
+            break
+
+    active = [(k, u, r) for k, u, r in entries if r < level]
+    # r == level would leave the unconstrained solution at exactly zero,
+    # which is not a binding constraint.
+    corrected = any(r > level for _, _, r in entries)
+    return sub.solution(level, 0, active, corrected=corrected).record()
+
+
+def assert_same_as_fraction_waterfill(sub):
+    got, want = waterfill_solution(sub), fraction_waterfill_solution(sub)
+    assert got == want
+    assert repr(got) == repr(want)
+    return got
+
+
+def test_waterfill_is_the_fraction_waterfill_over_a_campaign(monkeypatch):
+    compared = []
+
+    def both(sub):
+        compared.append(sub)
+        return assert_same_as_fraction_waterfill(sub)
+
+    monkeypatch.setattr("varphragmen.analysis.waterfill_solution", both)
+    report = oracle_agreement_campaign(seed=20261020, trials=150)
+    assert report.all_agree
+    assert len(compared) == report.instances > 1000
+
+
+def test_waterfill_is_the_fraction_waterfill_on_skewed_loads():
+    corrected = 0
+    for sub in skewed_subproblems(random.Random(20260810), 250):
+        corrected += assert_same_as_fraction_waterfill(sub).corrected
+    assert corrected >= 200
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -342,6 +410,12 @@ def test_three_solvers_agree(state):
 @given(election_states())
 def test_subset_oracle_is_the_fraction_oracle(state):
     assert_same_as_fraction_oracle(Subproblem(*state))
+
+
+@settings(deadline=None, max_examples=80)
+@given(election_states())
+def test_waterfill_is_the_fraction_waterfill(state):
+    assert_same_as_fraction_waterfill(Subproblem(*state))
 
 
 @settings(deadline=None, max_examples=80)
