@@ -51,6 +51,7 @@ from .step import (
     _score,
     corrected_solution,
     unconstrained_level,
+    waterfill_solution,
 )
 
 
@@ -504,10 +505,11 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
     Raises :class:`VerificationError` listing all violations: seat mass,
     nonnegativity, common-level structure, load bookkeeping, variance
     identities, recorded score, and the winner's optimality against every
-    candidate that was eligible at that seat, each solved afresh share by
-    share, not on :func:`run_election`'s lane.  The loop carries the loads
-    the recorded shares lead to, and counts only the winners of records it
-    could check.
+    candidate that was eligible at that seat, each solved afresh by an
+    oracle, not on :func:`run_election`'s lane or with its solver: a
+    var-Phragmén rival by :func:`waterfill_solution`, a seq-Phragmén one by
+    :func:`unconstrained_level`.  The loop carries the loads the recorded
+    shares lead to, and counts only the winners of records it could check.
     """
     problems: list[str] = []
     types = profile.types
@@ -564,7 +566,7 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
         for name in _eligible(profile.candidates, result.mode, counts):
             rival = Subproblem(profile, loads, name)
             if result.method is Method.VAR_PHRAGMEN:
-                optimum[name] = corrected_solution(rival).score
+                optimum[name] = waterfill_solution(rival).score
             elif result.method is Method.SEQ_PHRAGMEN:
                 optimum[name] = unconstrained_level(rival)
             else:

@@ -992,6 +992,26 @@ def test_verify_election_after_a_truncated_distribution(profile12):
     ]
 
 
+def test_verify_election_solves_rivals_without_the_production_solver(monkeypatch):
+    # a production solver that scores b four times too high elects c at seat
+    # 2; a checker that solved the rivals with it would agree, water-filling
+    # does not
+    def b_four_times(sub):
+        sol = corrected_solution(sub)
+        return sol._replace(score=4 * sol.score) if sub.candidate == "b" else sol
+
+    profile = parse_profile("5 : a\n4 : b\n3 : c\n")
+    monkeypatch.setattr(engine, "corrected_solution", b_four_times)
+    result = run_election(profile, Method.VAR_PHRAGMEN, 2)
+    assert result.winners == ("a", "c")
+    with pytest.raises(VerificationError) as info:
+        verify_election(profile, result)
+    assert str(info.value).splitlines() == [
+        "seat 2 (c): winner is not optimal: 1/3 vs best 1/4",
+        "seat 2 (c): tied_with ('c',) != recomputed ('b',)",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # float64 backend
 

@@ -1,0 +1,34 @@
+"""tools/pins.py, the script that runs CI's pinned outputs: its table, and a
+pin that fails when its recorded digest is wrong."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parent.parent / "tools" / "pins.py"
+
+
+@pytest.fixture(scope="module")
+def pins():
+    spec = importlib.util.spec_from_file_location("pins", PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_table_holds_fourteen_distinct_pins(pins):
+    assert len(pins.PINS) == 14
+    assert len({pin.name for pin in pins.PINS}) == 14
+    assert all(re.fullmatch("[0-9a-f]{64}", pin.sha256) for pin in pins.PINS)
+    assert {pin.group for pin in pins.PINS} <= set(pins.GROUPS)
+
+
+def test_a_pin_with_a_wrong_digest_fails_and_is_named(pins, tmp_path, capsys):
+    (pin,) = [pin for pin in pins.PINS if pin.name == "sparse-seq"]
+    wrong = pin._replace(sha256="0" * 64)
+    ok, outputs = pins.run_pins([wrong], tmp_path)
+    assert not ok
+    line = capsys.readouterr().out.strip()
+    assert line == f"sparse-seq: FAIL got {pin.sha256} expected {'0' * 64}"
