@@ -25,7 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .engine import _ExactLane, _party_weights, apportion_sequence, run_election, seat_states
+from .engine import (
+    _ExactLane,
+    _party_weights,
+    _winners,
+    apportion_sequence,
+    run_election,
+    seat_states,
+)
 from .model import (
     Backend,
     CandidateId,
@@ -118,9 +125,8 @@ def closed_list_sequences(
     votes = _party_weights(profile)
     out = {}
     for election_method, divisor in _EQUIVALENCE_PAIRS:
-        result = run_election(profile, election_method, seats, mode=Mode.PARTY)
         out[f"{election_method.value}/{divisor.value}"] = (
-            list(result.winners),
+            _winners(profile, election_method, seats, Mode.PARTY),
             apportion_sequence(votes, seats, divisor),
         )
     return out
@@ -348,25 +354,26 @@ def monotonicity_probe(
     Runs variance-criterion party-mode elections on the base profile and on
     the profile augmented with a new voter type of weight ``delta`` approving
     only ``party``.  ``delta == 0`` is accepted as the degenerate comparison
-    of the base profile against itself.
+    of the base profile against itself.  Only the winners are counted: no
+    seat is recorded.
     """
     if party not in profile.candidates:
         raise UnknownCandidateError(f"unknown party: {party!r}")
     delta = Fraction(delta)
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {rational_str(delta)}")
-    before = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY)
+    before = _winners(profile, Method.VAR_PHRAGMEN, seats, Mode.PARTY)
     if delta == 0:
         augmented = profile
     else:
         augmented = Profile((*profile.types, VoterType(delta, (party,))))
-    after = run_election(augmented, Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY)
+    after = _winners(augmented, Method.VAR_PHRAGMEN, seats, Mode.PARTY)
     return MonotonicityReport(
         party=party,
         seats=seats,
         delta=delta,
-        seats_before=before.seat_counts.get(party, 0),
-        seats_after=after.seat_counts.get(party, 0),
+        seats_before=before.count(party),
+        seats_after=after.count(party),
     )
 
 
@@ -433,7 +440,8 @@ def sweep_seat_share(
 
     Each sample runs a variance-criterion party-mode election of ``seats``
     seats; the share is the exact fraction of seats won.  A sampled profile
-    without party ``A`` simply scores zero.
+    without party ``A`` simply scores zero.  Only the winners are counted: no
+    seat is recorded.
     """
     ordered = sorted(alphas)
     for a in ordered:
@@ -441,8 +449,6 @@ def sweep_seat_share(
             raise ValueError(f"alpha must lie in [0, 1], got {rational_str(a)}")
     points = []
     for a in ordered:
-        result = run_election(
-            family(a), Method.VAR_PHRAGMEN, seats, mode=Mode.PARTY, backend=backend
-        )
-        points.append((a, Fraction(result.seat_counts.get("A", 0), seats)))
+        winners = _winners(family(a), Method.VAR_PHRAGMEN, seats, Mode.PARTY, backend)
+        points.append((a, Fraction(winners.count("A"), seats)))
     return SweepResult(points=tuple(points), n=seats)

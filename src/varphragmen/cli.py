@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .analysis import (
     sweep_seat_share,
     two_party_family,
 )
-from .engine import ElectionConfigError, run_election, seat_states
+from .engine import ElectionConfigError, _winners, run_election, seat_states
 from .model import (
     Backend,
     Method,
@@ -111,10 +112,11 @@ def _trace_rows(profile, result, decimals: int, show_uncorrected: bool) -> list[
     return rows
 
 
-def _counts_rows(profile, result) -> list[list[str]]:
+def _counts_rows(profile, winners) -> list[list[str]]:
+    counts = Counter(winners)
     rows = [["Candidate", "Seats"]]
     for name in profile.candidates:
-        rows.append([name, str(result.seat_counts.get(name, 0))])
+        rows.append([name, str(counts[name])])
     return rows
 
 
@@ -129,24 +131,20 @@ def cmd_elect(args: argparse.Namespace) -> int:
     if args.format == "json" and args.show_uncorrected:
         raise ValueError("--show-uncorrected applies to table and csv output, not --format json")
     profile = parse_profile(_read_profile(args.profile))
-    result = run_election(
-        profile,
-        Method(args.method),
-        args.seats,
-        mode=Mode(args.mode),
-        backend=Backend(args.backend),
-    )
-    if args.format == "json":
-        payload = election_json(
-            profile, result, backend=args.backend, decimals=args.decimals
-        )
-        write_json(sys.stdout, payload)
-        sys.stdout.write("\n")
-        return 0
-    if args.trace or args.show_uncorrected:
-        rows = _trace_rows(profile, result, args.decimals, args.show_uncorrected)
+    election = (profile, args.method, args.seats)
+    if args.format != "json" and not (args.trace or args.show_uncorrected):
+        # the seat counts alone, from a run that records no seat
+        rows = _counts_rows(profile, _winners(*election, args.mode, args.backend))
     else:
-        rows = _counts_rows(profile, result)
+        result = run_election(*election, mode=args.mode, backend=args.backend)
+        if args.format == "json":
+            payload = election_json(
+                profile, result, backend=args.backend, decimals=args.decimals
+            )
+            write_json(sys.stdout, payload)
+            sys.stdout.write("\n")
+            return 0
+        rows = _trace_rows(profile, result, args.decimals, args.show_uncorrected)
     if args.format == "csv":
         print(_csv_dump(rows), end="")
     else:

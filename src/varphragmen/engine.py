@@ -14,12 +14,15 @@ ever builds fresh immutable load vectors, and its lane is its own.  A lane is
 a seat's whole state: the profile, the method, the current loads and a lower
 bound on each candidate's float key, its only memory; :func:`select_winner`
 reads nothing else and re-solves no candidate whose bound lies above the
-least fresh float key, and a backend's lane moves its loads on as it takes in
-each seat.  The share lane is the eager reference.  The exact lane solves on
-integers, loads as numerators over one run-wide denominator, and compares
-exactly only the keys whose float equals the least; the float64 lane solves
-share by share.  All three solve to a light ``Solve``; only each seat's
-winner is recorded.
+least fresh float key.  A backend's lane takes in each seat in two parts: its
+``move`` is all that decides the next seat or may raise, and its ``advance``
+also records the seat.  One seat loop serves every run: :func:`run_election`
+records each seat, and the callers that read only the winners or the seat
+counts (:func:`_winners`) build no record.  The share lane is the eager
+reference.  The exact lane solves on integers, loads as numerators over one
+run-wide denominator, and compares exactly only the keys whose float equals
+the least; the float64 lane solves share by share.  All three solve to a
+light ``Solve``; only a recorded seat's winner becomes a record.
 """
 
 from __future__ import annotations
@@ -112,8 +115,9 @@ class _ShareLane:
     Subproblems are plain :class:`Subproblem` instances at ``self.loads``,
     which compute each ``u*r`` afresh and score their active set share by
     share.  The backends' lanes, :class:`_FloatLane` and :class:`_ExactLane`,
-    add ``advance``, which takes in a seat and moves ``loads`` on.  The float
-    key is the key itself.
+    add ``move``, which takes in a seat's decision and moves the lane on, and
+    ``advance``, which also records the seat.  The float key is the key
+    itself.
 
     ``bounds`` holds a lower bound on each candidate's float key at
     ``loads``: minus infinity, which rules no candidate out, until
@@ -162,7 +166,7 @@ class _FloatLane(_ShareLane):
 
     A bound is the candidate's float key itself while none of its supporters
     has moved: its subproblem reads the same weight and load objects, so a
-    fresh key has the same bits.  :meth:`advance` resets to minus infinity
+    fresh key has the same bits.  :meth:`move` resets to minus infinity
     the bound of every candidate approved by a type the seat moved (active,
     below the level): a float64 key, a sum of many roundings, is not proven
     never to fall as a load rises, so no stale key may bound it.
@@ -190,29 +194,33 @@ class _FloatLane(_ShareLane):
             )
         super().__init__(Profile(types), method, loads)
 
-    def advance(self, solution: Solve) -> tuple:
-        """Take in a seat: move ``loads`` on, return its record and the variance after it.
+    def move(self, solution: Solve) -> Rational:
+        """Take in a seat: move ``loads`` on and return the variance after it.
 
         Only the moved types' loads change, and only their candidates' bounds
         are reset; the other loads keep their objects.  A score or variance
-        that overflowed is reported before it is recorded.
+        that overflowed is reported before the next seat.
         """
-        record = solution.record()
+        level = solution.level
         values = list(self.loads.values)
         for k, _, r in solution.active:
-            if r != solution.level:
-                values[k] += record.x[k]
+            if r != level:
+                values[k] += level - r if r else level  # the recorded share
                 for name in self.profile.types[k].approvals:
                     self.bounds[name] = -math.inf
         loads = self.loads = LoadVector(tuple(values), self.loads.seats_assigned + 1)
         after = _variance(self.profile, loads, self.total_weight)
-        for what, value in (("score", record.score), ("variance", after)):
+        for what, value in (("score", solution.score), ("variance", after)):
             if not math.isfinite(value):
                 raise ElectionConfigError(
                     f"seat {loads.seats_assigned}: float64 {what} is {value}; "
                     "use --backend exact"
                 )
-        return record, after
+        return after
+
+    def advance(self, solution: Solve) -> tuple:
+        """Take in a seat by :meth:`move`: its record and the variance after it."""
+        return solution.record(), self.move(solution)
 
 
 class _ExactLane(_ShareLane):
@@ -221,14 +229,16 @@ class _ExactLane(_ShareLane):
     ``denominator`` ``D``.  Each subproblem sums its own supporters'
     ``(sum(U*N), sum(U*N*N), max N)`` when it is built, so the lane keeps no
     per-candidate state besides its ``bounds``; every key is at today's ``D``.
-    ``D`` and the run totals below start from the loads the lane is built at.
+    ``D``, the number of ``seats`` and the run totals below start from the
+    loads the lane is built at.
 
     A seat at level ``p/(D*q)``, in lowest terms, sets ``D`` to ``D*q``: the
     active types take ``N = p`` and every other numerator is multiplied by
-    ``q``.  So are the run totals ``sum(U*N*N)``, for the variance (by
-    ``q*q``), and ``sum(U*N)``, which must equal the number of seats: the
-    consistency check of :func:`variance`; each moved type then adds its
-    increase to both.  Only the winner's solve becomes fractions.
+    ``q``.  So is the run total ``sum(U*N)``, which must equal the number of
+    seats: the consistency check of :func:`variance`; each moved type then
+    adds its increase.  That is :meth:`move`.  :meth:`advance` also keeps
+    ``sum(U*N*N)`` for the variance (by ``q*q``, plus each moved type's
+    increase), and only there does the winner's solve become fractions.
 
     A float key, the score over ``L*D*D`` or the level over ``D`` (``scale``,
     of power 2 or 1 in ``D``), does not depend on ``D``.
@@ -255,6 +265,7 @@ class _ExactLane(_ShareLane):
         weighted = [u * n for u, n in zip(weights, numerators)]
         self.mass = sum(weighted)
         self.squares = sum(c * n for c, n in zip(weighted, numerators))
+        self.seats = loads.seats_assigned
 
     def approximate(self, key: Fraction) -> float:
         """The absolute key, by one correctly rounded ``int`` division."""
@@ -266,35 +277,46 @@ class _ExactLane(_ShareLane):
     def subproblem(self, name: CandidateId) -> IntegerSubproblem:
         return IntegerSubproblem(self, name)
 
-    def advance(self, solution: Solve) -> tuple:
-        record = solution.record()
+    def move(self, solution: Solve) -> None:
+        """Take in a seat's decision: rescale every numerator to ``D*q``, move
+        the active ones to ``p`` and check the mass.  It builds no fraction:
+        ``loads`` and ``squares`` stay at the last seat :meth:`advance` took in."""
         level = solution.level
         p, q = level.numerator, level.denominator
         numerators = self.numerators = [n * q for n in self.numerators]
         self.denominator *= q
         self.scale *= q**self.key_power
-        mass, total = self.mass * q, self.squares * q * q
-        for k, _, n in solution.active:
-            if n == level:
-                continue  # active at the level already: it does not move
-            before = numerators[k]
-            carried = self.weights[k] * (p - before)
-            squares = carried * (p + before)  # U*(after**2 - before**2)
-            mass += carried
-            total += squares
+        mass = self.mass * q
+        for k, u, _ in solution.active:
+            # a type already at the level has q == 1 and N == p: it does not move
+            mass += u * (p - numerators[k])
             numerators[k] = p
-        self.mass, self.squares = mass, total
-        n = self.loads.seats_assigned + 1
+        self.mass = mass
+        n = self.seats = self.seats + 1
         unit = self.multiplier * self.denominator
         if mass != n * unit:
             shown = rational_str(Fraction(mass, unit))
             raise ValueError(f"inconsistent loads: total mass {shown} != {n} seats")
+
+    def advance(self, solution: Solve) -> tuple:
+        """Take in a seat by :meth:`move` and record it: its
+        :class:`StepSolution`, the ``Fraction`` loads and the variance after it."""
+        record = solution.record()
+        level = solution.level
+        p, q = level.numerator, level.denominator
+        squares = self.squares * q * q
+        for _, u, n in solution.active:  # N at the seat's own D
+            before = n * q
+            squares += u * (p - before) * (p + before)  # U*(after**2 - before**2)
+        self.squares = squares
+        self.move(solution)
         values = list(self.loads.values)
         for k, _, _ in solution.active:
             values[k] = record.level
+        n = self.seats
         self.loads = LoadVector(tuple(values), n)
-        w = self.total_weight
-        after = Fraction(total * w - n * n * unit * unit, unit * self.denominator * w)
+        unit, w = self.multiplier * self.denominator, self.total_weight
+        after = Fraction(squares * w - n * n * unit * unit, unit * self.denominator * w)
         return record, after
 
 
@@ -386,6 +408,75 @@ def _highest_quotients(
     return sorted(name for name, q in quotients.items() if q == top)
 
 
+def _lane(
+    profile: Profile, method: Method, seats: int, mode: Mode, backend: Backend
+) -> _ShareLane:
+    """The backend's lane for ``method`` at zero loads, once a run of
+    ``seats`` seats in ``mode`` is checked to be possible; else raises
+    :class:`ElectionConfigError`."""
+    if seats < 1:
+        raise ElectionConfigError(f"seats must be >= 1, got {seats}")
+    lane_class = _ExactLane if backend is Backend.EXACT else _FloatLane
+    lane = lane_class(profile, method, LoadVector.zero(profile))
+    work = lane.profile
+    if mode is Mode.CANDIDATE and seats > len(work.candidates):
+        raise ElectionConfigError(
+            f"cannot fill {seats} seats from {len(work.candidates)} candidates "
+            "in candidate mode"
+        )
+    if method in HIGHEST_AVERAGES_DIVISORS:
+        if not work.is_closed_list():
+            raise ElectionConfigError(
+                f"{method.value} requires a closed-list profile "
+                "(every ballot approves exactly one party)"
+            )
+        if mode is not Mode.PARTY:
+            raise ElectionConfigError(f"{method.value} runs in party mode only")
+    return lane
+
+
+def _seats(
+    lane: _ShareLane, seats: int, mode: Mode, take: Callable[[Solve], object]
+) -> Iterator[tuple[CandidateId, list[CandidateId], object]]:
+    """The seat loop of every run: yield each seat's winner, the candidates
+    tied with it, and what ``take`` returns for its solve.
+
+    Each seat picks the winner (:func:`select_winner` on the lane, or
+    :func:`_highest_quotients`) and hands its solve to ``take``: the lane's
+    ``move``, which moves its integers or loads on and runs every check, or
+    its ``advance``, which also records the seat.
+    """
+    work = lane.profile
+    quotient_rule = HIGHEST_AVERAGES_DIVISORS.get(lane.method)
+    if quotient_rule is not None:
+        party_weight = _party_weights(work)
+    counts = dict.fromkeys(work.candidates, 0)
+    for _ in range(seats):
+        if quotient_rule is None:
+            eligible = _eligible(work.candidates, mode, counts)
+            winner, solution, tied = select_winner(lane, eligible)
+        else:
+            tied = _highest_quotients(party_weight, counts, quotient_rule)
+            winner = tied[0]
+            solution = corrected_solution(lane.subproblem(winner))
+        yield winner, tied, take(solution)
+        counts[winner] += 1
+
+
+def _winners(
+    profile: Profile,
+    method: Method,
+    seats: int,
+    mode: Mode = Mode.CANDIDATE,
+    backend: Backend = Backend.EXACT,
+) -> list[CandidateId]:
+    """The winner of each seat of :func:`run_election`'s run, which no seat
+    records: each only moves the lane, with every check of a recorded seat."""
+    method, mode, backend = Method(method), Mode(mode), Backend(backend)
+    lane = _lane(profile, method, seats, mode, backend)
+    return [winner for winner, _, _ in _seats(lane, seats, mode, lane.move)]
+
+
 def run_election(
     profile: Profile,
     method: Method,
@@ -403,15 +494,14 @@ def run_election(
     ``method``, ``mode`` and ``backend`` may also be given as their string
     values; an unknown one raises ``ValueError``.
 
-    Each seat picks the winner (:func:`select_winner` on the lane, or
-    :func:`_highest_quotients`) and hands its solve to the lane, which
-    records it, moves its loads on and returns the variance after the seat.
-    The backend picks the lane's class, built once per run for ``method`` at
-    zero loads; the lane holds the profile the run reads and the loads each
-    record takes.  A seat re-solves only the candidates whose bound does not
-    rule them out: on the exact lane the last float key, a lower bound; on
-    the float64 lane the unchanged key of a candidate none of whose
-    supporters the seat moved, or minus infinity.  The results are
+    The seats come from :func:`_seats`, whose lane records each one, moves
+    its loads on and returns the variance after the seat.  The backend picks
+    the lane's class, built once per run for ``method`` at zero loads
+    (:func:`_lane`); the lane holds the profile the run reads and the loads
+    each record takes.  A seat re-solves only the candidates whose bound
+    does not rule them out: on the exact lane the last float key, a lower
+    bound; on the float64 lane the unchanged key of a candidate none of
+    whose supporters the seat moved, or minus infinity.  The results are
     identical, float bits included, to re-solving every candidate at every
     seat.
 
@@ -425,38 +515,12 @@ def run_election(
     every exact-lane score against the share-by-share reference.
     """
     method, mode, backend = Method(method), Mode(mode), Backend(backend)
-    if seats < 1:
-        raise ElectionConfigError(f"seats must be >= 1, got {seats}")
-    lane_class = _ExactLane if backend is Backend.EXACT else _FloatLane
-    lane = lane_class(profile, method, LoadVector.zero(profile))
-    work = lane.profile
-    if mode is Mode.CANDIDATE and seats > len(work.candidates):
-        raise ElectionConfigError(
-            f"cannot fill {seats} seats from {len(work.candidates)} candidates "
-            "in candidate mode"
-        )
-    quotient_rule = HIGHEST_AVERAGES_DIVISORS.get(method)
-    if quotient_rule is not None:
-        if not work.is_closed_list():
-            raise ElectionConfigError(
-                f"{method.value} requires a closed-list profile "
-                "(every ballot approves exactly one party)"
-            )
-        if mode is not Mode.PARTY:
-            raise ElectionConfigError(f"{method.value} runs in party mode only")
-        party_weight = _party_weights(work)
-
-    counts: dict[CandidateId, int] = {name: 0 for name in work.candidates}
+    lane = _lane(profile, method, seats, mode, backend)
+    counts = dict.fromkeys(lane.profile.candidates, 0)
     records: list[SeatRecord] = []
-    for seat in range(1, seats + 1):
-        if quotient_rule is None:
-            eligible = _eligible(work.candidates, mode, counts)
-            winner, solution, tied = select_winner(lane, eligible)
-        else:
-            tied = _highest_quotients(party_weight, counts, quotient_rule)
-            winner = tied[0]
-            solution = corrected_solution(lane.subproblem(winner))
-        solution, variance_after = lane.advance(solution)
+    for seat, (winner, tied, (solution, variance_after)) in enumerate(
+        _seats(lane, seats, mode, lane.advance), start=1
+    ):
         records.append(
             SeatRecord(
                 seat_index=seat,

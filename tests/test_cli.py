@@ -191,6 +191,21 @@ def test_elect_on_a_weight_past_the_int_digit_limit(capsys, tmp_path):
     assert [rec["winner"] for rec in json.loads(out)["records"]] == ["a", "b"]
 
 
+@pytest.mark.parametrize("output", [["--format", "json"], []])
+def test_a_float64_score_that_overflows_exits_3(capsys, tmp_path, output):
+    # the weight 1/10**300 and its reciprocal fit in float64, but the first
+    # seat's share 10**300 squares to inf; the json run records the seat, the
+    # default table counts it without a record, and both refuse it
+    path = tmp_path / "tiny-weight.txt"
+    path.write_text(f"1/{10**300} : a\n")
+    code, out, err = run_cli(
+        capsys, "elect", "--method", "var-phragmen", "--seats", "1",
+        "--backend", "float64", *output, str(path),
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: seat 1: float64 score is inf; use --backend exact\n"
+
+
 def test_elect_exit_codes(capsys, p12_path, tmp_path):
     code, _, err = run_cli(
         capsys, "elect", "--method", "var-phragmen", "--seats", "0", p12_path

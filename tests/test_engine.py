@@ -28,7 +28,12 @@ from varphragmen import (
     verify_election,
 )
 from varphragmen import engine, step
-from varphragmen.analysis import TwoPartyFamily, random_closed_list_profile, random_profile
+from varphragmen.analysis import (
+    TwoPartyFamily,
+    monotonicity_probe,
+    random_closed_list_profile,
+    random_profile,
+)
 from varphragmen.engine import select_winner
 from varphragmen.model import StepSolution, left_sum
 
@@ -1162,6 +1167,73 @@ def test_a_run_records_one_step_solution_per_seat(monkeypatch):
         built.clear()
         result = run_election(profile, method, 12, mode=mode, backend=backend)
         assert built == list(result.winners), (method, mode, backend)
+
+
+# ---------------------------------------------------------------------------
+# counts-only runs: each seat moves the lane and builds no record
+
+def counts_only_runs():
+    """Seeded runs ``(profile, method, seats, mode, backend)``: both methods
+    in both modes and backends, with knife-edge ties at alpha = 1/2, and both
+    highest-averages methods on closed lists."""
+    rng = random.Random(20260810)
+    profiles = [random_profile(rng) for _ in range(12)]
+    profiles += [sparse_profile(rng) for _ in range(2)]
+    profiles.append(TwoPartyFamily(alpha=F(1, 2), zeta=F(376, 1000)).profile())
+    profiles.append(parse_profile("5/7 : a, b\n3/4 : b\n11/6 : a, c\n1/9 : c\n"))
+    methods = (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN)
+    for profile, method, mode, backend in product(profiles, methods, Mode, Backend):
+        seats = min(8, len(profile.candidates)) if mode is Mode.CANDIDATE else 12
+        yield profile, method, seats, mode, backend
+    closed = [random_closed_list_profile(rng) for _ in range(6)]
+    highest_averages = (Method.SAINTE_LAGUE, Method.DHONDT)
+    for profile, method, backend in product(closed, highest_averages, Backend):
+        yield profile, method, 12, Mode.PARTY, backend
+
+
+def test_a_counts_only_run_elects_what_run_election_records(monkeypatch):
+    # the same winners, hence counts, as the recorded run, with no
+    # StepSolution built; and the lane ends where the records end: the exact
+    # numerators over D are the recorded loads, the float64 loads the
+    # recorded ones to the bit
+    built = []
+
+    def counting(*args):
+        built.append(args[0])
+        return StepSolution(*args)
+
+    monkeypatch.setattr(step, "StepSolution", counting)
+    for profile, method, seats, mode, backend in counts_only_runs():
+        result = run_election(profile, method, seats, mode=mode, backend=backend)
+        built.clear()
+        winners = engine._winners(profile, method, seats, mode, backend)
+        assert built == []
+        assert winners == list(result.winners), (method, mode, backend)
+        assert {name: winners.count(name) for name in result.seat_counts} == dict(
+            result.seat_counts
+        )
+        lane = engine._lane(profile, method, seats, mode, backend)
+        for _ in engine._seats(lane, seats, mode, lane.move):
+            pass
+        loads = result.records[-1].loads_after
+        if backend is Backend.EXACT:
+            assert lane.seats == seats
+            assert [F(n, lane.denominator) for n in lane.numerators] == list(loads.values)
+        else:
+            assert repr(lane.loads) == repr(loads)
+    assert built == []
+
+
+def test_a_counts_only_run_rejects_inconsistent_loads(monkeypatch):
+    # the integer mass check is the move's, so a run that records nothing,
+    # like the monotonicity probe's, still refuses a solve at twice its level
+    def doubled(sub):
+        sol = corrected_solution(sub)
+        return sol._replace(level=2 * sol.level)
+
+    monkeypatch.setattr(engine, "corrected_solution", doubled)
+    with pytest.raises(ValueError, match="inconsistent loads: total mass 2 != 1 seats"):
+        monotonicity_probe(parse_profile(PROFILE_12), "a1", 3)
 
 
 def test_float64_loads_keep_the_objects_a_seat_does_not_move():

@@ -136,9 +136,10 @@ PINS = (
     _twoparty(37, "float64", "566384a93c35044299c48c5541c046ab9e6ff59bf9ebef98277d0fe00253db7f"),
     _twoparty(45, "float64", "fb8f7f1a77959b0054296dce66728fb0fbfec87ef3e5c4fe049d83b68ab4b3a8"),
     # sweep: the paper's seat-share curve (zeta = 0.376, party mode, 1200
-    # seats) at every alpha = k/100, exact, recorded on 3.11.7; the group,
-    # this run and the float64 one it is compared with, took 97 s on 3.11.7
-    # (2 CPUs).
+    # seats) at every alpha = k/100, exact, recorded on 3.11.7; its runs
+    # count the seats without recording them. The group, this run and the
+    # float64 one it is compared with, took 18 s on 3.11.7 (2 CPUs), the
+    # exact run 15 s of it.
     Pin("sweep-exact", "sweep", _sweep("exact"), None,
         "f2db1fd0f7c831545be84a455e3b895b28b15391d2ee740553cc47e749b4ed8d"),
 )
