@@ -12,17 +12,17 @@ record.
 Elections are independent of each other and may run in parallel; a run only
 ever builds fresh immutable load vectors, and its lane is its own.  A lane is
 a seat's whole state: the profile, the method, the current loads and a lower
-bound on each candidate's float key, its only memory; :func:`select_winner`
-reads nothing else and re-solves no candidate whose bound lies above the
-least fresh float key.  A backend's lane takes in each seat in two parts: its
-``move`` is all that decides the next seat or may raise, and its ``advance``
-also records the seat.  One seat loop serves every run: :func:`run_election`
-records each seat, and the callers that read only the winners or the seat
-counts (:func:`_winners`) build no record.  The share lane is the eager
-reference.  The exact lane solves on integers, loads as numerators over one
-run-wide denominator, and compares exactly only the keys whose float equals
-the least; the float64 lane solves share by share.  All three solve to a
-light ``Solve``; only a recorded seat's winner becomes a record.
+bound on each candidate's float key, its only memory.  :func:`select_winner`
+decides each seat from it; its docstring states what it may be handed and
+which candidates it solves and compares.  A backend's lane takes in each
+seat in two parts: its ``move`` is all that decides the next seat or may
+raise, and its ``advance`` also records the seat.  One seat loop serves every
+run: :func:`run_election` records each seat, and the callers that read only
+the winners or the seat counts (:func:`_winners`) build no record.  The
+share lane is the eager reference.  The exact lane solves on integers, loads
+as numerators over one run-wide denominator; the float64 lane solves share
+by share.  All three solve to a light ``Solve``; only a recorded seat's
+winner becomes a record.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
@@ -323,36 +322,39 @@ class _ExactLane(_ShareLane):
 def select_winner(
     lane: _ShareLane, eligible: Iterable[CandidateId]
 ) -> tuple[CandidateId, Solve, list[CandidateId]]:
-    """Pick the next seat's winner among ``eligible`` candidates on ``lane``.
+    """Pick the next seat's winner among the ``eligible`` candidates on ``lane``.
 
-    The lane is the seat's whole state: its profile, its method, its loads
-    and its bounds.  Names absent from the profile are silently skipped.
+    ``eligible`` must be names of the lane's candidates, at least one, as
+    :func:`_eligible` yields them; nothing checks them.  The lane is the
+    seat's whole state: its profile, its method, its loads and its bounds.
     Returns the winner, its :class:`Solve` (``.record()`` is its seat
-    distribution) and all the candidates tied at the optimum; ties resolve
-    to the smallest name.
-
-    The contenders are the candidates whose float key equals the least
-    float key; only their keys are compared exactly, in name order, and ties
-    are gathered from those keys.  An exact-lane float key is one correctly
-    rounded division, which is monotone, so the least key and its ties all
-    round to the least float; elsewhere the float key is the key.
+    distribution) and all the candidates tied at the optimum, in name order;
+    ties resolve to the smallest name.
 
     The candidates are visited in ``(bound, name)`` order and solved until
     a bound lies strictly above the least fresh float key found so far.
     That candidate and every later one are skipped unsolved: a fresh key is
     never below its bound, so none can contend.  A bound equal to the least
-    key is solved, as it may tie.  The visit order changes no contender,
-    winner or tie unless a float key is NaN, and none is: keys are sums of
-    nonnegative terms, which may reach inf but not NaN, and the float64
-    lane's exit-3 checks keep its weights, their reciprocals and total, and
-    each recorded score and variance finite.
+    key is solved, as it may tie.  So the result is the one that re-solving
+    every eligible candidate gives, float bits included.
+
+    The contenders are the solved candidates whose float key equals the
+    least float key.  Only their keys are compared exactly, in one sort by
+    ``(key, name)``: the winner comes first and its ties follow.  An
+    exact-lane float key is one correctly rounded division, which is
+    monotone, so the least key and its ties all round to the least float;
+    elsewhere the float key is the key.
+
+    The visit order changes no contender, winner or tie unless a float key
+    is NaN, and none is: keys are sums of nonnegative terms, which may
+    reach inf but not NaN, and the float64 lane's exit-3 checks keep its
+    weights, their reciprocals and total, and each recorded score and
+    variance finite.
     """
     if lane.method not in (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN):
         raise ValueError(f"select_winner does not handle {lane.method.value}")
-    names = sorted(set(eligible).intersection(lane.profile.candidates))
-    if not names:
-        raise ElectionConfigError("no eligible candidate with support")
     bounds = lane.bounds
+    names = sorted(eligible)
     names.sort(key=bounds.__getitem__)  # stable: (bound, name) order
     scored: list[tuple[Rational, Rational, CandidateId, Solve]] = []
     least = math.inf
@@ -360,15 +362,14 @@ def select_winner(
         if bounds[name] > least:
             break  # this fresh key and every later one are above ``least``
         approx, key, sol = lane.solve(name)
-        if not scored or approx < least:  # min()'s fold, which keeps a first NaN
+        if approx < least:
             least = approx
         scored.append((approx, key, name, sol))
-    contenders = [
+    # names are unique, so the sort never compares two solves
+    contenders = sorted(
         (key, name, sol) for approx, key, name, sol in scored if approx == least
-    ]
-    # in name order, so the first of the least keys has the smallest name
-    contenders.sort(key=itemgetter(1))
-    best_key, winner, solution = min(contenders, key=itemgetter(0))
+    )
+    best_key, winner, solution = contenders[0]
     tied = [name for key, name, _ in contenders if key == best_key]
     return winner, solution, tied
 
@@ -498,12 +499,9 @@ def run_election(
     its loads on and returns the variance after the seat.  The backend picks
     the lane's class, built once per run for ``method`` at zero loads
     (:func:`_lane`); the lane holds the profile the run reads and the loads
-    each record takes.  A seat re-solves only the candidates whose bound
-    does not rule them out: on the exact lane the last float key, a lower
-    bound; on the float64 lane the unchanged key of a candidate none of
-    whose supporters the seat moved, or minus infinity.  The results are
-    identical, float bits included, to re-solving every candidate at every
-    seat.
+    each record takes.  A Phragmén seat is :func:`select_winner`'s decision
+    on the lane, which solves only the candidates whose bounds do not rule
+    them out (each lane's docstring says what its bounds are).
 
     Both methods elect through :func:`corrected_solution`; a seq-Phragmén
     solve that clamps is an error.  The exact lane solves on integer loads

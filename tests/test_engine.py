@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -299,15 +301,9 @@ def test_candidate_mode_needs_enough_candidates(profile12):
     run_election(profile12, Method.VAR_PHRAGMEN, 5, mode=Mode.PARTY)
 
 
-def test_select_winner_skips_unsupported_names(profile12):
+def test_select_winner_refuses_a_highest_averages_method(profile12):
     loads = LoadVector.zero(profile12)
-    winner, _, _ = select_uncached(
-        profile12, loads, {"a1", "ghost"}, Method.VAR_PHRAGMEN
-    )
-    assert winner == "a1"
-    with pytest.raises(ElectionConfigError, match="no eligible"):
-        select_uncached(profile12, loads, {"ghost"}, Method.VAR_PHRAGMEN)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not handle sainte-lague"):
         select_uncached(profile12, loads, {"a1"}, Method.SAINTE_LAGUE)
 
 
@@ -1017,6 +1013,47 @@ def test_verify_election_solves_rivals_without_the_production_solver(monkeypatch
     ]
 
 
+def test_verify_election_shares_no_code_with_the_seat_decision(monkeypatch):
+    # the checker solves each seat's rivals by oracles of its own, so it
+    # passes every run and still catches a swapped winner while each part
+    # of the production seat decision raises
+    rng = random.Random(5)
+    runs = []
+    for _ in range(6):
+        profile = random_profile(rng)
+        for method, mode in product((Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN), Mode):
+            seats = len(profile.candidates) if mode is Mode.CANDIDATE else 4
+            runs.append((profile, run_election(profile, method, seats, mode=mode)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the seat decision was called")
+
+    for name in (
+        "select_winner",
+        "_seats",
+        "_lane",
+        "_ShareLane",
+        "_FloatLane",
+        "_ExactLane",
+        "IntegerSubproblem",
+        "corrected_solution",
+    ):
+        monkeypatch.setattr(engine, name, refuse)
+    profile, result = runs[0]
+    with pytest.raises(AssertionError, match="the seat decision was called"):
+        run_election(profile, result.method, 1)
+    swapped = 0
+    for profile, result in runs:
+        verify_election(profile, result)
+        first = result.records[0]
+        rivals = [c for c in profile.candidates if c not in first.tied_with]
+        if rivals:
+            swapped += 1
+            with pytest.raises(VerificationError, match="winner is not optimal"):
+                verify_election(profile, _with_solution(result, 1, candidate=rivals[0]))
+    assert swapped >= len(runs) // 2
+
+
 # ---------------------------------------------------------------------------
 # float64 backend
 
@@ -1120,16 +1157,13 @@ def test_an_election_leaves_its_profile_untouched():
 
 
 def sparse_profile_2000(seed):
-    """2000 voter types over c000..c199: weight 1..100, then 1-3 distinct
-    approvals (the benchmark's sparse profile, generated the same way)."""
-    rng = random.Random(seed)
-    names = [f"c{i:03d}" for i in range(200)]
-    lines = []
-    for _ in range(2000):
-        weight = rng.randint(1, 100)
-        approvals = rng.sample(names, rng.randint(1, 3))
-        lines.append(f"{weight} : {', '.join(approvals)}")
-    return parse_profile("\n".join(lines) + "\n")
+    """The benchmark's sparse profile (2000 voter types over c000..c199) at
+    ``seed``, from the one recipe in ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return parse_profile(workloads.sparse_profile_text(seed))
 
 
 @pytest.mark.parametrize("seed", [20260810, 7])

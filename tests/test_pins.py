@@ -32,3 +32,17 @@ def test_a_pin_with_a_wrong_digest_fails_and_is_named(pins, tmp_path, capsys):
     assert not ok
     line = capsys.readouterr().out.strip()
     assert line == f"sparse-seq: FAIL got {pin.sha256} expected {'0' * 64}"
+
+
+def test_the_workflow_runs_each_group_once(pins):
+    # a group in the table that no CI step names would never run in CI
+    workflow = PATH.parent.parent / ".github" / "workflows" / "tests.yml"
+    groups = []
+    for line in workflow.read_text().splitlines():
+        if line.lstrip().startswith("#"):
+            continue
+        step = re.search(r"\brun:\s*python3? tools/pins\.py\s+(.*)", line)
+        if step:
+            groups += step.group(1).split()
+    # each group once: the table's groups are distinct
+    assert sorted(groups) == sorted(pins.GROUPS)
