@@ -50,6 +50,7 @@ from .step import (
     IntegerSubproblem,
     Solve,
     Subproblem,
+    _reduced,
     _score,
     corrected_solution,
     unconstrained_level,
@@ -239,6 +240,19 @@ class _ExactLane(_ShareLane):
     ``sum(U*N*N)`` for the variance (by ``q*q``, plus each moved type's
     increase), and only there does the winner's solve become fractions.
 
+    ``radical`` is divisible by every prime of ``L``, ``D`` and the total
+    weight ``w = sum(U)``: it starts at their lcm, and :meth:`move` takes in
+    each ``q`` it does not already divide.  Each ``q`` divides a
+    subproblem's ``W``, so from zero loads ``radical`` takes in few primes
+    over a two-party run and many over a profile of many types.  A recorded
+    value's denominator is a product of those numbers times a factor
+    coprime to its numerator: the variance ``(sum(U*N*N)*w -
+    n*n*(L*D)**2)/(L*D*D*w)``, at the ``D`` after :meth:`move`, and the
+    solve's values (see :class:`IntegerSubproblem`).  So every prime its
+    numerator shares with it divides ``radical``: that is what
+    ``step._reduced`` needs to reduce it exactly, by remainders against
+    ``radical`` while ``radical`` is small.
+
     A float key, the score over ``L*D*D`` or the level over ``D`` (``scale``,
     of power 2 or 1 in ``D``), does not depend on ``D``.
 
@@ -261,6 +275,7 @@ class _ExactLane(_ShareLane):
         self.key_power = 2 if var else 1
         self.scale = (multiplier if var else 1) * denominator**self.key_power  # L*D*D or D
         self.total_weight = sum(weights)
+        self.radical = math.lcm(multiplier, self.total_weight, denominator)
         weighted = [u * n for u, n in zip(weights, numerators)]
         self.mass = sum(weighted)
         self.squares = sum(c * n for c, n in zip(weighted, numerators))
@@ -284,6 +299,8 @@ class _ExactLane(_ShareLane):
         p, q = level.numerator, level.denominator
         numerators = self.numerators = [n * q for n in self.numerators]
         self.denominator *= q
+        if self.radical % q:
+            self.radical = math.lcm(self.radical, q)
         self.scale *= q**self.key_power
         mass = self.mass * q
         for k, u, _ in solution.active:
@@ -315,7 +332,8 @@ class _ExactLane(_ShareLane):
         n = self.seats
         self.loads = LoadVector(tuple(values), n)
         unit, w = self.multiplier * self.denominator, self.total_weight
-        after = Fraction(squares * w - n * n * unit * unit, unit * self.denominator * w)
+        after = _reduced(squares * w - n * n * unit * unit, unit * self.denominator * w,
+                         self.radical)
         return record, after
 
 

@@ -34,7 +34,9 @@ both lanes:
   the level is ``A/W``, the clamp test ``N*W > A`` and the score, in closed
   form as every active supporter ends at the level, ``A*A/W - sum(U*N*N)``.
   ``W`` is small, so deciding a seat takes no big ``gcd``; only a recorded
-  solve is reduced to fractions.
+  solve is reduced to fractions.  Where the primes its denominators can
+  share with its numerators are few, as in long two-party runs, that is by
+  remainders against them (:func:`_reduced`), not a gcd of two big integers.
 
 Zero terms cost nothing in either lane: a supporter with zero load moves
 straight to ``level`` (``level - 0 == level`` in value and type, float bits
@@ -153,13 +155,21 @@ class IntegerSubproblem:
     """The exact lane's subproblem (see the module docstring), read from the
     integer loads that ``lane`` (the engine's exact lane) holds: ``carried =
     sum(U*N)``, ``squares = sum(U*N*N)`` and ``top = max N``, zero loads
-    skipped.  It keeps the lane's denominator ``D`` at the time, as a seat
-    moves the lane's on, and the number of types, not the lane.  ``unit =
-    L*D`` is a ``Fraction`` so that the level of :func:`corrected_solution`
-    is the exact ``A/W``, ``D`` times the common level."""
+    skipped.  It keeps the lane's denominator ``D`` and ``radical`` at the
+    time, as a seat moves the lane's on, and the number of types, not the
+    lane.  ``unit = L*D`` is a ``Fraction`` so that the level of
+    :func:`corrected_solution` is the exact ``A/W``, ``D`` times the common
+    level.
+
+    ``radical`` is divisible by every prime of ``L`` and ``D``, and that is
+    all :meth:`record` needs to reduce by it.  A solve's level ``p/q`` and
+    score ``s/t`` are in lowest terms, so a prime that the numerator and the
+    denominator of a recorded value share divides ``D`` (the level ``p/(q*D)``
+    and a share ``(p - N*q)/(q*D)``) or ``L*D`` (the score ``s/(t*L*D*D)``).
+    """
 
     __slots__ = ("candidate", "entries", "supporter_weight", "carried", "squares", "top", "unit",
-                 "denominator", "size")
+                 "denominator", "radical", "size")
 
     def __init__(self, lane, candidate: CandidateId):
         weights, numerators = lane.weights, lane.numerators
@@ -178,7 +188,7 @@ class IntegerSubproblem:
         self.entries = tuple(entries)
         self.supporter_weight, self.carried, self.squares, self.top = weight, carried, squares, top
         self.size = len(weights)
-        self.denominator = lane.denominator
+        self.denominator, self.radical = lane.denominator, lane.radical
         self.unit = Fraction(lane.multiplier * lane.denominator)
 
     def solution(
@@ -199,14 +209,60 @@ class IntegerSubproblem:
 
     def record(self, solve: Solve) -> StepSolution:
         """``solve`` in reduced fractions, its shares over every type."""
-        level = solve.level / self.denominator
+        p, q = solve.level.numerator, solve.level.denominator
+        scale, radical = q * self.denominator, self.radical
+        level = _reduced(p, scale, radical)
         x: list[Rational] = [0] * self.size
         for k, _, n in solve.active:
-            x[k] = (solve.level - n) / self.denominator if n else level
-        score = solve.score / (self.unit * self.denominator)
+            x[k] = _reduced(p - n * q, scale, radical) if n else level
+        score = _reduced(
+            solve.score.numerator,
+            solve.score.denominator * self.unit.numerator * self.denominator,
+            radical,
+        )
         return StepSolution(
             solve.candidate, tuple(x), level, score, solve.corrected, solve.clamp_rounds
         )
+
+
+def _reduced(num: int, den: int, radical: int) -> Fraction:
+    """``num/den`` in lowest terms, for ``den > 0`` and a ``radical`` that
+    every prime of ``gcd(num, den)`` divides; ``num == 0`` is ``0`` over any
+    ``den``.
+
+    Each round divides out ``h``, the common divisor of ``num`` and ``den``
+    among the primes of the last round's ``h``; the first round's ``h`` is
+    taken from ``radical``.  A prime of both leaves ``h`` only once it has
+    left ``num`` or ``den``, so a round whose ``h`` is 1 leaves them
+    coprime.  Every such ``gcd`` has a small operand, ``radical`` or ``h``,
+    and the result is built as the ``Fraction`` that the public constructor
+    would normalize to, without its ``gcd`` of ``num`` and ``den``; this is
+    the only code that sets a ``Fraction``'s slots.
+
+    The public constructor, whose one ``gcd`` then costs no more, takes the
+    rest: a ``radical`` of a quarter of ``den``'s bits or more (a profile of
+    many types, whose seats bring many distinct primes), and a common
+    factor left after two rounds.  A round removes at most ``radical``'s
+    power of each prime, so that factor is a high power: past the 400th in
+    the two-party runs at alpha = 31/100, where it is most of ``den`` and
+    the ``gcd`` is short, instead of a round per power.
+    """
+    if 4 * radical.bit_length() >= den.bit_length():
+        return Fraction(num, den)
+    if not num:
+        return Fraction(0)
+    h = math.gcd(math.gcd(num, radical), den)
+    rounds = 0
+    while h > 1 and rounds < 2:
+        num //= h
+        den //= h
+        h = math.gcd(math.gcd(h, num), den)
+        rounds += 1
+    if h > 1:
+        return Fraction(num, den)
+    result = object.__new__(Fraction)
+    result._numerator, result._denominator = num, den
+    return result
 
 
 class Solve(NamedTuple):

@@ -38,6 +38,7 @@ from varphragmen.analysis import (
 )
 from varphragmen.engine import select_winner
 from varphragmen.model import StepSolution, left_sum
+from varphragmen.render import election_json
 
 from conftest import PROFILE_12
 
@@ -654,6 +655,93 @@ def test_a_lane_built_at_a_seat_s_loads_decides_that_seat(backend):
             assert tuple(tied) == rec.tied_with
             assert repr(lane.loads) == repr(rec.loads_after)
             assert repr(variance_after) == repr(rec.variance_after)
+
+
+def radical_covers(x, radical):
+    """Whether every prime of ``x`` divides ``radical``."""
+    g = math.gcd(x, radical)
+    while g > 1:
+        x //= g
+        g = math.gcd(x, radical)
+    return x == 1
+
+
+def assert_radical_covers(lane):
+    for x in (lane.denominator, lane.multiplier, lane.total_weight):
+        assert radical_covers(x, lane.radical)
+
+
+def test_exact_lane_radical_covers_its_denominators_after_every_seat():
+    # a record is reduced only by the primes of ``radical``: every prime of
+    # D, L and the total weight must be among them, in lanes built at zero
+    # loads and at a run's loads (as the oracle campaign builds them), and
+    # after every seat either takes in
+    rng = random.Random(34)
+    profiles = [random_profile(rng) for _ in range(20)]
+    profiles += [parse_profile("5/7 : a, b\n3/4 : b\n11/6 : a, c\n1/9 : c\n")]
+    profiles.append(TwoPartyFamily(alpha=F(37, 100), zeta=F(376, 1000)).profile())
+    for profile, method, mode in product(
+        profiles, (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN), Mode
+    ):
+        seats = min(6, len(profile.candidates)) if mode is Mode.CANDIDATE else 12
+        lane = engine._lane(profile, method, seats, mode, Backend.EXACT)
+        assert_radical_covers(lane)
+        for _ in engine._seats(lane, seats, mode, lane.advance):
+            assert_radical_covers(lane)
+        result = run_election(profile, method, seats, mode=mode)
+        for rec, loads, eligible in engine.seat_states(profile, result):
+            lane = engine._ExactLane(profile, method, loads)
+            assert_radical_covers(lane)
+            _, solution, _ = select_winner(lane, eligible)
+            record, variance_after = lane.advance(solution)
+            assert_radical_covers(lane)
+            assert repr(record) == repr(rec.solution)
+            assert repr(variance_after) == repr(rec.variance_after)
+
+
+@pytest.mark.parametrize("mode", Mode)
+def test_a_one_type_profile_records_a_reduced_zero_variance(mode):
+    # one type: every load is the mean, so the variance is exactly 0, which
+    # must be the reduced Fraction(0, 1), render as "0" and verify
+    profile = parse_profile("7/3 : a, b\n")
+    result = run_election(profile, Method.VAR_PHRAGMEN, 2, mode=mode)
+    for rec in result.records:
+        assert repr(rec.variance_after) == "Fraction(0, 1)"
+        assert rec.variance_after.denominator == 1
+    payload = election_json(profile, result, backend="exact")
+    assert [r["variance_after"] for r in payload["records"]] == ["0", "0"]
+    verify_election(profile, result)
+
+
+def test_an_active_supporter_at_the_level_records_a_reduced_zero_share():
+    # seat 3: type 1 (a, b, c) already sits at c's level 3/8, so it stays
+    # active with a zero share, the Fraction 0 over 1, not int 0 (which
+    # marks a type off the active set)
+    profile = parse_profile("3 : b\n1 : a, b, c\n2 : a\n4 : b, c\n")
+    result = run_election(profile, Method.VAR_PHRAGMEN, 3)
+    rec = result.records[2]
+    assert (rec.solution.candidate, rec.solution.level) == ("c", F(3, 8))
+    assert rec.loads_after.values[1] == F(3, 8)
+    assert repr(rec.solution.x) == repr((0, F(0), 0, F(1, 4)))
+    assert rec.solution.x[1].denominator == 1
+    cells = election_json(profile, result, backend="exact")["records"][2]
+    assert (cells["x"][1], cells["x_display"][1]) == ("0", "0.0000")
+    verify_election(profile, result)
+
+
+@pytest.mark.parametrize("alpha", [F(31, 100), F(37, 100)])
+def test_long_two_party_runs_record_fractions_in_lowest_terms(alpha):
+    # after a dozen seats D outgrows the radical and records are reduced by
+    # remainders against it; at 31/100 some values also share a prime's
+    # power past two rounds, which the public constructor finishes
+    profile = TwoPartyFamily(alpha=alpha, zeta=F(376, 1000)).profile()
+    result = run_election(profile, Method.VAR_PHRAGMEN, 40, mode=Mode.PARTY)
+    for rec in result.records:
+        sol = rec.solution
+        for v in (sol.level, sol.score, rec.variance_after, *sol.x, *rec.loads_after.values):
+            if type(v) is F:
+                assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+    verify_election(profile, result)
 
 
 def near_tie_profile(rng, n_types=10, n_candidates=6):

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from varphragmen import (
     LoadVector,
@@ -23,7 +24,7 @@ from varphragmen import (
 from varphragmen.analysis import oracle_agreement_campaign
 from varphragmen.engine import _ExactLane
 from varphragmen.model import Rational, StepSolution, left_sum
-from varphragmen.step import SUBSET_ORACLE_CAP, _score
+from varphragmen.step import SUBSET_ORACLE_CAP, _reduced, _score
 
 
 def sub_for(profile, loads, candidate):
@@ -451,6 +452,48 @@ def test_clamping_strictly_lowers_the_level(state):
         assert sol.level < unconstrained_level(sub)
     else:
         assert sol.level == unconstrained_level(sub)
+
+
+@st.composite
+def reducible_fractions(draw):
+    """``(num, den, radical)`` with ``num = k*g`` and ``den = m*g``, ``k/m`` in
+    lowest terms and ``g`` a product of powers of ``radical``'s primes, which
+    may exceed the powers in ``radical``: the precondition of
+    :func:`_reduced`, and nothing more.  ``k = 0`` may come with any ``m``,
+    whose primes ``radical`` need not cover."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 11, 19, 23, 4807, 3793]), unique=True))
+    radical = math.prod(p ** draw(st.integers(1, 3)) for p in primes)
+    g = math.prod(p ** draw(st.integers(0, 40)) for p in primes)
+    k = draw(st.integers(-(10**40), 10**40))
+    m = draw(st.integers(1, 10**40))
+    assume(k == 0 or math.gcd(k, m) == 1)
+    return k * g, m * g, radical
+
+
+@settings(deadline=None, max_examples=300)
+@given(reducible_fractions())
+@example((0, 1, 1))
+@example((0, 4807**3 * 6, 4807))
+@example((0, 10**40 + 1, 2))
+@example((-(2**300) * 7, 2**500 * 3, 6))
+@example((5**20, 5**3, 5))
+@example((-1, 10**50, 2))
+@example((3 * 4 * 7**41, 5 * 4, 14))
+def test_reduced_is_the_public_constructor_s_fraction(case):
+    """The exact lane's reduction against ``radical`` builds the same
+    ``Fraction`` as the public constructor, down to its slots, on every
+    Python version: zero (over a denominator coprime to a small
+    ``radical`` too), negative numerators, a factor that two rounds remove
+    (``4`` against ``14``), and common powers past two rounds of
+    ``radical``'s, which the public constructor removes, included."""
+    num, den, radical = case
+    got, want = _reduced(num, den, radical), F(num, den)
+    assert type(got) is F
+    assert got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert type(got.numerator) is int and type(got.denominator) is int
+    assert repr(got) == repr(want)
+    assert hash(got) == hash(want)
 
 
 def test_merge_invariance_for_election_loads():

@@ -127,8 +127,9 @@ PINS = (
     # rationals outgrow the interpreter's 4300-digit limit for int-to-str
     # conversion; the digests pin every exact rational and every float64 bit
     # of the float lane byte for byte, the same on 3.10.13, 3.11.7, 3.12.1
-    # and 3.13. On 3.11.7 (2 CPUs) the exact runs take about 2.0, 3.9 and
-    # 2.8 s, each float64 run about 0.17 s, the group with its checks 9-10 s.
+    # and 3.13. On 3.11.7 (2 CPUs) the exact runs take about 1.5, 2.6 and
+    # 1.8 s, each float64 run about 0.17 s, the group with its checks about
+    # 7 s.
     _twoparty(31, "exact", "7976f98d686a186668445233fe5254ef480d81ecebf11a7068cdc9ae8063d0ed"),
     _twoparty(37, "exact", "8cf3316aa764d69c83a2892303c1caf321f94ab96998b09c37b23be78f12cf9e"),
     _twoparty(45, "exact", "079c5acf4347f3fb5c0c6261749ad4aa5a2d11be6e751cff5c06da90717bfa46"),
