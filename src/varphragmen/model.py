@@ -144,28 +144,37 @@ class VoterType:
 
     Candidate names match ``[A-Za-z0-9_-]+``, the names the profile text
     format can carry, so every profile renders and parses back unchanged.
+    An ``int`` weight is stored as a ``Fraction``.  A ``Fraction``'s sign is
+    read from its numerator, as its denominator is positive; any other
+    weight, a ``Fraction`` subclass included, must satisfy ``weight > 0``,
+    so a float NaN is refused.
     """
 
     weight: Rational
     approvals: tuple[CandidateId, ...]
 
     def __post_init__(self):
-        if isinstance(self.weight, int):
+        weight = self.weight
+        if isinstance(weight, int):
             # plain ints would leak true division (floats) into the exact lane
-            object.__setattr__(self, "weight", Fraction(self.weight))
-        if not self.weight > 0:
+            weight = Fraction(weight)
+            object.__setattr__(self, "weight", weight)
+        # a Fraction's denominator is positive, so its numerator has its sign
+        if not (weight.numerator > 0 if type(weight) is Fraction else weight > 0):
             raise ValueError(
-                f"voter type weight must be positive, got {rational_str(self.weight)}"
+                f"voter type weight must be positive, got {rational_str(weight)}"
             )
-        if not self.approvals:
+        approvals = self.approvals
+        if not approvals:
             raise ValueError("empty approval list")
-        if len(set(self.approvals)) != len(self.approvals):
-            raise ValueError(f"duplicate candidate in approval set: {self.approvals}")
-        for name in self.approvals:
-            # any other name would be saved as one election and read back
-            # as another
-            if not _NAME_RE.fullmatch(name):
-                raise ValueError(f"invalid candidate name: {name!r}")
+        if len(set(approvals)) != len(approvals):
+            raise ValueError(f"duplicate candidate in approval set: {approvals}")
+        # any other name would be saved as one election and read back as
+        # another; the loop only finds the first invalid name to report it
+        if not all(map(_NAME_RE.fullmatch, approvals)):
+            for name in approvals:
+                if not _NAME_RE.fullmatch(name):
+                    raise ValueError(f"invalid candidate name: {name!r}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +233,14 @@ def parse_profile(text: str) -> Profile:
     ``\\s`` matches in a ``str`` regex, so the names are split with
     ``str.split`` once every comma is a space.  The names themselves are
     :class:`VoterType`'s to check.
+
+    Each distinct weight token is checked and read into a ``Fraction`` once
+    per call; later lines with the same token share that immutable value.
+    A token is stored only once it is read, so every error names the line it
+    is on.
     """
     types: list[VoterType] = []
+    weights: dict[str, Fraction] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -237,17 +252,21 @@ def parse_profile(text: str) -> Profile:
                 line_no,
             )
         weight_token = head.strip()
-        if not _WEIGHT_RE.match(weight_token):
-            raise ProfileParseError(
-                f"weight must be an integer or p/q, got {weight_token!r}", line_no
-            )
+        weight = weights.get(weight_token)
+        if weight is None:
+            if not _WEIGHT_RE.match(weight_token):
+                raise ProfileParseError(
+                    f"weight must be an integer or p/q, got {weight_token!r}", line_no
+                )
+            try:
+                weight = weights[weight_token] = _ratio(weight_token)
+            except ZeroDivisionError:
+                raise ProfileParseError(
+                    f"weight has zero denominator: {weight_token!r}", line_no
+                ) from None
         names = tuple(tail.replace(",", " ").split())
         try:
-            types.append(VoterType(_ratio(weight_token), names))
-        except ZeroDivisionError:
-            raise ProfileParseError(
-                f"weight has zero denominator: {weight_token!r}", line_no
-            ) from None
+            types.append(VoterType(weight, names))
         except ValueError as exc:
             # the weight's sign and the names are VoterType's to check
             raise ProfileParseError(str(exc), line_no) from None

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from varphragmen import (
     LoadVector,
@@ -18,6 +18,7 @@ from varphragmen import (
     rational_str,
     render_profile,
 )
+from varphragmen.model import _ratio
 
 from conftest import PROFILE_12, PROFILE_13
 
@@ -144,12 +145,153 @@ def test_the_whitespace_regex_class_is_str_isspace():
         ("3 : a, a", "duplicate"),
         ("3 : a?b", "invalid candidate name"),
         ("1 : a\n2 : b!\n", "line 2"),
+        # a weight token read on an earlier line neither hides nor
+        # renumbers a later line's error
+        ("3 : a\n3 : b!", "line 2: invalid candidate name"),
+        ("1/2 : a\n1/2 : a, a", "line 2: duplicate"),
+        ("1/0 : a\n1/0 : b", "line 1: weight has zero denominator"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(ProfileParseError) as excinfo:
         parse_profile(text)
     assert fragment in str(excinfo.value)
+
+
+_REFERENCE_NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_REFERENCE_WEIGHT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+
+
+def _reference_voter_type(weight, approvals):
+    """``VoterType``'s checks as they were before its sign test read the
+    numerator: the reference.  Returns the weight the type keeps."""
+    if isinstance(weight, int):
+        # plain ints would leak true division (floats) into the exact lane
+        weight = Fraction(weight)
+    if not weight > 0:
+        raise ValueError(
+            f"voter type weight must be positive, got {rational_str(weight)}"
+        )
+    if not approvals:
+        raise ValueError("empty approval list")
+    if len(set(approvals)) != len(approvals):
+        raise ValueError(f"duplicate candidate in approval set: {approvals}")
+    for name in approvals:
+        # any other name would be saved as one election and read back
+        # as another
+        if not _REFERENCE_NAME_RE.fullmatch(name):
+            raise ValueError(f"invalid candidate name: {name!r}")
+    return weight
+
+
+def _reference_parse_profile(text):
+    """``parse_profile`` as it was before it kept one ``Fraction`` per
+    weight token, every line read in full: the reference."""
+    types = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, sep, tail = line.partition(":")
+        if not sep:
+            raise ProfileParseError(
+                f"expected '<weight> : <name>[, <name>...]', got {raw.strip()!r}",
+                line_no,
+            )
+        weight_token = head.strip()
+        if not _REFERENCE_WEIGHT_RE.match(weight_token):
+            raise ProfileParseError(
+                f"weight must be an integer or p/q, got {weight_token!r}", line_no
+            )
+        names = tuple(tail.replace(",", " ").split())
+        try:
+            weight = _reference_voter_type(_ratio(weight_token), names)
+        except ZeroDivisionError:
+            raise ProfileParseError(
+                f"weight has zero denominator: {weight_token!r}", line_no
+            ) from None
+        except ValueError as exc:
+            # the weight's sign and the names are VoterType's to check
+            raise ProfileParseError(str(exc), line_no) from None
+        types.append(VoterType(weight, names))
+    return Profile(types)
+
+
+# tokens equal in value but not in text, a non-ASCII digit, and a token or line
+# of every error kind
+_weight_tokens = st.sampled_from(["2", "02", "2/1", "4/2", "1/2", "2/4", "7", "\u0663"])
+_bad_weight_tokens = st.sampled_from(
+    ["0", "-2", "-1/2", "0/3", "1/0", "2/00", "0/0", "w", "1.5", "", "1 / 2"]
+)
+_profile_names = st.sampled_from(["a", "b", "c_1", "d-2"])
+_bad_profile_names = st.sampled_from(["a", "b", "b!", "a?b"])
+_name_separators = st.sampled_from([", ", " ", "\t", ",", ",\xa0", " , "])
+_comments = st.sampled_from(["", "  ", " # note", "# 1 : a", " #"])
+
+
+@st.composite
+def _profile_lines(draw):
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.sampled_from(["", "   ", "# only a comment"]))
+    if kind == 1:
+        # a line with an error, or likely to have one
+        weight = draw(st.one_of(_weight_tokens, _bad_weight_tokens))
+        names = draw(st.lists(_bad_profile_names, max_size=3))
+        colon = " " if draw(st.integers(0, 7)) == 0 else ":"
+    else:
+        weight = draw(_weight_tokens)
+        names = draw(st.lists(_profile_names, min_size=1, max_size=4, unique=True))
+        colon = ":"
+    tail = draw(_name_separators).join(names)
+    return f"{weight} {colon}{draw(_name_separators)}{tail}{draw(_comments)}"
+
+
+@example("")
+@example("3 a, b")
+@example("w : a")
+@example("1/0 : a")
+@example("0 : a\n0 : b")
+@example("2 : a\n2 :")
+@example("2 : a\n2/1 : a, a")
+@example("02 : a\n4/2 : b\n2 : b!")
+@given(st.lists(_profile_lines(), max_size=8).map("\n".join))
+def test_parse_profile_is_the_reference_parse(text):
+    try:
+        want = _reference_parse_profile(text)
+    except ProfileParseError as exc:
+        with pytest.raises(ProfileParseError) as info:
+            parse_profile(text)
+        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+    else:
+        got = parse_profile(text)
+        assert got == want
+        assert [repr(t.weight) for t in got.types] == [repr(t.weight) for t in want.types]
+
+
+class _Contrary(Fraction):
+    """A weight whose ``>`` says the opposite of its value."""
+
+    def __gt__(self, other):
+        return not Fraction.__gt__(self, other)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [0, -1, 2, True, False, Fraction(0), Fraction(-1, 3), Fraction(1, 3),
+     _Unaddable(-1, 3), _Contrary(-1, 3), _Contrary(1, 3), 0.0, -0.0,
+     float("nan"), float("inf"), float("-inf"), 5e-324],
+    ids=repr,
+)
+def test_voter_type_sign_test_is_the_reference_comparison(weight):
+    def outcome(check):
+        try:
+            return "accepted", repr(check())
+        except ValueError as exc:
+            return "rejected", str(exc)
+
+    got = outcome(lambda: VoterType(weight, ("a",)).weight)
+    assert got == outcome(lambda: _reference_voter_type(weight, ("a",)))
 
 
 def test_parse_is_order_preserving():

@@ -18,9 +18,9 @@ def pins():
     return module
 
 
-def test_the_table_holds_fourteen_distinct_pins(pins):
-    assert len(pins.PINS) == 14
-    assert len({pin.name for pin in pins.PINS}) == 14
+def test_the_table_holds_fifteen_distinct_pins(pins):
+    assert len(pins.PINS) == 15
+    assert len({pin.name for pin in pins.PINS}) == 15
     assert all(re.fullmatch("[0-9a-f]{64}", pin.sha256) for pin in pins.PINS)
     assert {pin.group for pin in pins.PINS} <= set(pins.GROUPS)
 

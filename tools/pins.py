@@ -53,6 +53,15 @@ def _sparse_text() -> str:
     return workloads.sparse_profile_text(int(CAMPAIGN_SEED))
 
 
+def _sparse_fractions_text() -> str:
+    """The sparse profile with every odd line's weight ``w`` written as ``2w/2``."""
+    lines = _sparse_text().splitlines()
+    for i in range(0, len(lines), 2):
+        weight, sep, approvals = lines[i].partition(" : ")
+        lines[i] = f"{2 * int(weight)}/2{sep}{approvals}"
+    return "\n".join(lines) + "\n"
+
+
 def _twoparty_text(alpha: int) -> str:
     """The paper's two-party profile at zeta = 0.376 and the given alpha/100."""
     family = two_party_family(Fraction(376, 1000))
@@ -63,6 +72,7 @@ def _twoparty_text(alpha: int) -> str:
 INPUTS = {
     "sparse": _sparse_text,
     "sparse-tabs": lambda: _sparse_text().replace(", ", "\t"),
+    "sparse-fractions": _sparse_fractions_text,
     **{f"twoparty-{a}": functools.partial(_twoparty_text, a) for a in ALPHAS},
 }
 
@@ -101,14 +111,18 @@ PINS = (
     # every bit the bounds that a seat resets when it moves a supporter;
     # var-Phragmen in candidate mode is where those bounds skip the most
     # candidates. The tab run reads the profile on stdin with every ", "
-    # turned into a tab, which must split into the same names: the JSON's
-    # profile is rendered from the parsed types, so it has the same digest.
+    # turned into a tab, which must split into the same names, and the
+    # fraction run reads it with every odd line's weight w written as 2w/2,
+    # which must parse to the same reduced weights: the JSON's profile is
+    # rendered from the parsed types, so both have sparse-seq's digest.
     # The same digests on 3.10.13, 3.11.7, 3.12.1 and 3.13. Each run takes
-    # about 0.15 s on 3.11.7 (2 CPUs), the group about 1.1 s.
+    # about 0.15 s on 3.11.7 (2 CPUs), the group about 1.4 s.
     Pin("sparse-seq", "sparse", _elect("seq-phragmen", "candidate", 60), "sparse",
         "ababdba8103aa107f6b201d0d45cfaa1a93f425dfebe0b47254d7c71a43d4606"),
     Pin("sparse-seq-tabs", "sparse", _elect("seq-phragmen", "candidate", 60, source="-"),
         "sparse-tabs", "ababdba8103aa107f6b201d0d45cfaa1a93f425dfebe0b47254d7c71a43d4606"),
+    Pin("sparse-seq-fractions", "sparse", _elect("seq-phragmen", "candidate", 60), "sparse-fractions",
+        "ababdba8103aa107f6b201d0d45cfaa1a93f425dfebe0b47254d7c71a43d4606"),
     Pin("sparse-var", "sparse", _elect("var-phragmen", "party", 60), "sparse",
         "1a6e8a6e57da34296190fb9eccf8496e9dc2a4233577431325d65562f7284b27"),
     Pin("sparse-var-candidate", "sparse", _elect("var-phragmen", "candidate", 60), "sparse",
