@@ -54,9 +54,24 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _int(text: str) -> int:
+    """``int(text)`` for ASCII ``text``: ``int`` alone reads any Unicode
+    decimal digit.  Raises ``int``'s ``ValueError`` otherwise."""
+    if not text.isascii():
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    try:
+        return _int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 1:
@@ -72,7 +87,7 @@ def _alpha_range(text: str) -> tuple[Fraction, Fraction, int]:
         )
     try:
         start, stop = parse_rational(parts[0]), parse_rational(parts[1])
-        steps = int(parts[2])
+        steps = _int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if steps < 1:
@@ -280,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "closed-list-equiv",
         help="election runs vs highest-averages on closed lists",
     )
-    equiv.add_argument("--seed", type=int, default=0)
+    equiv.add_argument("--seed", type=_seed, default=0)
     equiv.add_argument("--trials", type=_positive_int, default=200)
     equiv.add_argument("--out", default=".", help="directory for failure records")
     equiv.set_defaults(func=cmd_check_closed_list)
@@ -289,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-agreement",
         help="clamp correction vs water-filling vs subset enumeration",
     )
-    oracle.add_argument("--seed", type=int, default=0)
+    oracle.add_argument("--seed", type=_seed, default=0)
     oracle.add_argument("--trials", type=_positive_int, default=500)
     oracle.add_argument("--out", default=".", help="directory for disagreement records")
     oracle.set_defaults(func=cmd_check_oracle)

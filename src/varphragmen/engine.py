@@ -236,9 +236,14 @@ class _ExactLane(_ShareLane):
     active types take ``N = p`` and every other numerator is multiplied by
     ``q``.  So is the run total ``sum(U*N)``, which must equal the number of
     seats: the consistency check of :func:`variance`; each moved type then
-    adds its increase.  That is :meth:`move`.  :meth:`advance` also keeps
-    ``sum(U*N*N)`` for the variance (by ``q*q``, plus each moved type's
-    increase), and only there does the winner's solve become fractions.
+    adds its increase.  The lane keeps ``unit = L*D``, the load a seat adds,
+    and ``ldd = L*D*D`` running, multiplied by ``q`` and ``q*q``.  That is
+    :meth:`move`.  :meth:`advance` also keeps ``squares = sum(U*N*N)`` for
+    the variance: the seat's score ``s/t`` (``L*D*D`` times the score, ``t``
+    dividing ``q``) times ``q*q`` is ``p*p*W - sum(U*N*N)*q*q`` over its
+    active set, what the seat adds to the sum at the new ``D``, so the sum
+    becomes ``squares*q*q + s*(q*q//t)``.  Only there does the winner's
+    solve become fractions of big denominators.
 
     ``radical`` is divisible by every prime of ``L``, ``D`` and the total
     weight ``w = sum(U)``: it starts at their lcm, and :meth:`move` takes in
@@ -246,15 +251,15 @@ class _ExactLane(_ShareLane):
     subproblem's ``W``, so from zero loads ``radical`` takes in few primes
     over a two-party run and many over a profile of many types.  A recorded
     value's denominator is a product of those numbers times a factor
-    coprime to its numerator: the variance ``(sum(U*N*N)*w -
-    n*n*(L*D)**2)/(L*D*D*w)``, at the ``D`` after :meth:`move`, and the
-    solve's values (see :class:`IntegerSubproblem`).  So every prime its
-    numerator shares with it divides ``radical``: that is what
-    ``step._reduced`` needs to reduce it exactly, by remainders against
-    ``radical`` while ``radical`` is small.
+    coprime to its numerator: the variance ``(squares*w -
+    n*n*L*ldd)/(ldd*w)``, at the ``D`` after :meth:`move`, and the solve's
+    values (see :class:`IntegerSubproblem`).  So every prime its numerator
+    shares with it divides ``radical``: that is what ``step._reduced`` needs
+    to reduce it exactly, by remainders against ``radical`` while
+    ``radical`` is small.
 
-    A float key, the score over ``L*D*D`` or the level over ``D`` (``scale``,
-    of power 2 or 1 in ``D``), does not depend on ``D``.
+    A float key, the score over ``L*D*D`` or the level over ``D``, does not
+    depend on ``D``.
 
     ``bounds`` holds each candidate's last float key, minus infinity until
     its first solve, kept across seats: nothing but a solve changes it.  It
@@ -271,9 +276,8 @@ class _ExactLane(_ShareLane):
         weights = self.weights = [p * (multiplier // q) for p, q in ratios]
         denominator = self.denominator = math.lcm(*(r.denominator for r in loads.values))
         numerators = self.numerators = [int(r * denominator) for r in loads.values]
-        var = self.method is Method.VAR_PHRAGMEN
-        self.key_power = 2 if var else 1
-        self.scale = (multiplier if var else 1) * denominator**self.key_power  # L*D*D or D
+        self.unit = multiplier * denominator
+        self.ldd = self.unit * denominator
         self.total_weight = sum(weights)
         self.radical = math.lcm(multiplier, self.total_weight, denominator)
         weighted = [u * n for u, n in zip(weights, numerators)]
@@ -283,8 +287,9 @@ class _ExactLane(_ShareLane):
 
     def approximate(self, key: Fraction) -> float:
         """The absolute key, by one correctly rounded ``int`` division."""
+        scale = self.ldd if self.method is Method.VAR_PHRAGMEN else self.denominator
         try:
-            return key.numerator / (key.denominator * self.scale)
+            return key.numerator / (key.denominator * scale)
         except OverflowError:
             return math.inf
 
@@ -292,16 +297,18 @@ class _ExactLane(_ShareLane):
         return IntegerSubproblem(self, name)
 
     def move(self, solution: Solve) -> None:
-        """Take in a seat's decision: rescale every numerator to ``D*q``, move
-        the active ones to ``p`` and check the mass.  It builds no fraction:
-        ``loads`` and ``squares`` stay at the last seat :meth:`advance` took in."""
+        """Take in a seat's decision: rescale every numerator, ``L*D`` and
+        ``L*D*D`` to ``D*q``, move the active numerators to ``p`` and check the
+        mass.  It builds no fraction: ``loads`` and ``squares`` stay at the
+        last seat :meth:`advance` took in."""
         level = solution.level
         p, q = level.numerator, level.denominator
         numerators = self.numerators = [n * q for n in self.numerators]
         self.denominator *= q
         if self.radical % q:
             self.radical = math.lcm(self.radical, q)
-        self.scale *= q**self.key_power
+        unit = self.unit = self.unit * q
+        self.ldd *= q * q
         mass = self.mass * q
         for k, u, _ in solution.active:
             # a type already at the level has q == 1 and N == p: it does not move
@@ -309,7 +316,6 @@ class _ExactLane(_ShareLane):
             numerators[k] = p
         self.mass = mass
         n = self.seats = self.seats + 1
-        unit = self.multiplier * self.denominator
         if mass != n * unit:
             shown = rational_str(Fraction(mass, unit))
             raise ValueError(f"inconsistent loads: total mass {shown} != {n} seats")
@@ -318,22 +324,18 @@ class _ExactLane(_ShareLane):
         """Take in a seat by :meth:`move` and record it: its
         :class:`StepSolution`, the ``Fraction`` loads and the variance after it."""
         record = solution.record()
-        level = solution.level
-        p, q = level.numerator, level.denominator
-        squares = self.squares * q * q
-        for _, u, n in solution.active:  # N at the seat's own D
-            before = n * q
-            squares += u * (p - before) * (p + before)  # U*(after**2 - before**2)
-        self.squares = squares
+        q = solution.level.denominator
+        s, t = solution.score.numerator, solution.score.denominator
+        square = q * q
+        squares = self.squares = self.squares * square + s * (square // t)
         self.move(solution)
         values = list(self.loads.values)
         for k, _, _ in solution.active:
             values[k] = record.level
         n = self.seats
         self.loads = LoadVector(tuple(values), n)
-        unit, w = self.multiplier * self.denominator, self.total_weight
-        after = _reduced(squares * w - n * n * unit * unit, unit * self.denominator * w,
-                         self.radical)
+        ldd, w = self.ldd, self.total_weight
+        after = _reduced(squares * w - n * n * self.multiplier * ldd, ldd * w, self.radical)
         return record, after
 
 

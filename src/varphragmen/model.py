@@ -24,8 +24,11 @@ CandidateId = str
 Rational = Union[Fraction, int, float]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-_WEIGHT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-_RATIONAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([+-]?\d{1,4}))?)")
+# numbers are ASCII digits: ``\d`` would match any Unicode decimal digit
+_WEIGHT_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
+_RATIONAL_RE = re.compile(
+    r"([+-]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]{1,4}))?)"
+)
 
 
 class ProfileParseError(ValueError):
@@ -104,10 +107,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse an optionally signed ``p``, ``p/q`` or decimal, with or without
     an exponent, into an exact Fraction at any length.
 
-    This is the grammar ``Fraction`` reads on Python 3.10, read the same way
-    on every supported version: surrounding whitespace is ignored, and
-    underscores in numbers or spaces around ``/`` are refused, and so is an
-    exponent of more than four digits, before any power is built.
+    This is the grammar ``Fraction`` reads on Python 3.10, in ASCII digits
+    only, read the same way on every supported version: surrounding
+    whitespace is ignored, and underscores in numbers or spaces around
+    ``/`` are refused, and so is an exponent of more than four digits,
+    before any power is built.
     """
     match = _RATIONAL_RE.fullmatch(text.strip())
     if match:
@@ -226,7 +230,8 @@ def parse_profile(text: str) -> Profile:
     """Parse profile text into a :class:`Profile`.
 
     Format: one voter type per line, ``W : name, name, ...`` with ``W`` an
-    integer or ``p/q``; names may be separated by commas and/or whitespace;
+    integer or ``p/q`` in ASCII digits; names may be separated by commas
+    and/or whitespace;
     ``#`` starts a comment; blank lines are ignored.
 
     Whitespace is what ``str.isspace`` says it is, which is exactly what

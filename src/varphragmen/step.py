@@ -17,26 +17,32 @@ on the remaining supporters until all shares are feasible.
 The subproblem's class is the arithmetic lane.  Every subproblem sums its
 own supporters in one pass over the profile's supporter index (the profile
 stores only who approves whom): ``supporter_weight``, ``carried =
-sum(u*r)`` and ``top = max r`` for the solver's first round; it carries the
-``unit`` of load a seat adds.  The level and active-set loop is the same in
-both lanes:
+sum(u*r)`` and ``top = max r`` for the solver's first round.  The
+active-set loop is the same in both lanes; each lane supplies the level of
+an active set, the bar a load is clamped above, and the score:
 
-* :class:`Subproblem` scores share by share, ``u*(2*r*x + x*x)`` over the
+* :class:`Subproblem` puts the level at ``(sum(u*r) + 1)/sum(u)``, clamps a
+  load above it, and scores share by share, ``u*(2*r*x + x*x)`` over the
   active set in supporter order.  The float64 lane elects with it, and it
   is the reference everywhere else; the two oracles read its entries and
   score on their own integers (below).
   :func:`_score` is that sum over a dense share vector, for recorded shares.
 * :class:`IntegerSubproblem`, the exact lane, works on integers: weights
   ``U = u*L`` over the lcm ``L`` of their denominators, loads ``N`` over one
-  denominator ``D``, and a seat adds ``L*D``.  The engine's exact lane holds
-  these integer loads, builds them and moves them on; the subproblem reads
-  them.  With ``A = sum(U*N) + L*D`` and ``W = sum(U)`` over the active set,
-  the level is ``A/W``, the clamp test ``N*W > A`` and the score, in closed
-  form as every active supporter ends at the level, ``A*A/W - sum(U*N*N)``.
-  ``W`` is small, so deciding a seat takes no big ``gcd``; only a recorded
-  solve is reduced to fractions.  Where the primes its denominators can
-  share with its numerators are few, as in long two-party runs, that is by
-  remainders against them (:func:`_reduced`), not a gcd of two big integers.
+  denominator ``D``, and a seat adds the int ``L*D``.  The engine's exact
+  lane holds these integer loads, builds them and moves them on; the
+  subproblem reads them.  With ``A = sum(U*N) + L*D`` and ``W = sum(U)``
+  over the active set, the level is ``A/W``, the clamp test ``N*W > A``
+  (``N > A//W``, as ``N`` is an integer) and the score, in closed form as
+  every active supporter ends at the level, ``A*A/W - sum(U*N*N)``.  All
+  of it is ``int`` arithmetic: the level ``p/q`` is ``A/W`` reduced by
+  ``gcd(A, W)`` and the score ``(p*A - S*q)/q`` by its ``gcd`` with ``q``,
+  and both are built as fractions by setting their slots (:func:`_fraction`).
+  ``W`` is small, so deciding a seat takes no big ``gcd`` and no
+  ``Fraction`` operator; only a recorded solve is reduced to fractions of
+  big denominators.  Where the primes its denominators can share with its
+  numerators are few, as in long two-party runs, that is by remainders
+  against them (:func:`_reduced`), not a gcd of two big integers.
 
 Zero terms cost nothing in either lane: a supporter with zero load moves
 straight to ``level`` (``level - 0 == level`` in value and type, float bits
@@ -95,13 +101,11 @@ class Subproblem:
     finds ``top``, the first highest load.  Every candidate of a profile has
     at least one supporter; a name outside the profile raises
     ``UnknownCandidateError`` from :meth:`Profile.supporters`.  A seat
-    carries ``unit`` of load, 1 in this lane.
+    carries one unit of load.
     """
 
     __slots__ = ("profile", "candidate", "supporters", "supporter_weight", "entries", "carried",
                  "top")
-
-    unit = 1
 
     def __init__(self, profile: Profile, loads: LoadVector, candidate: CandidateId):
         supporters = profile.supporters(candidate)
@@ -123,6 +127,13 @@ class Subproblem:
                 top = r
         self.entries = tuple(entries)
         self.supporter_weight, self.carried, self.top = weight, carried, top
+
+    def level(self, carried: Rational, weight: Rational) -> tuple[Rational, Rational]:
+        """The common level ``(carried + 1)/weight`` of an active set with
+        ``sum(u*r) = carried`` and ``sum(u) = weight``, twice: it is also the
+        bar a load is clamped above."""
+        level = (carried + 1) / weight
+        return level, level
 
     def solution(
         self,
@@ -155,11 +166,10 @@ class IntegerSubproblem:
     """The exact lane's subproblem (see the module docstring), read from the
     integer loads that ``lane`` (the engine's exact lane) holds: ``carried =
     sum(U*N)``, ``squares = sum(U*N*N)`` and ``top = max N``, zero loads
-    skipped.  It keeps the lane's denominator ``D`` and ``radical`` at the
-    time, as a seat moves the lane's on, and the number of types, not the
-    lane.  ``unit = L*D`` is a ``Fraction`` so that the level of
-    :func:`corrected_solution` is the exact ``A/W``, ``D`` times the common
-    level.
+    skipped.  It keeps the lane's denominator ``D``, the ints ``unit = L*D``
+    and ``ldd = L*D*D``, and ``radical`` at the time, as a seat moves the
+    lane's on, and the number of types, not the lane.  Its level ``A/W`` is
+    ``D`` times the common level, and its score ``L*D*D`` times the score.
 
     ``radical`` is divisible by every prime of ``L`` and ``D``, and that is
     all :meth:`record` needs to reduce by it.  A solve's level ``p/q`` and
@@ -169,7 +179,7 @@ class IntegerSubproblem:
     """
 
     __slots__ = ("candidate", "entries", "supporter_weight", "carried", "squares", "top", "unit",
-                 "denominator", "radical", "size")
+                 "ldd", "denominator", "radical", "size")
 
     def __init__(self, lane, candidate: CandidateId):
         weights, numerators = lane.weights, lane.numerators
@@ -189,7 +199,15 @@ class IntegerSubproblem:
         self.supporter_weight, self.carried, self.squares, self.top = weight, carried, squares, top
         self.size = len(weights)
         self.denominator, self.radical = lane.denominator, lane.radical
-        self.unit = Fraction(lane.multiplier * lane.denominator)
+        self.unit, self.ldd = lane.unit, lane.ldd
+
+    def level(self, carried: int, weight: int) -> tuple[Fraction, int]:
+        """The level ``A/W`` of an active set with ``sum(U*N) = carried`` and
+        ``sum(U) = weight``, in lowest terms, and the bar ``A//W``: ``N*W >
+        A`` is ``N > A//W`` for an integer ``N``."""
+        total = carried + self.unit
+        g = math.gcd(total, weight)
+        return _fraction(total // g, weight // g), total // weight
 
     def solution(
         self,
@@ -199,12 +217,17 @@ class IntegerSubproblem:
         clamp_rounds: tuple = (),
         corrected: bool = False,
     ) -> Solve:
-        """Move ``active`` to ``level``; score ``level*A - sum(U*N*N)`` over it."""
+        """Move ``active`` to ``level = p/q``; score ``A*A/W - S = (p*A -
+        S*q)/q`` over it, ``S = sum(U*N*N)``, reduced by a ``gcd`` with the
+        small ``q``."""
         if not clamp_rounds:  # the first round: ``active`` is every supporter
             squares = self.squares
         else:
             squares = sum(u * (n * n) for _, u, n in active)
-        score = level * (carried + self.unit) - squares
+        p, q = level.numerator, level.denominator
+        s = p * (carried + self.unit) - squares * q
+        g = math.gcd(s, q)
+        score = _fraction(s // g, q // g)
         return Solve(self.candidate, level, score, corrected, clamp_rounds, active, self)
 
     def record(self, solve: Solve) -> StepSolution:
@@ -215,11 +238,7 @@ class IntegerSubproblem:
         x: list[Rational] = [0] * self.size
         for k, _, n in solve.active:
             x[k] = _reduced(p - n * q, scale, radical) if n else level
-        score = _reduced(
-            solve.score.numerator,
-            solve.score.denominator * self.unit.numerator * self.denominator,
-            radical,
-        )
+        score = _reduced(solve.score.numerator, solve.score.denominator * self.ldd, radical)
         return StepSolution(
             solve.candidate, tuple(x), level, score, solve.corrected, solve.clamp_rounds
         )
@@ -235,9 +254,8 @@ def _reduced(num: int, den: int, radical: int) -> Fraction:
     taken from ``radical``.  A prime of both leaves ``h`` only once it has
     left ``num`` or ``den``, so a round whose ``h`` is 1 leaves them
     coprime.  Every such ``gcd`` has a small operand, ``radical`` or ``h``,
-    and the result is built as the ``Fraction`` that the public constructor
-    would normalize to, without its ``gcd`` of ``num`` and ``den``; this is
-    the only code that sets a ``Fraction``'s slots.
+    and the result is built by :func:`_fraction`, without the public
+    constructor's ``gcd`` of ``num`` and ``den``.
 
     The public constructor, whose one ``gcd`` then costs no more, takes the
     rest: a ``radical`` of a quarter of ``den``'s bits or more (a profile of
@@ -260,6 +278,14 @@ def _reduced(num: int, den: int, radical: int) -> Fraction:
         rounds += 1
     if h > 1:
         return Fraction(num, den)
+    return _fraction(num, den)
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """The ``Fraction`` ``num/den`` for coprime ``num`` and ``den > 0``: the
+    one the public constructor would normalize to, built by setting its
+    slots, without its type checks and its ``gcd``.  This is the only code
+    that sets a ``Fraction``'s slots."""
     result = object.__new__(Fraction)
     result._numerator, result._denominator = num, den
     return result
@@ -269,7 +295,8 @@ class Solve(NamedTuple):
     """A solve of ``sub``, either lane's subproblem: ``active`` moves to the
     common ``level``.  In the share lane ``level`` and ``score`` are the
     values themselves; in the exact lane they are ``D`` and ``L*D*D`` times
-    them, each with a denominator dividing ``W``, so they compare exactly
+    them, fractions in lowest terms that the lane's ``int`` arithmetic
+    built, each with a denominator dividing ``W``, so they compare exactly
     without a big ``gcd``."""
 
     candidate: CandidateId
@@ -323,20 +350,22 @@ def corrected_solution(sub: Subproblem | IntegerSubproblem) -> Solve:
     because each round strictly shrinks the active set and the minimum-load
     supporter always keeps a positive share.
 
-    The first round reads ``sub.carried`` and scans the supporters only if
-    ``sub.top`` exceeds the level.  After a clamp, ``sum(u*r)`` and ``sum(u)``
-    are re-summed over the active entries, and every later round scans:
-    ``top`` exceeds the lowered level.  The subproblem's lane scores the
-    :class:`Solve`, in closed form (:class:`IntegerSubproblem`) or share by
-    share (:class:`Subproblem`).
+    The subproblem's lane supplies each round's level and the bar a load is
+    clamped above: the level itself in the share lane, ``A//W`` on the
+    exact lane's integers.  The first round reads ``sub.carried`` and scans
+    the supporters only if ``sub.top`` exceeds the bar.  After a clamp,
+    ``sum(u*r)`` and ``sum(u)`` are re-summed over the active entries, and
+    every later round scans: ``top`` exceeds the lowered bar.  The lane
+    also scores the :class:`Solve`, in closed form on integers
+    (:class:`IntegerSubproblem`) or share by share (:class:`Subproblem`).
     """
     active: Sequence[tuple[int, Rational, Rational]] = sub.entries
     weight = sub.supporter_weight
     carried, top = sub.carried, sub.top
     rounds: list[frozenset[int]] = []
     while True:
-        level = (carried + sub.unit) / weight
-        negative = [k for k, _, r in active if r > level] if top > level else ()
+        level, bar = sub.level(carried, weight)
+        negative = [k for k, _, r in active if r > bar] if top > bar else ()
         if not negative:
             return sub.solution(level, carried, active, tuple(rounds), bool(rounds))
         rounds.append(frozenset(negative))

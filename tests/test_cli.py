@@ -248,6 +248,36 @@ def test_elect_exit_codes(capsys, p12_path, tmp_path):
     assert code == 2
     assert "not an integer: 'x'" in err
 
+    # numbers are ASCII digits: an Arabic-Indic three or half, a fullwidth
+    # two, each refused with the message a non-number gets
+    arabic = tmp_path / "arabic.txt"
+    arabic.write_text("\u0663 : a\n", encoding="utf-8")
+    for argv, message in [
+        (("elect", "--method", "var-phragmen", "--seats", "1", str(arabic)),
+         "line 1: weight must be an integer or p/q, got '\u0663'"),
+        (("elect", "--method", "var-phragmen", "--seats", "\u0663", p12_path),
+         "argument --seats: not an integer: '\u0663'"),
+        (("elect", "--method", "var-phragmen", "--seats", "1", "--decimals", "\uff12",
+          p12_path), "argument --decimals: not an integer: '\uff12'"),
+        (("probe", "--party", "a1", "--seats", "1", "--delta", "\u0661/\u0662", p12_path),
+         "argument --delta: not a rational number: '\u0661/\u0662'"),
+        (("sweep", "--zeta", "0", "--seats", "2", "--alphas", "0:1:\u0663"),
+         "argument --alphas: invalid literal for int() with base 10: '\u0663'"),
+        (("sweep", "--zeta", "0", "--seats", "2", "--alphas", "0:1:x"),
+         "argument --alphas: invalid literal for int() with base 10: 'x'"),
+        (("sweep", "--zeta", "0.\u0663", "--seats", "2", "--alphas", "0:1:2"),
+         "argument --zeta: not a rational number: '0.\u0663'"),
+        (("check", "closed-list-equiv", "--seed", "\u0663", "--trials", "1"),
+         "argument --seed: invalid int value: '\u0663'"),
+        (("check", "oracle-agreement", "--seed", "x", "--trials", "1"),
+         "argument --seed: invalid int value: 'x'"),
+        (("check", "oracle-agreement", "--seed", "1", "--trials", "\u0663"),
+         "argument --trials: not an integer: '\u0663'"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, argv
+
     # JSON carries no uncorrected shares: a usage error, not a silent drop
     code, out, err = run_cli(
         capsys, "elect", "--method", "var-phragmen", "--seats", "3",

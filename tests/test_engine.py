@@ -587,16 +587,78 @@ def test_exact_lane_never_scores_share_by_share(monkeypatch, method, mode):
     assert len(calls) >= seats
 
 
+#: Every arithmetic operator of ``Fraction``, forward and reflected.
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+    "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+)
+
+
+@pytest.mark.parametrize("method", [Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN])
+@pytest.mark.parametrize("mode", Mode)
+def test_exact_lane_decides_without_fraction_arithmetic(monkeypatch, method, mode):
+    # once the lane is built, deciding every seat calls neither the Fraction
+    # constructor nor any Fraction operator: the level, the clamp test and
+    # the score are int arithmetic, built into fractions by their slots,
+    # and only the contenders' keys are compared
+    calls = Counter()
+    counting = False
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            if counting:
+                calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("__new__", *FRACTION_ARITHMETIC):
+        monkeypatch.setattr(F, name, counted(name, F.__dict__[name]))
+    build = engine._lane
+
+    def built(*args):
+        nonlocal counting
+        lane = build(*args)
+        counting = True
+        return lane
+
+    monkeypatch.setattr(engine, "_lane", built)
+    rng = random.Random(20260810)
+    profiles = [random_profile(rng) for _ in range(10)] + [sparse_profile(rng)]
+    profiles.append(TwoPartyFamily(alpha=F(31, 100), zeta=F(376, 1000)).profile())
+    for profile in profiles:
+        seats = min(8, len(profile.candidates)) if mode is Mode.CANDIDATE else 60
+        winners = engine._winners(profile, method, seats, mode)
+        counting = False
+        assert len(winners) == seats
+        assert calls == Counter()
+    # the counters count
+    counting = True
+    assert 1 - (F(1, 3) + 1) == F(-1, 3)
+    counting = False
+    assert calls["__new__"] >= 1
+    assert (calls["__add__"], calls["__rsub__"]) == (1, 1)
+
+
 def test_exact_lane_numerators_and_subproblem_sums_match_a_fresh_scan(monkeypatch):
-    # after every seat, the numerators over D are the loads; and every
-    # subproblem the lane builds has carried, squares and top that, over
-    # (L*D, L*D*D, D), are a fresh scan of the fraction loads it was built at
-    seen, built = [], []
+    # after every seat, the numerators over D are the loads, the running
+    # sum(U*N*N), L*D and L*D*D are a fresh scan of the integers, and the
+    # seat's level and score are in lowest terms; and every subproblem the
+    # lane builds has carried, squares and top that, over (L*D, L*D*D, D),
+    # are a fresh scan of the fraction loads it was built at
+    seen, totals, built = [], [], []
     advance, subproblem = engine._ExactLane.advance, engine._ExactLane.subproblem
 
     def recording(lane, solution):
         out = advance(lane, solution)
         seen.append((lane.loads, [F(n, lane.denominator) for n in lane.numerators]))
+        squares = sum(u * n * n for u, n in zip(lane.weights, lane.numerators))
+        unit = lane.multiplier * lane.denominator
+        totals.append(
+            ((lane.squares, lane.unit, lane.ldd), (squares, unit, unit * lane.denominator))
+        )
+        for value in (solution.level, solution.score):
+            assert math.gcd(value.numerator, value.denominator) == 1
         return out
 
     def checking(lane, name):
@@ -617,11 +679,14 @@ def test_exact_lane_numerators_and_subproblem_sums_match_a_fresh_scan(monkeypatc
     for profile, method, mode in product(profiles, methods, Mode):
         seats = min(8, len(profile.candidates)) if mode is Mode.CANDIDATE else 8
         seen.clear()
+        totals.clear()
         built.clear()
         run_election(profile, method, seats, mode=mode)
-        assert len(seen) == seats
+        assert len(seen) == len(totals) == seats
         for loads, numerators in seen:
             assert numerators == list(loads.values)
+        for running, fresh in totals:
+            assert running == fresh
         assert len(built) >= seats
         for loads, name, sums in built:
             supporters = profile.supporters(name)

@@ -150,6 +150,9 @@ def test_the_whitespace_regex_class_is_str_isspace():
         ("3 : a\n3 : b!", "line 2: invalid candidate name"),
         ("1/2 : a\n1/2 : a, a", "line 2: duplicate"),
         ("1/0 : a\n1/0 : b", "line 1: weight has zero denominator"),
+        # weights are ASCII digits: an Arabic-Indic three, a fullwidth two
+        ("\u0663 : a", "line 1: weight must be an integer or p/q, got '\u0663'"),
+        ("2 : a\n1/\uff12 : b", "line 2: weight must be an integer or p/q"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -159,7 +162,7 @@ def test_parse_errors(text, fragment):
 
 
 _REFERENCE_NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-_REFERENCE_WEIGHT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_REFERENCE_WEIGHT_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 def _reference_voter_type(weight, approvals):
@@ -217,8 +220,8 @@ def _reference_parse_profile(text):
     return Profile(types)
 
 
-# tokens equal in value but not in text, a non-ASCII digit, and a token or line
-# of every error kind
+# tokens equal in value but not in text, a non-ASCII digit (rejected), and a
+# token or line of every error kind
 _weight_tokens = st.sampled_from(["2", "02", "2/1", "4/2", "1/2", "2/4", "7", "\u0663"])
 _bad_weight_tokens = st.sampled_from(
     ["0", "-2", "-1/2", "0/3", "1/0", "2/00", "0/0", "w", "1.5", "", "1 / 2"]
@@ -255,6 +258,7 @@ def _profile_lines(draw):
 @example("2 : a\n2 :")
 @example("2 : a\n2/1 : a, a")
 @example("02 : a\n4/2 : b\n2 : b!")
+@example("7 : a\n\u0663 : b")
 @given(st.lists(_profile_lines(), max_size=8).map("\n".join))
 def test_parse_profile_is_the_reference_parse(text):
     try:
@@ -384,6 +388,10 @@ def test_rational_str_and_parse_rational():
     assert parse_rational("0.376") == Fraction(47, 125)
     with pytest.raises(ValueError):
         parse_rational("1:2")
+    # numbers are ASCII digits, in every part
+    for text in ("\u0661/\u0662", "1/\u0662", "\u0663", "0.\u0663", "1e\u0663", "\uff11"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
 
 
 @pytest.mark.parametrize("limit", [4300, 640])

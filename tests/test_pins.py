@@ -46,3 +46,10 @@ def test_the_workflow_runs_each_group_once(pins):
             groups += step.group(1).split()
     # each group once: the table's groups are distinct
     assert sorted(groups) == sorted(pins.GROUPS)
+
+
+def test_a_group_ends_with_its_wall_time(pins, monkeypatch, capsys):
+    # after its pins and checks, a group prints one line with its wall time
+    monkeypatch.setattr(pins, "PINS", ())
+    assert pins.run_group("sparse")
+    assert re.fullmatch(r"sparse: [0-9]+\.[0-9] s", capsys.readouterr().out.strip())

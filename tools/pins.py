@@ -8,8 +8,9 @@ Run from anywhere, with any of the groups ``campaigns``, ``sparse``,
 A *pin* is the SHA-256 of one command's output, recorded in ``PINS``.  Every
 command runs as ``python -m varphragmen.cli ...`` in a child process with
 ``PYTHONPATH=src``, and its output is its stdout, or the file it writes with
-``--out``.  The script prints one line per pin and per check, and exits 1 if
-any failed.  It uses the standard library and the package in ``src`` only.
+``--out``.  The script prints one line per pin and per check, then one line
+with the group's wall time, ``<group>: <seconds> s``, and exits 1 if any
+failed.  It uses the standard library and the package in ``src`` only.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -267,10 +269,14 @@ CHECKS = {
 
 
 def run_group(group: str) -> bool:
+    """Run ``group``'s pins and checks, then print its wall time."""
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         ok, outputs = run_pins([pin for pin in PINS if pin.group == group], Path(tmp))
         check = CHECKS.get(group)
-        return (check(outputs, Path(tmp)) if check else True) and ok
+        ok = (check(outputs, Path(tmp)) if check else True) and ok
+    print(f"{group}: {time.perf_counter() - start:.1f} s", flush=True)
+    return ok
 
 
 def main(argv: list[str]) -> int:
