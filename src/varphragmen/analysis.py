@@ -7,15 +7,17 @@ Four surfaces:
   seat, and the max-load election must reproduce D'Hondt.
 * solver agreement: the clamp-and-resolve correction is compared against the
   water-filling and subset-enumeration oracles on randomized elections; a
-  divergence is a reportable finding, not a crash, and gets serialized as a
-  self-contained reproduction record.
+  divergence is a reportable finding, not a crash.
 * support monotonicity probe: does adding weight that approves only one
   party ever cost that party seats?
 * two-party seat-share sweep: sample the share of seats won by party A as a
   function of the split parameter alpha, for a fixed overlap mass zeta.
 
-Campaigns are deterministic for a given seed; trials are independent, and
-result assembly follows input order.
+Both campaigns run on one kernel, :func:`_campaign`: a trial function draws
+each instance from one seeded PRNG, and the result is one
+:class:`CampaignReport` (``trials``, ``instances``, ``agreed``, ``findings``),
+each finding a self-contained record that :func:`replay_record` re-runs.
+Campaigns are deterministic for a given seed, in trial order.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ from .model import (
     rational_str,
     render_profile,
 )
-from .step import Subproblem, corrected_solution
-from .step import subset_oracle, waterfill_solution
+from .step import Subproblem, corrected_solution, subset_oracle, waterfill_solution
 
 PARTY_POOL = tuple("ABCDEF")
 
@@ -82,25 +83,39 @@ def random_closed_list_profile(rng: random.Random) -> Profile:
 
 
 # ---------------------------------------------------------------------------
-# closed-list equivalence
+# the campaign kernel
 
 @dataclass(frozen=True)
-class EquivalenceReport:
+class CampaignReport:
+    """``agreed`` of ``instances`` checked over ``trials`` trials, and each finding's record."""
+
     trials: int
-    passes: int
-    failures: tuple[dict, ...] = ()
+    instances: int
+    agreed: int
+    findings: tuple[dict, ...]
 
-    @property
-    def passed(self) -> bool:
-        return self.passes == self.trials and not self.failures
 
+#: A trial maps the campaign's PRNG and its own index to its instances,
+#: how many of them agreed, and its findings.
+Trial = Callable[[random.Random, int], tuple[int, int, list[dict]]]
+
+
+def _campaign(trial: Trial, seed: int, trials: int) -> CampaignReport:
+    """Run ``trials`` trials, in order, on one ``random.Random(seed)``."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = random.Random(seed)
+    checked, agreed, found = zip(*(trial(rng, index) for index in range(trials)))
+    findings = tuple(record for records in found for record in records)
+    return CampaignReport(trials, sum(checked), sum(agreed), findings)
+
+
+# ---------------------------------------------------------------------------
+# closed-list equivalence
 
 def _equivalence_failure(
-    profile: Profile,
-    seats: int,
-    pair: str,
-    election_sequence: Sequence[CandidateId],
-    apportionment_sequence: Sequence[CandidateId],
+    profile: Profile, seats: int, pair: str,
+    election_sequence: Sequence[CandidateId], apportionment_sequence: Sequence[CandidateId],
 ) -> dict:
     return {
         "kind": "closed-list-equivalence-failure",
@@ -132,27 +147,21 @@ def closed_list_sequences(
     return out
 
 
-def check_closed_list_equivalence(seed: int, trials: int) -> EquivalenceReport:
+def _closed_list_trial(rng: random.Random, _: int) -> tuple[int, int, list[dict]]:
+    """One random closed list: it agrees when both method pairs match."""
+    profile = random_closed_list_profile(rng)
+    seats = rng.randint(1, 12)
+    failures = [
+        _equivalence_failure(profile, seats, pair, got, want)
+        for pair, (got, want) in closed_list_sequences(profile, seats).items()
+        if got != want
+    ]
+    return 1, int(not failures), failures
+
+
+def check_closed_list_equivalence(seed: int, trials: int) -> CampaignReport:
     """Compare election runs against highest-averages on random closed lists."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    passes = 0
-    failures: list[dict] = []
-    for _ in range(trials):
-        profile = random_closed_list_profile(rng)
-        seats = rng.randint(1, 12)
-        trial_failures = []
-        for pair, (got, want) in closed_list_sequences(profile, seats).items():
-            if got != want:
-                trial_failures.append(
-                    _equivalence_failure(profile, seats, pair, got, want)
-                )
-        if trial_failures:
-            failures.extend(trial_failures)
-        else:
-            passes += 1
-    return EquivalenceReport(trials=trials, passes=passes, failures=tuple(failures))
+    return _campaign(_closed_list_trial, seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +174,6 @@ class CampaignCaps:
     max_types: int = 8
     max_candidates: int = 6
     max_seats: int = 8
-
-
-@dataclass(frozen=True)
-class OracleAgreementReport:
-    trials: int
-    instances: int
-    disagreements: tuple[dict, ...] = ()
-
-    @property
-    def agreements(self) -> int:
-        return self.instances - len(self.disagreements)
-
-    @property
-    def all_agree(self) -> bool:
-        return not self.disagreements
 
 
 def _solution_payload(sol: StepSolution) -> dict:
@@ -269,31 +263,23 @@ def compare_solvers_over_election(
     return instances, disagreements
 
 
-def oracle_agreement_campaign(seed: int, trials: int) -> OracleAgreementReport:
+def _oracle_trial(rng: random.Random, index: int) -> tuple[int, int, list[dict]]:
+    """One random election, in party mode at odd ``index``; each compared solve is an instance."""
+    caps = CampaignCaps()
+    profile = random_profile(rng, caps.max_types, caps.max_candidates)
+    mode = Mode.PARTY if index % 2 else Mode.CANDIDATE
+    cap = caps.max_seats if mode is Mode.PARTY else min(caps.max_seats, len(profile.candidates))
+    instances, disagreements = compare_solvers_over_election(profile, rng.randint(1, cap), mode)
+    return instances, instances - len(disagreements), disagreements
+
+
+def oracle_agreement_campaign(seed: int, trials: int) -> CampaignReport:
     """Randomized search for a divergence between correction and oracles.
 
     A disagreement does not fail the campaign; it is reported and serialized
     verbatim so the instance can be replayed and studied.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    caps = CampaignCaps()
-    rng = random.Random(seed)
-    instances = 0
-    disagreements: list[dict] = []
-    for trial in range(trials):
-        profile = random_profile(rng, caps.max_types, caps.max_candidates)
-        mode = Mode.PARTY if trial % 2 else Mode.CANDIDATE
-        cap = caps.max_seats
-        if mode is Mode.CANDIDATE:
-            cap = min(cap, len(profile.candidates))
-        seats = rng.randint(1, cap)
-        count, bad = compare_solvers_over_election(profile, seats, mode)
-        instances += count
-        disagreements.extend(bad)
-    return OracleAgreementReport(
-        trials=trials, instances=instances, disagreements=tuple(disagreements)
-    )
+    return _campaign(_oracle_trial, seed, trials)
 
 
 def replay_record(record: dict) -> dict:
@@ -309,9 +295,7 @@ def replay_record(record: dict) -> dict:
             values=tuple(parse_rational(v) for v in record["loads"]),
             seats_assigned=record["seats_assigned"],
         )
-        fresh = solver_instance_record(
-            profile, loads, record["candidate"], mode=Mode(record["mode"])
-        )
+        fresh = solver_instance_record(profile, loads, record["candidate"], mode=record["mode"])
         keys = ("corrected", "waterfill", "subset")
     elif kind == "closed-list-equivalence-failure":
         profile = parse_profile(record["profile"])

@@ -6,8 +6,8 @@ Subcommands:
   table (the same layout as the worked examples in the test suite).
 * ``probe``  — support-monotonicity probe for one party.
 * ``sweep``  — two-party seat-share sweep, emitted as ``alpha,share`` CSV.
-* ``check``  — randomized campaigns: ``closed-list-equiv`` and
-  ``oracle-agreement``.
+* ``check``  — randomized campaigns, one subcommand per row of the
+  ``CAMPAIGNS`` table: ``closed-list-equiv`` and ``oracle-agreement``.
 
 Exit codes: 0 success (including reported findings), 1 a check campaign
 found equivalence failures, 2 usage, profile parse or output-file errors,
@@ -20,12 +20,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .analysis import (
+    CampaignReport,
     check_closed_list_equivalence,
     monotonicity_probe,
     oracle_agreement_campaign,
@@ -55,9 +58,9 @@ def _rational(text: str) -> Fraction:
 
 
 def _int(text: str) -> int:
-    """``int(text)`` for ASCII ``text``: ``int`` alone reads any Unicode
-    decimal digit.  Raises ``int``'s ``ValueError`` otherwise."""
-    if not text.isascii():
+    """An optionally signed run of ASCII digits, as in ``parse_rational``:
+    ``int`` alone also reads underscores and any Unicode decimal digit."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
 
@@ -201,41 +204,51 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _save_records(records, directory: str, stem: str) -> list[Path]:
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for idx, record in enumerate(records, start=1):
-        path = target / f"{stem}-{idx:03d}.json"
+    paths = [target / f"{stem}-{idx:03d}.json" for idx in range(1, len(records) + 1)]
+    for path, record in zip(paths, records):
         with path.open("w", encoding="utf-8") as stream:
             write_json(stream, record)
-        paths.append(path)
     return paths
 
 
-def cmd_check_closed_list(args: argparse.Namespace) -> int:
-    report = check_closed_list_equivalence(args.seed, args.trials)
-    if report.passed:
-        print(f"closed-list-equiv: {report.passes}/{report.trials} OK")
+class Campaign(NamedTuple):
+    """A ``check`` subcommand.  Its summary line, and the text added to it
+    on findings, are formatted with the report's fields and ``found``."""
+
+    run: Callable[[int, int], CampaignReport]
+    trials: int
+    help: str
+    out_help: str
+    stem: str
+    exit_on_findings: int
+    summary: str
+    on_findings: str
+
+
+CAMPAIGNS = {
+    "closed-list-equiv": Campaign(
+        check_closed_list_equivalence, 200, "election runs vs highest-averages on closed lists",
+        "directory for failure records", "closed-list-failure", 1,
+        "{agreed}/{trials} OK", ", {found} failing sequence pair(s)"),
+    # a disagreement is a finding about the correction, not a failure
+    "oracle-agreement": Campaign(
+        oracle_agreement_campaign, 500, "clamp correction vs water-filling vs subset enumeration",
+        "directory for disagreement records", "oracle-disagreement", 0,
+        "{agreed}/{instances} solver comparisons agree over {trials} trials",
+        "\nfound {found} disagreement(s):"),
+}
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    campaign = CAMPAIGNS[args.campaign]
+    report = campaign.run(args.seed, args.trials)
+    line = campaign.summary + (campaign.on_findings if report.findings else "")
+    print(f"{args.campaign}: " + line.format(found=len(report.findings), **vars(report)))
+    if not report.findings:
         return 0
-    print(
-        f"closed-list-equiv: {report.passes}/{report.trials} OK, "
-        f"{len(report.failures)} failing sequence pair(s)"
-    )
-    for path in _save_records(report.failures, args.out, "closed-list-failure"):
+    for path in _save_records(report.findings, args.out, campaign.stem):
         print(f"saved {path}")
-    return 1
-
-
-def cmd_check_oracle(args: argparse.Namespace) -> int:
-    report = oracle_agreement_campaign(args.seed, args.trials)
-    print(
-        f"oracle-agreement: {report.agreements}/{report.instances} "
-        f"solver comparisons agree over {report.trials} trials"
-    )
-    if report.disagreements:
-        # a disagreement is a finding about the correction, not a failure
-        print(f"found {len(report.disagreements)} disagreement(s):")
-        for path in _save_records(report.disagreements, args.out, "oracle-disagreement"):
-            print(f"saved {path}")
-    return 0
+    return campaign.exit_on_findings
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,23 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="randomized verification campaigns")
     check_sub = check.add_subparsers(dest="campaign", required=True)
 
-    equiv = check_sub.add_parser(
-        "closed-list-equiv",
-        help="election runs vs highest-averages on closed lists",
-    )
-    equiv.add_argument("--seed", type=_seed, default=0)
-    equiv.add_argument("--trials", type=_positive_int, default=200)
-    equiv.add_argument("--out", default=".", help="directory for failure records")
-    equiv.set_defaults(func=cmd_check_closed_list)
-
-    oracle = check_sub.add_parser(
-        "oracle-agreement",
-        help="clamp correction vs water-filling vs subset enumeration",
-    )
-    oracle.add_argument("--seed", type=_seed, default=0)
-    oracle.add_argument("--trials", type=_positive_int, default=500)
-    oracle.add_argument("--out", default=".", help="directory for disagreement records")
-    oracle.set_defaults(func=cmd_check_oracle)
+    for name, campaign in CAMPAIGNS.items():
+        one = check_sub.add_parser(name, help=campaign.help)
+        one.add_argument("--seed", type=_seed, default=0)
+        one.add_argument("--trials", type=_positive_int, default=campaign.trials)
+        one.add_argument("--out", default=".", help=campaign.out_help)
+        one.set_defaults(func=cmd_check)
 
     return parser
 

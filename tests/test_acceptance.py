@@ -112,28 +112,28 @@ def test_criterion_3_party_counts_and_monotonicity(capsys):
 def test_criterion_4_closed_list_reduction():
     """200 random closed lists: variance method == Sainte-Laguë, max-load == D'Hondt."""
     report_data = check_closed_list_equivalence(seed=SEED, trials=200)
-    ok = report_data.passed and report_data.passes == 200
+    ok = not report_data.findings and report_data.agreed == 200
     assert report(
         "criterion 4 (closed-list reduction)",
         ok,
-        f"{report_data.passes}/200 profiles, both method pairs",
+        f"{report_data.agreed}/200 profiles, both method pairs",
     )
 
 
 def test_criterion_5_oracle_triangle(tmp_path):
     """500 random elections: correction == water-filling == subset enumeration."""
     campaign = oracle_agreement_campaign(seed=SEED, trials=500)
-    for idx, record in enumerate(campaign.disagreements, start=1):
+    for idx, record in enumerate(campaign.findings, start=1):
         target = tmp_path / f"oracle-disagreement-{idx:03d}.json"
         target.write_text(json.dumps(record, indent=2))
         print(f"[acceptance] serialized disagreement: {target}")
     ok = report(
         "criterion 5 (solver agreement triangle)",
-        campaign.all_agree,
-        f"{campaign.agreements}/{campaign.instances} instances "
+        not campaign.findings,
+        f"{campaign.agreed}/{campaign.instances} instances "
         f"over {campaign.trials} trials",
     )
-    assert campaign.agreements == campaign.instances, (
+    assert campaign.agreed == campaign.instances, (
         "solver disagreement found; serialized records listed above"
     )
     assert ok

@@ -37,13 +37,13 @@ from varphragmen.step import IntegerSubproblem
 
 def test_equivalence_campaign_passes():
     report = check_closed_list_equivalence(seed=3, trials=50)
-    assert report.passed
-    assert report.passes == 50
-    assert report.failures == ()
+    assert not report.findings
+    assert report.agreed == 50
+    assert report.findings == ()
 
 
 def test_equivalence_campaign_rejects_zero_trials():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
         check_closed_list_equivalence(seed=3, trials=0)
 
 
@@ -160,9 +160,9 @@ def test_campaign_small_run_agrees():
     report = oracle_agreement_campaign(seed=11, trials=60)
     assert report.trials == 60
     assert report.instances > 0
-    assert report.all_agree
-    assert report.agreements == report.instances
-    with pytest.raises(ValueError):
+    assert not report.findings
+    assert report.agreed == report.instances
+    with pytest.raises(ValueError, match="trials must be >= 1"):
         oracle_agreement_campaign(seed=1, trials=0)
 
 
@@ -212,16 +212,16 @@ def test_campaign_checks_the_integer_lane_the_elections_run_on(monkeypatch, pert
     assert report.instances > 0
     if perturb is integer_lane_off_by_one:
         # every instance disagrees, and its record shows the score one too high
-        assert len(report.disagreements) == report.instances
-        for rec in report.disagreements:
+        assert len(report.findings) == report.instances
+        for rec in report.findings:
             scores = [parse_rational(rec[k]["score"]) for k in ("corrected", "waterfill")]
             assert scores[0] == scores[1] + 1
     else:
         # the campaign builds a lane at each seat's loads, and only those
         # after the first seat are nonzero
-        assert report.disagreements
-        assert all(rec["seat"] >= 2 for rec in report.disagreements)
-    for rec in report.disagreements:
+        assert report.findings
+        assert all(rec["seat"] >= 2 for rec in report.findings)
+    for rec in report.findings:
         assert replay_record(rec)["matches_recorded"]
 
 

@@ -17,7 +17,7 @@ import pytest
 import varphragmen.analysis
 from varphragmen.analysis import random_closed_list_profile
 from varphragmen.analysis import random_profile, replay_record
-from varphragmen.cli import main
+from varphragmen.cli import CAMPAIGNS, main
 from varphragmen.model import parse_profile, render_profile
 
 from conftest import PROFILE_12, PROFILE_13
@@ -273,10 +273,25 @@ def test_elect_exit_codes(capsys, p12_path, tmp_path):
          "argument --seed: invalid int value: 'x'"),
         (("check", "oracle-agreement", "--seed", "1", "--trials", "\u0663"),
          "argument --trials: not an integer: '\u0663'"),
+        # integers follow parse_rational's rules: no underscores
+        (("elect", "--method", "var-phragmen", "--seats", "1_0", p12_path),
+         "argument --seats: not an integer: '1_0'"),
+        (("elect", "--method", "var-phragmen", "--seats", "1", "--decimals", "1_0",
+          p12_path), "argument --decimals: not an integer: '1_0'"),
+        (("check", "oracle-agreement", "--seed", "1", "--trials", "1_0"),
+         "argument --trials: not an integer: '1_0'"),
+        (("check", "closed-list-equiv", "--seed", "1_0", "--trials", "1"),
+         "argument --seed: invalid int value: '1_0'"),
+        (("sweep", "--zeta", "0", "--seats", "2", "--alphas", "0:1:1_0"),
+         "argument --alphas: invalid literal for int() with base 10: '1_0'"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert message in err, argv
+
+    # a sign and surrounding whitespace still read, as in parse_rational
+    signed = run_cli(capsys, "elect", "--method", "var-phragmen", "--seats", " +3 ", p12_path)
+    assert signed == run_cli(capsys, "elect", "--method", "var-phragmen", "--seats", "3", p12_path)
 
     # JSON carries no uncorrected shares: a usage error, not a silent drop
     code, out, err = run_cli(
@@ -594,25 +609,27 @@ def test_sweep_malformed_alphas(capsys):
 # ---------------------------------------------------------------------------
 # check
 
-def test_check_closed_list_equiv(capsys):
+def test_check_closed_list_equiv(capsys, tmp_path):
     code, out, _ = run_cli(
-        capsys, "check", "closed-list-equiv", "--seed", "7", "--trials", "20"
+        capsys, "check", "closed-list-equiv", "--seed", "7", "--trials", "20",
+        "--out", str(tmp_path / "records"),
     )
-    assert code == 0
-    assert "20/20 OK" in out
+    assert (code, out) == (0, "closed-list-equiv: 20/20 OK\n")
+    assert not (tmp_path / "records").exists()  # created only to save findings
 
 
 def test_check_oracle_agreement(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "check", "oracle-agreement", "--seed", "7", "--trials", "10",
-        "--out", str(tmp_path),
+        "--out", str(tmp_path / "records"),
     )
     assert code == 0
     assert "agree" in out
-    assert list(tmp_path.iterdir()) == []  # nothing to save when all agree
+    assert not (tmp_path / "records").exists()  # nothing to save when all agree
 
 
-def test_check_oracle_agreement_saves_disagreements(capsys, tmp_path, monkeypatch):
+def skew_waterfill(monkeypatch):
+    """Raise water-filling's level by one for candidate ``A``."""
     waterfill = varphragmen.analysis.waterfill_solution
 
     def skewed(sub):
@@ -620,44 +637,50 @@ def test_check_oracle_agreement_saves_disagreements(capsys, tmp_path, monkeypatc
         return replace(sol, level=sol.level + 1) if sub.candidate == "A" else sol
 
     monkeypatch.setattr(varphragmen.analysis, "waterfill_solution", skewed)
-    code, out, _ = run_cli(
-        capsys, "check", "oracle-agreement", "--seed", "3", "--trials", "4",
-        "--out", str(tmp_path),
-    )
-    assert code == 0  # a disagreement is a finding, not a failure
-    assert "found 9 disagreement(s):" in out
-    saved = sorted(tmp_path.iterdir())
-    assert [p.name for p in saved] == [
-        f"oracle-disagreement-{idx:03d}.json" for idx in range(1, 10)
-    ]
-    records = [json.loads(p.read_text()) for p in saved]
-    assert [p.read_text() for p in saved] == [json.dumps(r, indent=2) for r in records]
-    assert all(replay_record(r)["matches_recorded"] for r in records)
-    monkeypatch.undo()
-    assert not any(replay_record(r)["matches_recorded"] for r in records)
 
 
-def test_check_closed_list_equiv_saves_failures(capsys, tmp_path, monkeypatch):
+def reverse_apportionment(monkeypatch):
+    """Reverse every highest-averages sequence."""
     apportion = varphragmen.analysis.apportion_sequence
     monkeypatch.setattr(
         varphragmen.analysis,
         "apportion_sequence",
         lambda *args: apportion(*args)[::-1],
     )
+
+
+#: Per campaign: how to force findings, the trials at seed 3, the exit code
+#: on findings, the lines printed before the saved paths, and the stem of
+#: each saved record's name.
+FORCED_FINDINGS = {
+    # a disagreement is a finding, not a failure
+    "oracle-agreement": (skew_waterfill, "4", 0, [
+        "oracle-agreement: 9/18 solver comparisons agree over 4 trials",
+        "found 9 disagreement(s):",
+    ], "oracle-disagreement"),
+    "closed-list-equiv": (reverse_apportionment, "5", 1, [
+        "closed-list-equiv: 0/5 OK, 9 failing sequence pair(s)",
+    ], "closed-list-failure"),
+}
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGNS)
+def test_check_saves_findings(capsys, tmp_path, monkeypatch, campaign):
+    perturb, trials, exit_code, head, stem = FORCED_FINDINGS[campaign]
+    perturb(monkeypatch)
     code, out, _ = run_cli(
-        capsys, "check", "closed-list-equiv", "--seed", "3", "--trials", "5",
+        capsys, "check", campaign, "--seed", "3", "--trials", trials,
         "--out", str(tmp_path),
     )
-    assert code == 1
-    assert "9 failing sequence pair(s)" in out
+    assert code == exit_code
     saved = sorted(tmp_path.iterdir())
-    assert [p.name for p in saved] == [
-        f"closed-list-failure-{idx:03d}.json" for idx in range(1, 10)
-    ]
-    for path in saved:
-        record = json.loads(path.read_text())
-        assert path.read_text() == json.dumps(record, indent=2)
-        assert replay_record(record)["matches_recorded"]
+    assert [p.name for p in saved] == [f"{stem}-{idx:03d}.json" for idx in range(1, 10)]
+    assert out.splitlines() == head + [f"saved {p}" for p in saved]
+    records = [json.loads(p.read_text()) for p in saved]
+    assert [p.read_text() for p in saved] == [json.dumps(r, indent=2) for r in records]
+    assert all(replay_record(r)["matches_recorded"] for r in records)
+    monkeypatch.undo()
+    assert not any(replay_record(r)["matches_recorded"] for r in records)
 
 
 def test_check_bogus_subcommand(capsys):
