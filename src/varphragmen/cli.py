@@ -13,12 +13,15 @@ Exit codes: 0 success (including reported findings), 1 a check campaign
 found equivalence failures, 2 usage, profile parse or output-file errors,
 3 infeasible election configuration.  Findings and counterexamples are saved
 as self-contained JSON files that replay with ``analysis.replay_record``.
+
+The argument parser is built once per process, by the first :func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import re
 import sys
@@ -314,10 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s parser, built on the first call and reused:
+    ``parse_args`` keeps no state between calls, and ``prog`` is fixed."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -151,34 +151,64 @@ class VoterType:
     An ``int`` weight is stored as a ``Fraction``.  A ``Fraction``'s sign is
     read from its numerator, as its denominator is positive; any other
     weight, a ``Fraction`` subclass included, must satisfy ``weight > 0``,
-    so a float NaN is refused.
+    so a float NaN is refused.  Every check is :func:`_checked_weight`'s,
+    which the constructor runs with no name known to be valid.
     """
 
     weight: Rational
     approvals: tuple[CandidateId, ...]
 
     def __post_init__(self):
-        weight = self.weight
-        if isinstance(weight, int):
-            # plain ints would leak true division (floats) into the exact lane
-            weight = Fraction(weight)
+        weight = _checked_weight(self.weight, self.approvals, set())
+        if weight is not self.weight:
             object.__setattr__(self, "weight", weight)
-        # a Fraction's denominator is positive, so its numerator has its sign
-        if not (weight.numerator > 0 if type(weight) is Fraction else weight > 0):
-            raise ValueError(
-                f"voter type weight must be positive, got {rational_str(weight)}"
-            )
-        approvals = self.approvals
-        if not approvals:
-            raise ValueError("empty approval list")
-        if len(set(approvals)) != len(approvals):
-            raise ValueError(f"duplicate candidate in approval set: {approvals}")
+
+
+def _checked_weight(
+    weight: Rational, approvals: tuple[CandidateId, ...], valid_names: set[CandidateId]
+) -> Rational:
+    """Run :class:`VoterType`'s checks on its fields; the weight it stores.
+
+    In order: an ``int`` weight becomes a ``Fraction``, then the weight's
+    sign, an empty approval list, a duplicate name and the first invalid
+    name are refused, each with its own message.  ``valid_names`` holds the
+    names already known to match ``[A-Za-z0-9_-]+``; a name not in it is
+    matched, and added once every name of the list has passed, so a
+    caller that keeps one set checks each distinct name once.
+    """
+    if isinstance(weight, int):
+        # plain ints would leak true division (floats) into the exact lane
+        weight = Fraction(weight)
+    # a Fraction's denominator is positive, so its numerator has its sign
+    if not (weight.numerator > 0 if type(weight) is Fraction else weight > 0):
+        raise ValueError(
+            f"voter type weight must be positive, got {rational_str(weight)}"
+        )
+    if not approvals:
+        raise ValueError("empty approval list")
+    if len(set(approvals)) != len(approvals):
+        raise ValueError(f"duplicate candidate in approval set: {approvals}")
+    if not valid_names.issuperset(approvals):
         # any other name would be saved as one election and read back as
         # another; the loop only finds the first invalid name to report it
-        if not all(map(_NAME_RE.fullmatch, approvals)):
-            for name in approvals:
-                if not _NAME_RE.fullmatch(name):
-                    raise ValueError(f"invalid candidate name: {name!r}")
+        for name in approvals:
+            if name not in valid_names and not _NAME_RE.fullmatch(name):
+                raise ValueError(f"invalid candidate name: {name!r}")
+        valid_names.update(approvals)
+    return weight
+
+
+def _voter_type(weight: Rational, approvals: tuple[CandidateId, ...]) -> VoterType:
+    """The :class:`VoterType` of fields that have passed
+    :func:`_checked_weight`, ``weight`` the one it returned: the one the
+    public constructor would build, built by setting its fields, without
+    running the checks again.  This is the only code that builds a
+    ``VoterType`` without its constructor, and the only code that writes its
+    ``__dict__``."""
+    result = object.__new__(VoterType)
+    fields = result.__dict__
+    fields["weight"], fields["approvals"] = weight, approvals
+    return result
 
 
 @dataclass(frozen=True)
@@ -236,16 +266,21 @@ def parse_profile(text: str) -> Profile:
 
     Whitespace is what ``str.isspace`` says it is, which is exactly what
     ``\\s`` matches in a ``str`` regex, so the names are split with
-    ``str.split`` once every comma is a space.  The names themselves are
-    :class:`VoterType`'s to check.
+    ``str.split`` once every comma is a space.  The weight's sign and the
+    names are :class:`VoterType`'s to check, by its :func:`_checked_weight`.
 
     Each distinct weight token is checked and read into a ``Fraction`` once
     per call; later lines with the same token share that immutable value.
-    A token is stored only once it is read, so every error names the line it
-    is on.
+    Each distinct name is matched once per call: the names that passed are
+    kept in a set for the call, so a line of known names is checked for an
+    empty list and duplicates only.  A token or name is stored only once it
+    has passed, so every error names the line it is on.  Each type is built
+    from its checked fields by :func:`_voter_type`, which checks nothing
+    again.
     """
     types: list[VoterType] = []
     weights: dict[str, Fraction] = {}
+    valid_names: set[CandidateId] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -271,10 +306,10 @@ def parse_profile(text: str) -> Profile:
                 ) from None
         names = tuple(tail.replace(",", " ").split())
         try:
-            types.append(VoterType(weight, names))
+            weight = _checked_weight(weight, names, valid_names)
         except ValueError as exc:
-            # the weight's sign and the names are VoterType's to check
             raise ProfileParseError(str(exc), line_no) from None
+        types.append(_voter_type(weight, names))
     return Profile(types)
 
 

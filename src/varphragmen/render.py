@@ -141,9 +141,9 @@ def election_json(
       ``decimal_str(0)``, and every other zero share the latter;
     * a share that is the level object takes the level's cells;
     * a load that is the same object as in the previous record takes that
-      record's cell, and a load equal to the level, of the same type, the
-      level's cell (the supporters of a seat that needs no correction all end
-      at its level);
+      record's cell, and a load that is the level object, or equal to the
+      level and of its type, the level's cell (the supporters of a seat that
+      needs no correction all end at its level);
     * every other value is rendered as :func:`rational_str` renders it, but
       the integers of a ``Fraction`` go through a memo kept for one record
       (:class:`_RecordDigits`), so each distinct integer of a record is
@@ -178,8 +178,10 @@ def election_json(
             moved = range(len(values))
         for k in moved:
             v = values[k]
-            # equal values of one type render alike, except 0.0 and -0.0
-            if type(v) is type(level) and v == level and v:
+            # the level object itself (every active type's load in the exact
+            # lane) renders as the level; equal values of one type render
+            # alike too, except 0.0 and -0.0
+            if v is level or (type(v) is type(level) and v == level and v):
                 load_cells[k] = level_cell
             else:
                 load_cells[k] = cell(v)

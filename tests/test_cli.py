@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ import pytest
 import varphragmen.analysis
 from varphragmen.analysis import random_closed_list_profile
 from varphragmen.analysis import random_profile, replay_record
-from varphragmen.cli import CAMPAIGNS, main
+from varphragmen.cli import CAMPAIGNS, _parser, build_parser, main
 from varphragmen.model import parse_profile, render_profile
 
 from conftest import PROFILE_12, PROFILE_13
@@ -692,11 +693,33 @@ def test_check_zero_trials(capsys):
 
 
 def test_cli_output_is_deterministic(capsys, p12_path):
-    args = ("elect", "--method", "var-phragmen", "--seats", "3", "--format",
-            "json", p12_path)
-    _, first, _ = run_cli(capsys, *args)
-    _, second, _ = run_cli(capsys, *args)
-    assert first == second
+    """``main`` builds its parser once per process and keeps no state in
+    it: a valid run, a usage error and the valid run again each print what
+    a fresh parser's run prints, with the same exit code."""
+    elect = ("elect", "--method", "var-phragmen", "--seats", "3", "--format",
+             "json", p12_path)
+    usage = ("elect", "--method", "var-phragmen", "--seats", "0", p12_path)
+
+    def fresh(*argv):
+        _parser.cache_clear()
+        return run_cli(capsys, *argv)
+
+    want = [fresh(*argv) for argv in (elect, usage, elect)]
+    got = [run_cli(capsys, *argv) for argv in (elect, usage, elect)]
+    assert got == want
+    assert [code for code, _, _ in got] == [0, 2, 0]
+    assert "--seats: must be >= 1, got 0" in got[1][2]
+    assert got[0][1] == got[2][1]
+
+
+def test_help_from_the_reused_parser_is_the_built_parsers(capsys):
+    """``-h``, asked twice of the parser ``main`` reuses, prints what a
+    freshly built parser formats."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for argv, want in (((), parser), (("elect",), sub.choices["elect"])):
+        for _ in range(2):
+            assert run_cli(capsys, *argv, "-h") == (0, want.format_help(), "")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import re
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -226,8 +227,11 @@ _weight_tokens = st.sampled_from(["2", "02", "2/1", "4/2", "1/2", "2/4", "7", "\
 _bad_weight_tokens = st.sampled_from(
     ["0", "-2", "-1/2", "0/3", "1/0", "2/00", "0/0", "w", "1.5", "", "1 / 2"]
 )
-_profile_names = st.sampled_from(["a", "b", "c_1", "d-2"])
-_bad_profile_names = st.sampled_from(["a", "b", "b!", "a?b"])
+# names reused across lines, so most lines meet names already checked
+_profile_names = st.sampled_from(["a", "b", "c_1", "d-2", "_", "-"])
+# an ASCII name beside invalid ones, one of them a letter and one a digit
+# outside ASCII
+_bad_profile_names = st.sampled_from(["a", "b", "b!", "a?b", "\xe9", "\u0663"])
 _name_separators = st.sampled_from([", ", " ", "\t", ",", ",\xa0", " , "])
 _comments = st.sampled_from(["", "  ", " # note", "# 1 : a", " #"])
 
@@ -257,20 +261,34 @@ def _profile_lines(draw):
 @example("0 : a\n0 : b")
 @example("2 : a\n2 :")
 @example("2 : a\n2/1 : a, a")
+@example("1 : a, b\n1 : b, a, b")
 @example("02 : a\n4/2 : b\n2 : b!")
+@example("1 : a, b\n2 : b\n# a comment\n3 : a\n1 : a, b, b!")
+@example("1 : a\n2 : a, _\n3 : -, a\n1/2 : \xe9")
+@example("1 : _, -\n1 : a\n1 : -, \u0663, _")
 @example("7 : a\n\u0663 : b")
 @given(st.lists(_profile_lines(), max_size=8).map("\n".join))
 def test_parse_profile_is_the_reference_parse(text):
     try:
         want = _reference_parse_profile(text)
     except ProfileParseError as exc:
-        with pytest.raises(ProfileParseError) as info:
-            parse_profile(text)
-        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        # twice: a name that failed must fail again, as no name a parse
+        # meets outlives it
+        for _ in range(2):
+            with pytest.raises(ProfileParseError) as info:
+                parse_profile(text)
+            assert (str(info.value), info.value.line) == (str(exc), exc.line)
     else:
         got = parse_profile(text)
         assert got == want
         assert [repr(t.weight) for t in got.types] == [repr(t.weight) for t in want.types]
+        # the parser builds its types without the constructor: each must be
+        # the type the constructor builds, and as frozen
+        for t in got.types:
+            built = VoterType(t.weight, t.approvals)
+            assert (t, hash(t), repr(t)) == (built, hash(built), repr(built))
+            with pytest.raises(FrozenInstanceError):
+                t.weight = Fraction(1)
 
 
 class _Contrary(Fraction):
