@@ -51,7 +51,7 @@ from .model import (
     rational_str,
     render_profile,
 )
-from .step import Subproblem, corrected_solution, subset_oracle, waterfill_solution
+from .step import corrected_solution, oracle_instance, subset_oracle, waterfill_solution
 
 PARTY_POOL = tuple("ABCDEF")
 
@@ -189,10 +189,12 @@ def _solve_instance(
     lane: _ExactLane, candidate: CandidateId
 ) -> tuple[StepSolution, StepSolution, StepSolution]:
     """``candidate``'s seat at ``lane``'s loads by the production solver on
-    ``lane``, as elections solve it, water-filling and the subset oracle."""
-    sub = Subproblem(lane.profile, lane.loads, candidate)
+    ``lane``, as elections solve it, water-filling and the subset oracle.
+    The oracles share one entries-only :func:`oracle_instance`: they read
+    none of a :class:`Subproblem`'s sums."""
+    instance = oracle_instance(lane.profile, lane.loads, candidate)
     exact = corrected_solution(lane.subproblem(candidate)).record()
-    return exact, waterfill_solution(sub), subset_oracle(sub)
+    return exact, waterfill_solution(instance), subset_oracle(instance)
 
 
 def solver_instance_record(
@@ -245,8 +247,9 @@ def compare_solvers_over_election(
     walks the finished election, the corrected solution, the water-filling
     solution and the subset oracle are compared exactly at the loads before
     the seat (shares, level, score, corrected flag), the first on an exact
-    lane built at those loads.  Returns the number of compared instances and
-    the serialized records of any disagreements.
+    lane built at those loads, the oracles on one entries-only instance per
+    candidate (:func:`_solve_instance`).  Returns the number of compared
+    instances and the serialized records of any disagreements.
     """
     mode = Mode(mode)
     result = run_election(profile, Method.VAR_PHRAGMEN, seats, mode=mode)

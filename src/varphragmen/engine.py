@@ -53,6 +53,7 @@ from .step import (
     _reduced,
     _score,
     corrected_solution,
+    oracle_instance,
     unconstrained_level,
     waterfill_solution,
 )
@@ -274,8 +275,9 @@ class _ExactLane(_ShareLane):
         ratios = [t.weight.as_integer_ratio() for t in profile.types]  # floats too
         multiplier = self.multiplier = math.lcm(*(q for _, q in ratios))
         weights = self.weights = [p * (multiplier // q) for p, q in ratios]
-        denominator = self.denominator = math.lcm(*(r.denominator for r in loads.values))
-        numerators = self.numerators = [int(r * denominator) for r in loads.values]
+        ratios = [r.as_integer_ratio() for r in loads.values]
+        denominator = self.denominator = math.lcm(*(d for _, d in ratios))
+        numerators = self.numerators = [n * (denominator // d) for n, d in ratios]
         self.unit = multiplier * denominator
         self.ldd = self.unit * denominator
         self.total_weight = sum(weights)
@@ -589,9 +591,11 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
     identities, recorded score, and the winner's optimality against every
     candidate that was eligible at that seat, each solved afresh by an
     oracle, not on :func:`run_election`'s lane or with its solver: a
-    var-Phragmén rival by :func:`waterfill_solution`, a seq-Phragmén one by
-    :func:`unconstrained_level`.  The loop carries the loads the recorded
-    shares lead to, and counts only the winners of records it could check.
+    var-Phragmén rival by :func:`waterfill_solution` on its entries-only
+    :func:`oracle_instance`, a seq-Phragmén one by :func:`unconstrained_level`
+    on its :class:`Subproblem`, which sums the supporters' weights and loads.
+    The loop carries the loads the recorded shares lead to, and counts only
+    the winners of records it could check.
     """
     problems: list[str] = []
     types = profile.types
@@ -646,11 +650,10 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
 
         optimum: dict[CandidateId, Rational] = {}
         for name in _eligible(profile.candidates, result.mode, counts):
-            rival = Subproblem(profile, loads, name)
             if result.method is Method.VAR_PHRAGMEN:
-                optimum[name] = waterfill_solution(rival).score
+                optimum[name] = waterfill_solution(oracle_instance(profile, loads, name)).score
             elif result.method is Method.SEQ_PHRAGMEN:
-                optimum[name] = unconstrained_level(rival)
+                optimum[name] = unconstrained_level(Subproblem(profile, loads, name))
             else:
                 # larger quotient is better: compare on the reciprocal
                 optimum[name] = quotient_rule(counts[name]) / party_weight[name]

@@ -56,7 +56,10 @@ solver, whose first round is this solve; the engine asserts that it never
 clamps.  The CLI's ``--show-uncorrected`` trace prints the raw shares.
 
 Two oracles verify the production solver and never elect; each chooses its
-level and active set independently, and returns it recorded:
+level and active set independently, and returns it recorded.  They read only
+a subproblem's ``entries``, its ``candidate`` and the number of its
+profile's types, so either takes a :class:`Subproblem` or the entries-only
+:class:`OracleInstance` of :func:`oracle_instance`, which sums nothing:
 
 * :func:`waterfill_solution` — exact minimizer by water-filling: raise the
   lowest loads to a common level until the unit budget is spent.
@@ -160,6 +163,28 @@ class Subproblem:
         return StepSolution(
             solve.candidate, tuple(x), solve.level, solve.score, solve.corrected, solve.clamp_rounds
         )
+
+
+class OracleInstance(NamedTuple):
+    """What the oracles read of a subproblem: ``entries`` are
+    :class:`Subproblem`'s ``(type index, weight, load)`` triples, the same
+    weight and load objects in supporter order, with none of its sums."""
+
+    profile: Profile
+    candidate: CandidateId
+    entries: tuple[tuple[int, Rational, Rational], ...]
+
+
+def oracle_instance(profile: Profile, loads: LoadVector, candidate: CandidateId) -> OracleInstance:
+    """``candidate``'s :class:`OracleInstance` at ``loads``, refused as
+    :class:`Subproblem` refuses it."""
+    supporters = profile.supporters(candidate)
+    types, values = profile.types, loads.values
+    if len(values) != len(types):
+        raise ValueError("load vector length does not match profile")
+    return OracleInstance(
+        profile, candidate, tuple([(k, types[k].weight, values[k]) for k in supporters])
+    )
 
 
 class IntegerSubproblem:
@@ -374,7 +399,7 @@ def corrected_solution(sub: Subproblem | IntegerSubproblem) -> Solve:
         weight = left_sum(u for _, u, _ in active)
 
 
-def _scaled(sub: Subproblem) -> tuple[list[tuple[int, int, int]], int, int]:
+def _scaled(sub: Subproblem | OracleInstance) -> tuple[list[tuple[int, int, int]], int, int]:
     """``sub``'s supporters on integers over an oracle's own common
     denominators: ``(k, U, N)`` entries in supporter order, with ``U = u*L``
     and ``N = r*D`` for ``L`` the lcm of the weight denominators and ``D``
@@ -391,7 +416,7 @@ def _scaled(sub: Subproblem) -> tuple[list[tuple[int, int, int]], int, int]:
 
 
 def _recorded(
-    sub: Subproblem,
+    sub: Subproblem | OracleInstance,
     active: Sequence[tuple[int, int, int]],
     total: int,
     weight: int,
@@ -416,7 +441,7 @@ def _recorded(
     return StepSolution(sub.candidate, tuple(x), level, score, corrected, ())
 
 
-def waterfill_solution(sub: Subproblem) -> StepSolution:
+def waterfill_solution(sub: Subproblem | OracleInstance) -> StepSolution:
     """Exact minimizer computed by water-filling.
 
     Supporters are sorted by load and grouped into blocks of equal load (the
@@ -457,19 +482,13 @@ def waterfill_solution(sub: Subproblem) -> StepSolution:
 SUBSET_ORACLE_CAP = 12
 
 
-def _members(scaled: Sequence[tuple[int, int, int]], mask: int) -> list[tuple[int, int, int]]:
-    """The entries of ``scaled`` whose bits are set in ``mask``, in order."""
-    return [entry for j, entry in enumerate(scaled) if mask >> j & 1]
-
-
-def _tie_key(scaled: Sequence[tuple[int, int, int]], mask: int) -> tuple[int, tuple[int, ...]]:
+def _tie_key(chosen: Sequence[tuple[int, int, int]]) -> tuple[int, tuple[int, ...]]:
     """Among equal scores the lowest key wins: the larger subset, then the
     lexicographically smallest tuple of type indices."""
-    chosen = _members(scaled, mask)
     return -len(chosen), tuple(k for k, _, _ in chosen)
 
 
-def subset_oracle(sub: Subproblem) -> StepSolution:
+def subset_oracle(sub: Subproblem | OracleInstance) -> StepSolution:
     """Brute-force minimizer by exhaustive active-set enumeration.
 
     Every nonempty subset of supporter types is solved at its common level;
@@ -488,9 +507,12 @@ def subset_oracle(sub: Subproblem) -> StepSolution:
     constant shared by every subset, so the order and the ties are theirs;
     scores compare by cross-multiplication, and the tie key is built only
     on an exact tie.  Masks are enumerated in increasing order, and each
-    mask's ``W``, ``A`` and largest ``N`` are its lower mask's (its lowest
-    bit cleared) plus that bit's supporter.  Only the winning subset is built
-    as fractions.
+    mask's ``W``, ``A``, largest ``N`` and members are its lower mask's (its
+    lowest bit cleared) plus that bit's supporter, whose entry goes before
+    the lower mask's members: so they stay in ascending index order, and
+    the tie key and the returned solve read them without a scan of the
+    entries.  Scoring stays share by share.  Only the winning subset is
+    built as fractions.
     """
     m = len(sub.entries)
     if m > SUBSET_ORACLE_CAP:
@@ -501,25 +523,28 @@ def subset_oracle(sub: Subproblem) -> StepSolution:
     scaled, multiplier, denominator = _scaled(sub)
     size = 1 << m
     weights, totals, tops = [0] * size, [multiplier * denominator] * size, [0] * size
+    members: list[tuple[tuple[int, int, int], ...]] = [()] * size
     # the best score T/(W*W) starts at 1/0, above every subset's
     best_mask, best_score, best_weight = 0, 1, 0
     for mask in range(1, size):
         low = mask & -mask
         lower = mask ^ low
-        _, u, n = scaled[low.bit_length() - 1]
+        entry = scaled[low.bit_length() - 1]
+        _, u, n = entry
+        chosen = members[mask] = (entry,) + members[lower]
         weight = weights[mask] = weights[lower] + u
         total = totals[mask] = totals[lower] + u * n
         top = tops[mask] = n if n > tops[lower] else tops[lower]
         if top * weight > total:
             continue
         score = 0
-        for _, u, n in _members(scaled, mask):
+        for _, u, n in chosen:
             score += u * (total - n * weight) * (total + n * weight)
         lhs, rhs = score * best_weight * best_weight, best_score * weight * weight
-        if lhs < rhs or lhs == rhs and _tie_key(scaled, mask) < _tie_key(scaled, best_mask):
+        if lhs < rhs or lhs == rhs and _tie_key(chosen) < _tie_key(members[best_mask]):
             best_mask, best_score, best_weight = mask, score, weight
     assert best_mask  # the singleton of the min-load type is always feasible
     return _recorded(
-        sub, _members(scaled, best_mask), totals[best_mask], best_weight, multiplier,
-        denominator, best_mask != size - 1,
+        sub, members[best_mask], totals[best_mask], best_weight, multiplier, denominator,
+        best_mask != size - 1,
     )

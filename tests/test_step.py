@@ -21,10 +21,17 @@ from varphragmen import (
     unconstrained_solution,
     waterfill_solution,
 )
+from varphragmen import step
 from varphragmen.analysis import oracle_agreement_campaign
 from varphragmen.engine import _ExactLane
-from varphragmen.model import Rational, StepSolution, left_sum
-from varphragmen.step import SUBSET_ORACLE_CAP, _reduced, _score
+from varphragmen.model import Rational, StepSolution, UnknownCandidateError, left_sum
+from varphragmen.step import (
+    SUBSET_ORACLE_CAP,
+    OracleInstance,
+    _reduced,
+    _score,
+    oracle_instance,
+)
 
 
 def sub_for(profile, loads, candidate):
@@ -247,7 +254,21 @@ def test_subset_oracle_keeps_a_supporter_at_the_level():
     assert sol.corrected is False
 
 
-def fraction_subset_oracle(sub: Subproblem) -> StepSolution:
+def fraction_record(sub, level: Rational, active, corrected: bool) -> StepSolution:
+    """The solve moving ``active`` entries of ``sub`` (a :class:`Subproblem`
+    or an entries-only :class:`OracleInstance`) to ``level``, recorded in
+    ``Fraction`` arithmetic: ``x = level - r`` on the active set, the level
+    object itself for a zero load, int ``0`` off it, and the score summed
+    share by share, ``u*(2*r*x + x*x)`` in ``active``'s order."""
+    x: list[Rational] = [0] * len(sub.profile.types)
+    score: Rational = 0
+    for k, u, r in active:
+        share = x[k] = level - r if r else level
+        score += u * (2 * r * share + share * share)
+    return StepSolution(sub.candidate, tuple(x), level, score, corrected, ())
+
+
+def fraction_subset_oracle(sub) -> StepSolution:
     """The subset oracle in ``Fraction`` arithmetic throughout: the reference
     that :func:`subset_oracle`'s integer enumeration matches in value and in
     ``repr``."""
@@ -274,7 +295,7 @@ def fraction_subset_oracle(sub: Subproblem) -> StepSolution:
             best = (chosen, level)
     assert best is not None  # the singleton of the min-load type is always feasible
     chosen, level = best
-    return sub.solution(level, 0, chosen, corrected=len(chosen) != m).record()
+    return fraction_record(sub, level, chosen, len(chosen) != m)
 
 
 def assert_same_as_fraction_oracle(sub):
@@ -304,7 +325,7 @@ def test_subset_oracle_is_the_fraction_oracle_on_skewed_loads():
     assert corrected >= 200
 
 
-def fraction_waterfill_solution(sub: Subproblem) -> StepSolution:
+def fraction_waterfill_solution(sub) -> StepSolution:
     """Water-filling in ``Fraction`` arithmetic throughout: the reference
     that :func:`waterfill_solution`'s integer scan matches in value and in
     ``repr``."""
@@ -330,7 +351,7 @@ def fraction_waterfill_solution(sub: Subproblem) -> StepSolution:
     # r == level would leave the unconstrained solution at exactly zero,
     # which is not a binding constraint.
     corrected = any(r > level for _, _, r in entries)
-    return sub.solution(level, 0, active, corrected=corrected).record()
+    return fraction_record(sub, level, active, corrected)
 
 
 def assert_same_as_fraction_waterfill(sub):
@@ -358,6 +379,120 @@ def test_waterfill_is_the_fraction_waterfill_on_skewed_loads():
     for sub in skewed_subproblems(random.Random(20260810), 250):
         corrected += assert_same_as_fraction_waterfill(sub).corrected
     assert corrected >= 200
+
+
+def assert_instance_is_the_subproblem(profile, loads, candidate):
+    """The entries-only instance holds :class:`Subproblem`'s entries, the
+    same objects in the same order, and both oracles solve it alike."""
+    instance = oracle_instance(profile, loads, candidate)
+    sub = Subproblem(profile, loads, candidate)
+    assert type(instance) is OracleInstance
+    assert instance.profile is profile and instance.candidate == candidate
+    assert len(instance.entries) == len(sub.entries)
+    for got, want in zip(instance.entries, sub.entries):
+        assert len(got) == len(want) == 3
+        assert all(a is b for a, b in zip(got, want))
+    for oracle in (waterfill_solution, subset_oracle):
+        got, want = oracle(instance), oracle(sub)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+def assert_lane_reads_the_loads(profile, loads):
+    """The exact lane's integer loads are the loads over the lcm of their
+    denominators, and its ``mass = sum(U*N)`` is ``sum(u*r)`` over ``L*D``."""
+    lane = _ExactLane(profile, Method.VAR_PHRAGMEN, loads)
+    assert lane.denominator == math.lcm(*(r.denominator for r in loads.values))
+    assert all(F(n, lane.denominator) == r for n, r in zip(lane.numerators, loads.values))
+    weighted = sum(t.weight * r for t, r in zip(profile.types, loads.values))
+    assert F(lane.mass, lane.unit) == weighted
+    return lane
+
+
+def test_oracle_instance_is_the_subproblem_over_a_campaign(monkeypatch):
+    seen = []
+
+    def capture(profile, loads, candidate):
+        seen.append((profile, loads, candidate))
+        return oracle_instance(profile, loads, candidate)
+
+    monkeypatch.setattr("varphragmen.analysis.oracle_instance", capture)
+    report = oracle_agreement_campaign(seed=20261022, trials=60)
+    assert not report.findings
+    assert len(seen) == report.instances > 300
+    recorded = {}
+    for profile, loads, candidate in seen:
+        assert_instance_is_the_subproblem(profile, loads, candidate)
+        recorded[id(loads)] = profile, loads
+    # every seat's loads but the first are a recorded run's ``loads_after``
+    assert len(recorded) > 150
+    for profile, loads in recorded.values():
+        lane = assert_lane_reads_the_loads(profile, loads)
+        assert lane.mass == loads.seats_assigned * lane.unit
+
+
+def test_oracle_instance_is_the_subproblem_on_hand_made_loads():
+    profile = parse_profile("2 : a, b\n3/2 : a\n5 : b, c\n1 : a, c\n7/3 : c\n")
+    for values in (
+        (0, F(0), F(3, 4), F(5, 6), 0),
+        (F(0), F(0), F(0), F(0), F(0)),
+        (F(1, 7), 0, F(2, 9), F(1, 7), F(10, 3)),
+    ):
+        loads = LoadVector(values, 2)
+        for name in profile.candidates:
+            assert_instance_is_the_subproblem(profile, loads, name)
+        assert_lane_reads_the_loads(profile, loads)
+    for sub in skewed_subproblems(random.Random(20261022), 60):
+        values = [0] * len(sub.profile.types)
+        for k, _, r in sub.entries:
+            values[k] = r
+        loads = LoadVector(tuple(values), 0)
+        assert_instance_is_the_subproblem(sub.profile, loads, sub.candidate)
+        assert_lane_reads_the_loads(sub.profile, loads)
+
+
+def test_oracle_instance_is_refused_as_the_subproblem_is():
+    profile = parse_profile("1 : a\n2 : b\n")
+    loads = LoadVector.zero(profile)
+    for make in (Subproblem, oracle_instance):
+        with pytest.raises(UnknownCandidateError):
+            make(profile, loads, "c")
+        with pytest.raises(ValueError, match="load vector length does not match profile"):
+            make(profile, LoadVector((0,), 0), "a")
+
+
+def test_subset_oracle_carries_each_mask_s_members_in_index_order(monkeypatch):
+    """Every member tuple that ``_tie_key`` compares and the returned solve
+    records holds its mask's entries in ascending index order, as a scan of
+    the set bits would list them."""
+    seen = []
+    tie_key, recorded = step._tie_key, step._recorded
+
+    def seen_tie_key(chosen):
+        seen.append(chosen)
+        return tie_key(chosen)
+
+    def seen_recorded(sub, active, *rest):
+        seen.append(active)
+        return recorded(sub, active, *rest)
+
+    monkeypatch.setattr(step, "_tie_key", seen_tie_key)
+    monkeypatch.setattr(step, "_recorded", seen_recorded)
+    # three supporters that all reach level 1 from loads (0, 1, 1): the
+    # subsets {0}, {0, 1}, {0, 2} and {0, 1, 2} tie at score 1
+    tied = parse_profile("1 : z\n1 : z\n1 : z\n")
+    subs = [Subproblem(tied, LoadVector((0, F(1), F(1)), 1), "z")]
+    subs += skewed_subproblems(random.Random(20261022), 80)
+    ties = 0
+    for sub in subs:
+        seen.clear()
+        subset_oracle(sub)
+        scaled = step._scaled(sub)[0]
+        for chosen in seen:
+            assert list(chosen) == [e for e in scaled if e in chosen]
+        ties += any(len(chosen) > 1 for chosen in seen[:-1])
+    assert ties >= 1
+    assert repr(subset_oracle(subs[0]).x) == repr((F(1), F(0), F(0)))
 
 
 # ---------------------------------------------------------------------------
