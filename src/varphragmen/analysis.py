@@ -137,7 +137,7 @@ def closed_list_sequences(
     profile: Profile, seats: int
 ) -> dict[str, tuple[list[CandidateId], list[CandidateId]]]:
     """Winner sequences of both equivalence pairs on a closed-list profile."""
-    votes = _party_weights(profile)
+    votes = _party_weights(profile, [t.weight for t in profile.types])
     out = {}
     for election_method, divisor in _EQUIVALENCE_PAIRS:
         out[f"{election_method.value}/{divisor.value}"] = (

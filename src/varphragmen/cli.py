@@ -118,13 +118,14 @@ def _trace_rows(profile, result, decimals: int, show_uncorrected: bool) -> list[
     if show_uncorrected:
         header.append("Negative")
     rows = [header]
+    weights = [t.weight for t in profile.types]
     for rec, loads, _ in seat_states(profile, result):
         sol = rec.solution
+        shares = sol.x
         if show_uncorrected:
             # the raw equality-constrained shares, before any clamping
-            shares = unconstrained_solution(Subproblem(profile, loads, sol.candidate)).record().x
-        else:
-            shares = sol.x
+            sub = Subproblem(profile, weights, loads, sol.candidate)
+            shares = unconstrained_solution(sub).record().x
         row = [str(rec.seat_index), sol.candidate]
         row += [decimal_str(v, decimals) for v in shares]
         if show_uncorrected:

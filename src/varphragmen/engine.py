@@ -11,18 +11,18 @@ record.
 
 Elections are independent of each other and may run in parallel; a run only
 ever builds fresh immutable load vectors, and its lane is its own.  A lane is
-a seat's whole state: the profile, the method, the current loads and a lower
-bound on each candidate's float key, its only memory.  :func:`select_winner`
-decides each seat from it; its docstring states what it may be handed and
-which candidates it solves and compares.  A backend's lane takes in each
-seat in two parts: its ``move`` is all that decides the next seat or may
-raise, and its ``advance`` also records the seat.  One seat loop serves every
-run: :func:`run_election` records each seat, and the callers that read only
-the winners or the seat counts (:func:`_winners`) build no record.  The
-share lane is the eager reference.  The exact lane solves on integers, loads
-as numerators over one run-wide denominator; the float64 lane solves share
-by share.  All three solve to a light ``Solve``; only a recorded seat's
-winner becomes a record.
+a seat's whole state: the caller's profile, the weights it owns, the method,
+the loads and a lower bound on each candidate's float key, its only memory.
+:func:`select_winner` decides each seat from it; its docstring states what
+it may be handed and which candidates it solves and compares.  A backend's
+lane takes in each seat in two parts: its ``move`` is all that decides the
+next seat or may raise, and its ``advance`` also records the seat.  One seat
+loop serves every run: :func:`run_election` records each seat, and the
+callers that read only the winners or the seat counts (:func:`_winners`)
+build no record.  The share lane is the eager reference.  The exact lane
+solves on integers, loads as numerators over one run-wide denominator; the
+float64 lane solves share by share on its own floats.  All three solve to a
+light ``Solve``; only a recorded seat's winner becomes a record.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .model import (
     Profile,
     Rational,
     SeatRecord,
-    VoterType,
     left_sum,
     rational_str,
 )
@@ -87,18 +86,19 @@ def variance(profile: Profile, loads: LoadVector) -> Rational:
     sum is never ``-0.0``, and adding an exact or float zero to it changes
     no value or bit: the result equals the full scan exactly.
     """
-    return _variance(profile, loads, left_sum(t.weight for t in profile.types))
+    weights = [t.weight for t in profile.types]
+    return _variance(weights, loads, left_sum(weights))
 
 
-def _variance(profile: Profile, loads: LoadVector, w: Rational) -> Rational:
-    """:func:`variance` at the total weight ``w``, which its callers that
-    evaluate it at every seat sum once, left to right in type order."""
-    if len(loads.values) != len(profile.types):
+def _variance(weights: Sequence[Rational], loads: LoadVector, w: Rational) -> Rational:
+    """:func:`variance` on ``weights`` by type index, at their total ``w``,
+    which the callers that evaluate it at every seat sum once."""
+    if len(loads.values) != len(weights):
         raise ValueError("load vector length does not match profile")
     mass = squares = 0
-    for t, r in zip(profile.types, loads.values):
+    for u, r in zip(weights, loads.values):
         if r:
-            weighted = t.weight * r
+            weighted = u * r
             mass += weighted
             squares += weighted * r  # (u*r)*r is how u*r*r evaluates
     n = loads.seats_assigned
@@ -113,12 +113,12 @@ def _variance(profile: Profile, loads: LoadVector, w: Rational) -> Rational:
 class _ShareLane:
     """Share-by-share arithmetic for ``method`` at ``loads``: the eager reference.
 
-    Subproblems are plain :class:`Subproblem` instances at ``self.loads``,
-    which compute each ``u*r`` afresh and score their active set share by
-    share.  The backends' lanes, :class:`_FloatLane` and :class:`_ExactLane`,
-    add ``move``, which takes in a seat's decision and moves the lane on, and
-    ``advance``, which also records the seat.  The float key is the key
-    itself.
+    Subproblems are plain :class:`Subproblem` instances on the profile's own
+    ``weights`` at ``self.loads``, which compute each ``u*r`` afresh and
+    score share by share.  The backends' lanes, :class:`_FloatLane` and
+    :class:`_ExactLane`, convert the weights and add ``move``, which takes in
+    a seat's decision and moves the lane on, and ``advance``, which also
+    records the seat.  The float key is the key itself.
 
     ``bounds`` holds a lower bound on each candidate's float key at
     ``loads``: minus infinity, which rules no candidate out, until
@@ -129,10 +129,11 @@ class _ShareLane:
         self.profile = profile
         self.method = method
         self.loads = loads
+        self.weights = [t.weight for t in profile.types]
         self.bounds = dict.fromkeys(profile.candidates, -math.inf)
 
     def subproblem(self, name: CandidateId) -> Subproblem:
-        return Subproblem(self.profile, self.loads, name)
+        return Subproblem(self.profile, self.weights, self.loads, name)
 
     def approximate(self, key: Rational) -> Rational:
         return key
@@ -160,10 +161,10 @@ class _ShareLane:
 
 
 class _FloatLane(_ShareLane):
-    """The float64 backend: the share lane on ``profile``'s weights in float64,
-    refused (exit 3) when a weight, its reciprocal or their total, summed
-    left to right in type order, does not fit.  It keeps that
-    ``total_weight`` for the variance after each seat.
+    """The float64 backend: the share lane on its own tuple of the profile's
+    weights in float64, refused (exit 3) when a weight, its reciprocal or
+    their total, summed left to right in type order, does not fit.  It keeps
+    that ``total_weight`` for the variance after each seat.
 
     A bound is the candidate's float key itself while none of its supporters
     has moved: its subproblem reads the same weight and load objects, so a
@@ -174,10 +175,11 @@ class _FloatLane(_ShareLane):
     """
 
     def __init__(self, profile: Profile, method: Method, loads: LoadVector):
-        types = []
-        for k, t in enumerate(profile.types, start=1):
+        super().__init__(profile, method, loads)
+        weights = self.weights  # the profile's, converted in place
+        for k, u in enumerate(weights):
             try:
-                weight = float(t.weight)
+                weight = weights[k] = float(u)
             except OverflowError:
                 weight = math.inf
             # a weight whose reciprocal is inf would make a level inf and a
@@ -185,15 +187,14 @@ class _FloatLane(_ShareLane):
             if not 0 < weight < math.inf or 1 / weight == math.inf:
                 problem = "overflows" if weight == math.inf else "is too small for"
                 raise ElectionConfigError(
-                    f"voter type {k} weight {problem} float64; use --backend exact"
+                    f"voter type {k + 1} weight {problem} float64; use --backend exact"
                 )
-            types.append(VoterType(weight=weight, approvals=t.approvals))
-        self.total_weight = left_sum(t.weight for t in types)
+        self.weights = tuple(weights)
+        self.total_weight = left_sum(weights)
         if not math.isfinite(self.total_weight):
             raise ElectionConfigError(
                 "total voter weight overflows float64; use --backend exact"
             )
-        super().__init__(Profile(types), method, loads)
 
     def move(self, solution: Solve) -> Rational:
         """Take in a seat: move ``loads`` on and return the variance after it.
@@ -210,7 +211,7 @@ class _FloatLane(_ShareLane):
                 for name in self.profile.types[k].approvals:
                     self.bounds[name] = -math.inf
         loads = self.loads = LoadVector(tuple(values), self.loads.seats_assigned + 1)
-        after = _variance(self.profile, loads, self.total_weight)
+        after = _variance(self.weights, loads, self.total_weight)
         for what, value in (("score", solution.score), ("variance", after)):
             if not math.isfinite(value):
                 raise ElectionConfigError(
@@ -272,7 +273,7 @@ class _ExactLane(_ShareLane):
 
     def __init__(self, profile: Profile, method: Method, loads: LoadVector):
         super().__init__(profile, method, loads)
-        ratios = [t.weight.as_integer_ratio() for t in profile.types]  # floats too
+        ratios = [u.as_integer_ratio() for u in self.weights]  # floats too
         multiplier = self.multiplier = math.lcm(*(q for _, q in ratios))
         weights = self.weights = [p * (multiplier // q) for p, q in ratios]
         ratios = [r.as_integer_ratio() for r in loads.values]
@@ -348,7 +349,7 @@ def select_winner(
 
     ``eligible`` must be names of the lane's candidates, at least one, as
     :func:`_eligible` yields them; nothing checks them.  The lane is the
-    seat's whole state: its profile, its method, its loads and its bounds.
+    seat's whole state: its profile, weights, method, loads and bounds.
     Returns the winner, its :class:`Solve` (``.record()`` is its seat
     distribution) and all the candidates tied at the optimum, in name order;
     ties resolve to the smallest name.
@@ -412,10 +413,10 @@ def seat_states(profile: Profile, result: ElectionResult) -> Iterator[tuple]:
         counts[rec.solution.candidate] += 1
 
 
-def _party_weights(profile: Profile) -> dict[CandidateId, Rational]:
-    """Each candidate's vote total: the combined weight of its supporters."""
+def _party_weights(profile: Profile, weights: Sequence[Rational]) -> dict[CandidateId, Rational]:
+    """Each candidate's total of its supporters' ``weights[k]``; an int total as a Fraction."""
     return {
-        name: left_sum(profile.types[k].weight for k in profile.supporters(name))
+        name: Fraction(0) + left_sum(weights[k] for k in profile.supporters(name))
         for name in profile.candidates
     }
 
@@ -441,14 +442,13 @@ def _lane(
         raise ElectionConfigError(f"seats must be >= 1, got {seats}")
     lane_class = _ExactLane if backend is Backend.EXACT else _FloatLane
     lane = lane_class(profile, method, LoadVector.zero(profile))
-    work = lane.profile
-    if mode is Mode.CANDIDATE and seats > len(work.candidates):
+    if mode is Mode.CANDIDATE and seats > len(profile.candidates):
         raise ElectionConfigError(
-            f"cannot fill {seats} seats from {len(work.candidates)} candidates "
+            f"cannot fill {seats} seats from {len(profile.candidates)} candidates "
             "in candidate mode"
         )
     if method in HIGHEST_AVERAGES_DIVISORS:
-        if not work.is_closed_list():
+        if not profile.is_closed_list():
             raise ElectionConfigError(
                 f"{method.value} requires a closed-list profile "
                 "(every ballot approves exactly one party)"
@@ -469,14 +469,13 @@ def _seats(
     ``move``, which moves its integers or loads on and runs every check, or
     its ``advance``, which also records the seat.
     """
-    work = lane.profile
     quotient_rule = HIGHEST_AVERAGES_DIVISORS.get(lane.method)
     if quotient_rule is not None:
-        party_weight = _party_weights(work)
-    counts = dict.fromkeys(work.candidates, 0)
+        party_weight = _party_weights(lane.profile, lane.weights)
+    counts = dict.fromkeys(lane.profile.candidates, 0)
     for _ in range(seats):
         if quotient_rule is None:
-            eligible = _eligible(work.candidates, mode, counts)
+            eligible = _eligible(lane.profile.candidates, mode, counts)
             winner, solution, tied = select_winner(lane, eligible)
         else:
             tied = _highest_quotients(party_weight, counts, quotient_rule)
@@ -520,10 +519,10 @@ def run_election(
     The seats come from :func:`_seats`, whose lane records each one, moves
     its loads on and returns the variance after the seat.  The backend picks
     the lane's class, built once per run for ``method`` at zero loads
-    (:func:`_lane`); the lane holds the profile the run reads and the loads
-    each record takes.  A Phragmén seat is :func:`select_winner`'s decision
-    on the lane, which solves only the candidates whose bounds do not rule
-    them out (each lane's docstring says what its bounds are).
+    (:func:`_lane`); the lane holds the loads each record takes.  A Phragmén
+    seat is :func:`select_winner`'s decision on the lane, which solves only
+    the candidates whose bounds do not rule them out (each lane's docstring
+    says what its bounds are).
 
     Both methods elect through :func:`corrected_solution`; a seq-Phragmén
     solve that clamps is an error.  The exact lane solves on integer loads
@@ -536,7 +535,7 @@ def run_election(
     """
     method, mode, backend = Method(method), Mode(mode), Backend(backend)
     lane = _lane(profile, method, seats, mode, backend)
-    counts = dict.fromkeys(lane.profile.candidates, 0)
+    counts = dict.fromkeys(profile.candidates, 0)
     records: list[SeatRecord] = []
     for seat, (winner, tied, (solution, variance_after)) in enumerate(
         _seats(lane, seats, mode, lane.advance), start=1
@@ -598,10 +597,10 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
     the winners of records it could check.
     """
     problems: list[str] = []
-    types = profile.types
-    w = left_sum(t.weight for t in types)
+    weights = [t.weight for t in profile.types]
+    w = left_sum(weights)
     quotient_rule = HIGHEST_AVERAGES_DIVISORS.get(result.method)
-    party_weight = _party_weights(profile) if quotient_rule else {}
+    party_weight = _party_weights(profile, weights) if quotient_rule else {}
     loads = LoadVector.zero(profile)
     counts: dict[CandidateId, int] = {name: 0 for name in profile.candidates}
 
@@ -615,12 +614,12 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
         if sol.candidate not in counts:
             problem("winner is not a candidate of the profile")
             continue
-        if len(sol.x) != len(types):
+        if len(sol.x) != len(weights):
             problem("distribution length mismatch")
             continue
-        sub = Subproblem(profile, loads, sol.candidate)
+        sub = Subproblem(profile, weights, loads, sol.candidate)
         support = set(sub.supporters)
-        mass = sum(t.weight * xk for t, xk in zip(types, sol.x))
+        mass = sum(u * xk for u, xk in zip(weights, sol.x))
         if mass != 1:
             problem(f"seat mass {rational_str(mass)} != 1")
         for k, xk in enumerate(sol.x):
@@ -636,14 +635,14 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
         if _score(sub, sol.x) != sol.score:
             problem(f"recorded score {rational_str(sol.score)} != recomputed")
 
-        before_sq = sum(t.weight * r * r for t, r in zip(types, loads.values))
+        before_sq = sum(u * r * r for u, r in zip(weights, loads.values))
         expected_after = loads.add(sol.x)
         if rec.loads_after != expected_after:
             problem("loads_after does not equal loads_before + x")
-        after_mass = sum(t.weight * r for t, r in zip(types, expected_after.values))
+        after_mass = sum(u * r for u, r in zip(weights, expected_after.values))
         if after_mass != seat:
             problem(f"total load mass {rational_str(after_mass)} != {seat} seats")
-        elif rec.variance_after != _variance(profile, expected_after, w):
+        elif rec.variance_after != _variance(weights, expected_after, w):
             problem("variance_after does not match direct evaluation")
         if rec.variance_after != before_sq + sol.score - Fraction(seat * seat, 1) / w:
             problem("variance_after violates the score bookkeeping identity")
@@ -653,7 +652,7 @@ def verify_election(profile: Profile, result: ElectionResult) -> None:
             if result.method is Method.VAR_PHRAGMEN:
                 optimum[name] = waterfill_solution(oracle_instance(profile, loads, name)).score
             elif result.method is Method.SEQ_PHRAGMEN:
-                optimum[name] = unconstrained_level(Subproblem(profile, loads, name))
+                optimum[name] = unconstrained_level(Subproblem(profile, weights, loads, name))
             else:
                 # larger quotient is better: compare on the reciprocal
                 optimum[name] = quotient_rule(counts[name]) / party_weight[name]

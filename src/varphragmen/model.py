@@ -2,9 +2,9 @@
 
 All quantities are exact rationals (:class:`fractions.Fraction`).  Decimal
 tables produced by the CLI are display-only renderings; comparisons, tie
-detection and sign tests always happen on the exact values.  The float64
-engine backend substitutes ``float`` weights into the same containers, which
-every algorithm tolerates, but parsing always yields exact rationals.
+detection and sign tests always happen on the exact values.  Parsing yields
+exact rationals; floats enter only as the float64 engine lane's own weights
+and the loads it computes from them, never as a voter type or a profile.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 CandidateId = str
 
-#: Exact rational in the canonical representation; ``float`` only ever enters
-#: through the float64 engine backend, ``int`` through literal zero loads.
+#: Exact rational in the canonical representation; ``float`` enters only as the
+#: float64 lane's own weights and its loads, ``int`` as literal zero loads.
 Rational = Union[Fraction, int, float]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")

@@ -23,9 +23,9 @@ an active set, the bar a load is clamped above, and the score:
 
 * :class:`Subproblem` puts the level at ``(sum(u*r) + 1)/sum(u)``, clamps a
   load above it, and scores share by share, ``u*(2*r*x + x*x)`` over the
-  active set in supporter order.  The float64 lane elects with it, and it
-  is the reference everywhere else; the two oracles read its entries and
-  score on their own integers (below).
+  active set in supporter order, on the weights its caller hands it.  The
+  float64 lane elects with it on its own floats, and it is the reference
+  everywhere else; the two oracles read its entries (below).
   :func:`_score` is that sum over a dense share vector, for recorded shares.
 * :class:`IntegerSubproblem`, the exact lane, works on integers: weights
   ``U = u*L`` over the lcm ``L`` of their denominators, loads ``N`` over one
@@ -98,31 +98,33 @@ from .model import (
 class Subproblem:
     """A candidate's seat-distribution subproblem at the current loads.
 
-    One pass over the profile's supporter index builds the ``(type index,
-    weight, load)`` entries, sums ``supporter_weight`` and ``carried =
-    sum(u*r)`` left to right, in :func:`left_sum`'s order and float bits, and
-    finds ``top``, the first highest load.  Every candidate of a profile has
-    at least one supporter; a name outside the profile raises
-    ``UnknownCandidateError`` from :meth:`Profile.supporters`.  A seat
-    carries one unit of load.
+    One pass over the profile's supporter index builds the ``(k, weights[k],
+    load)`` entries, sums ``supporter_weight`` and ``carried = sum(u*r)``
+    left to right, in :func:`left_sum`'s order and float bits, and finds
+    ``top``, the first highest load.  A name outside the profile raises
+    ``UnknownCandidateError`` from :meth:`Profile.supporters`; every other
+    has a supporter.  A seat carries one unit of load.
     """
 
     __slots__ = ("profile", "candidate", "supporters", "supporter_weight", "entries", "carried",
                  "top")
 
-    def __init__(self, profile: Profile, loads: LoadVector, candidate: CandidateId):
+    def __init__(self, profile: Profile, weights: Sequence[Rational], loads: LoadVector,
+                 candidate: CandidateId):
         supporters = profile.supporters(candidate)
-        if len(loads.values) != len(profile.types):
+        values = loads.values
+        if len(values) != len(profile.types):
             raise ValueError("load vector length does not match profile")
+        if len(weights) != len(values):
+            raise ValueError("weight sequence length does not match profile")
         self.profile = profile
         self.candidate = candidate
         self.supporters = supporters
-        types, values = profile.types, loads.values
         entries = []
         carried = weight = 0
         top = values[supporters[0]]
         for k in supporters:
-            u, r = types[k].weight, values[k]
+            u, r = weights[k], values[k]
             entries.append((k, u, r))
             carried += u * r
             weight += u

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from varphragmen import LoadVector, parse_profile
+from varphragmen import LoadVector, Profile, VoterType, parse_profile
 
 # hypothesis imports this module while it reports a failing example; with
 # libcst installed, that import raises a DeprecationWarning (from
@@ -20,6 +20,18 @@ with warnings.catch_warnings():
 PROFILE_12 = "9: a1, a2\n1: a1, a2, b\n3: b, c\n"
 PROFILE_13 = "4: A\n1: B\n3: C\n9: A, B\n3: B, C\n"
 PROFILE_13_BUMPED = "5: A\n1: B\n3: C\n9: A, B\n3: B, C\n"
+
+
+def type_weights(profile):
+    """The profile's own weights by type index, as a subproblem reads them."""
+    return [t.weight for t in profile.types]
+
+
+def float_profile(profile):
+    """``profile`` with every weight converted to float64, as a profile: the
+    reference that the float64 lane, which converts only its own copy of the
+    weights, is compared with bit for bit."""
+    return Profile(VoterType(float(t.weight), t.approvals) for t in profile.types)
 
 
 @pytest.fixture

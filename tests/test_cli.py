@@ -312,18 +312,23 @@ def test_elect_exit_codes(capsys, p12_path, tmp_path):
 
     # float64 cannot represent these weights, their total, the reciprocal of
     # a subnormal weight (whichever name comes first), or the scores they
-    # lead to
+    # lead to; each type is checked in order before the total
     zeros = "0" * 400
     huge = f"1{zeros[:308]}"
     party = ("--mode", "party")
-    for text, seats, fmt in (
-        (f"1{zeros} : a\n1 : b\n", "1", ()),
-        (f"1/1{zeros} : a\n1 : b\n", "1", ()),
-        (f"1/1{zeros[:320]} : a\n1 : b\n", "2", party),
-        (f"1/1{zeros[:320]} : b\n1 : a\n", "2", party),
-        (f"1/1{zeros[:300]} : a\n1 : b\n", "2", ("--format", "json")),
-        (f"{huge} : a\n{huge} : b\n", "2", ("--format", "json")),
-        (f"{huge} : a, b\n{huge} : a, b\n", "2", ()),
+    small = "weight is too small for float64"
+    total = "total voter weight overflows float64"
+    for text, seats, fmt, message in (
+        (f"1{zeros} : a\n1 : b\n", "1", (), "voter type 1 weight overflows float64"),
+        (f"1/1{zeros} : a\n1 : b\n", "1", (), f"voter type 1 {small}"),
+        (f"1/1{zeros[:320]} : a\n1 : b\n", "2", party, f"voter type 1 {small}"),
+        (f"1/1{zeros[:320]} : b\n1 : a\n", "2", party, f"voter type 1 {small}"),
+        (f"1 : a\n1/1{zeros[:320]} : b\n", "2", party, f"voter type 2 {small}"),
+        (f"{huge} : a\n1{zeros} : b\n", "1", (), "voter type 2 weight overflows float64"),
+        (f"1/1{zeros[:300]} : a\n1 : b\n", "2", ("--format", "json"),
+         "seat 2: float64 score is inf"),
+        (f"{huge} : a\n{huge} : b\n", "2", ("--format", "json"), total),
+        (f"{huge} : a, b\n{huge} : a, b\n", "2", (), total),
     ):
         path = tmp_path / "unrepresentable.txt"
         path.write_text(text)
@@ -331,8 +336,7 @@ def test_elect_exit_codes(capsys, p12_path, tmp_path):
             capsys, "elect", "--method", "var-phragmen", "--seats", seats,
             "--backend", "float64", *fmt, str(path),
         )
-        assert (code, out) == (3, "")
-        assert err.startswith("error: ") and "--backend exact" in err
+        assert (code, out, err) == (3, "", f"error: {message}; use --backend exact\n")
 
 
 def test_process_exit_codes(p12_path, tmp_path):

@@ -29,7 +29,7 @@ from varphragmen import (
     variance,
     verify_election,
 )
-from varphragmen import engine, step
+from varphragmen import engine, model, step
 from varphragmen.analysis import (
     TwoPartyFamily,
     monotonicity_probe,
@@ -40,7 +40,7 @@ from varphragmen.engine import select_winner
 from varphragmen.model import StepSolution, left_sum
 from varphragmen.render import election_json
 
-from conftest import PROFILE_12
+from conftest import PROFILE_12, float_profile, type_weights
 
 
 def select_uncached(profile, loads, eligible, method):
@@ -90,7 +90,7 @@ def test_profile12_variance_trace(profile12):
 def test_profile12_seat2_scores(profile12, loads12_after_seat1):
     scores = {
         name: corrected_solution(
-            Subproblem(profile12, loads12_after_seat1, name)
+            Subproblem(profile12, type_weights(profile12), loads12_after_seat1, name)
         ).score
         for name in ("a2", "b", "c")
     }
@@ -104,8 +104,9 @@ def test_profile12_seat2_scores(profile12, loads12_after_seat1):
 
 
 def test_profile12_seat3_scores(profile12, loads12_after_seat2):
-    a2 = corrected_solution(Subproblem(profile12, loads12_after_seat2, "a2"))
-    c = corrected_solution(Subproblem(profile12, loads12_after_seat2, "c"))
+    weights = type_weights(profile12)
+    a2 = corrected_solution(Subproblem(profile12, weights, loads12_after_seat2, "a2"))
+    c = corrected_solution(Subproblem(profile12, weights, loads12_after_seat2, "c"))
     assert a2.score == F(14, 45)
     assert c.score == F(53, 60)
     winner, _, _ = select_uncached(
@@ -160,8 +161,7 @@ def test_variance_rejects_inconsistent_loads(profile12):
     with pytest.raises(ValueError, match="inconsistent"):
         variance(profile12, bad)
     # float loads are checked with a tolerance; a mass of 0.9 misses it
-    zero = LoadVector.zero(profile12)
-    floats = engine._FloatLane(profile12, Method.VAR_PHRAGMEN, zero).profile
+    floats = float_profile(profile12)
     with pytest.raises(ValueError, match="inconsistent"):
         variance(floats, LoadVector(values=(0.1, 0.0, 0.0), seats_assigned=1))
 
@@ -171,7 +171,7 @@ def test_float64_variance_adds_the_weights_left_to_right():
     # the float64 lane's variance divides by the sum that the direct
     # evaluation on its float profile adds, to the last bit
     profile = parse_profile("1/10 : a\n1/5 : a, b\n3/10 : b\n")
-    floats = engine._FloatLane(profile, Method.VAR_PHRAGMEN, LoadVector.zero(profile)).profile
+    floats = float_profile(profile)
     assert left_sum(t.weight for t in floats.types) != math.fsum(t.weight for t in floats.types)
     result = run_election(profile, Method.VAR_PHRAGMEN, 6, mode=Mode.PARTY, backend=Backend.FLOAT64)
     for rec in result.records:
@@ -387,8 +387,7 @@ def test_cached_election_matches_per_seat_reference():
         seats = min(8, len(profile.candidates)) if mode is Mode.CANDIDATE else 8
         result = run_election(profile, method, seats, mode=mode, backend=backend)
         exact = backend is Backend.EXACT
-        zero = LoadVector.zero(profile)
-        work = profile if exact else engine._FloatLane(profile, method, zero).profile
+        work = profile if exact else float_profile(profile)
         total = left_sum(t.weight for t in work.types)
         for rec, loads, eligible in engine.seat_states(work, result):
             # no cache: every eligible candidate solved afresh
@@ -474,7 +473,7 @@ def test_rescoring_touches_only_changed_types(monkeypatch, mode):
         least = float(rec.solution.score)
         for name in set(names).difference(stale):
             unchanged += 1
-            reference = corrected_solution(Subproblem(profile, loads, name))
+            reference = corrected_solution(Subproblem(profile, type_weights(profile), loads, name))
             assert float(reference.score) == least
         if rec.seat_index == 1:
             assert sorted(names) == sorted(eligible)
@@ -1026,7 +1025,7 @@ def _reseat(profile, result, seat, candidate, solve=corrected_solution):
         before = result.records[seat - 2].loads_after
     else:
         before = LoadVector.zero(profile)
-    solution = solve(Subproblem(profile, before, candidate)).record()
+    solution = solve(Subproblem(profile, type_weights(profile), before, candidate)).record()
     after = before.add(solution.x)
     return _with_record(
         result,
@@ -1217,7 +1216,7 @@ def exact_seat_gaps(profile, seats, mode, method=Method.VAR_PHRAGMEN):
     for _, loads, eligible in engine.seat_states(profile, result):
         keys = []
         for name in eligible:
-            sol = corrected_solution(Subproblem(profile, loads, name))
+            sol = corrected_solution(Subproblem(profile, type_weights(profile), loads, name))
             keys.append(sol.score if method is Method.VAR_PHRAGMEN else sol.level)
         keys.sort()
         if len(keys) > 1:
@@ -1255,6 +1254,7 @@ def test_a_float64_bound_is_its_fresh_key_or_minus_infinity(monkeypatch):
     def checking(lane, solution):
         nonlocal checked
         record, after = original(lane, solution)
+        floats = float_profile(lane.profile)
         moved = {
             name
             for k, share in enumerate(record.x)
@@ -1265,7 +1265,7 @@ def test_a_float64_bound_is_its_fresh_key_or_minus_infinity(monkeypatch):
             if name in moved:
                 assert bound == -math.inf, name
             elif math.isfinite(bound):
-                fresh = engine._ShareLane(lane.profile, lane.method, lane.loads)
+                fresh = engine._ShareLane(floats, lane.method, lane.loads)
                 assert repr(bound) == repr(fresh.solve(name)[0]), name
                 checked += 1
         return record, after
@@ -1289,6 +1289,62 @@ def test_float64_rejects_a_total_weight_it_cannot_hold():
     assert [rec.solution.score for rec in exact.records] == [F(1, 10**308)] * 2
     with pytest.raises(ElectionConfigError, match="total voter weight overflows"):
         run_election(profile, Method.VAR_PHRAGMEN, 2, backend=Backend.FLOAT64)
+
+
+def test_a_float64_run_builds_no_voter_type_and_no_profile(monkeypatch):
+    # the float64 lane holds the caller's profile and owns a tuple of its
+    # weights in float64: once the profile is parsed, a run checks no voter
+    # type's fields again and indexes no second profile
+    checked, indexed, lanes = [], [], []
+    check, index, make_lane = model._checked_weight, Profile.__post_init__, engine._lane
+
+    def counting_check(*args):
+        checked.append(args)
+        return check(*args)
+
+    def counting_index(self):
+        indexed.append(self)
+        index(self)
+
+    def keeping(*args):
+        lanes.append(make_lane(*args))
+        return lanes[-1]
+
+    runs = list(product(
+        [parse_profile(PROFILE_12), sparse_profile(random.Random(8))],
+        (Method.VAR_PHRAGMEN, Method.SEQ_PHRAGMEN),
+        Mode,
+    ))
+    closed = parse_profile(CLOSED)
+    runs += [(closed, method, Mode.PARTY) for method in (Method.SAINTE_LAGUE, Method.DHONDT)]
+    monkeypatch.setattr(model, "_checked_weight", counting_check)
+    monkeypatch.setattr(Profile, "__post_init__", counting_index)
+    monkeypatch.setattr(engine, "_lane", keeping)
+    for profile, method, mode in runs:
+        seats = min(4, len(profile.candidates))
+        run_election(profile, method, seats, mode=mode, backend=Backend.FLOAT64)
+        engine._winners(profile, method, seats, mode, Backend.FLOAT64)
+    assert (checked, indexed) == ([], [])
+    assert len(lanes) == 2 * len(runs)
+    for lane, (profile, _, _) in zip(lanes, [run for run in runs for _ in "ab"]):
+        assert lane.profile is profile
+        assert type(lane.weights) is tuple
+        assert repr(lane.weights) == repr(tuple(float(t.weight) for t in profile.types))
+
+
+@pytest.mark.parametrize("method", [Method.SAINTE_LAGUE, Method.DHONDT])
+def test_float64_highest_averages_decide_on_the_lane_s_own_party_sums(method):
+    # B's float64 total 0.1 + 0.2, added left to right, is above A's 0.3, so
+    # float64 gives B the first seat where the exact parties tie on 3/10
+    profile = parse_profile("1/10 : B\n1/5 : B\n3/10 : A\n")
+    for backend, winners, ties in (
+        (Backend.FLOAT64, ("B", "A", "B"), [("B",), ("A",), ("B",)]),
+        (Backend.EXACT, ("A", "B", "A"), [("A", "B"), ("B",), ("A", "B")]),
+    ):
+        result = run_election(profile, method, 3, mode=Mode.PARTY, backend=backend)
+        assert result.winners == winners
+        assert [rec.tied_with for rec in result.records] == ties
+        assert engine._winners(profile, method, 3, Mode.PARTY, backend) == list(winners)
 
 
 def test_an_election_leaves_its_profile_untouched():

@@ -21,7 +21,7 @@ from varphragmen import (
 )
 from varphragmen.model import _ratio
 
-from conftest import PROFILE_12, PROFILE_13
+from conftest import PROFILE_12, PROFILE_13, float_profile, type_weights
 
 
 def test_parse_profile_12():
@@ -536,9 +536,7 @@ def test_render_parse_round_trip(profile):
 def test_supporter_weights_sum_identity(profile, data):
     total = sum(_supporter_weight(profile, name) for name in profile.candidates)
     assert total == sum(t.weight * len(t.approvals) for t in profile.types)
-    as_floats = Profile(
-        VoterType(float(t.weight), t.approvals) for t in profile.types
-    )
+    as_floats = float_profile(profile)
     m = len(profile.types)
     float_loads = data.draw(
         st.lists(st.floats(1 / 64, 64), min_size=m, max_size=m).map(tuple)
@@ -561,7 +559,7 @@ def test_supporter_weights_sum_identity(profile, data):
                 carried = carried + prof.types[k].weight * values[k]
                 if values[k] > top:
                     top = values[k]
-            sub = Subproblem(prof, loads, name)
+            sub = Subproblem(prof, type_weights(prof), loads, name)
             for got, expected in (
                 (sub.supporter_weight, weight), (sub.carried, carried), (sub.top, top)
             ):

@@ -33,9 +33,11 @@ from varphragmen.step import (
     oracle_instance,
 )
 
+from conftest import float_profile, type_weights
+
 
 def sub_for(profile, loads, candidate):
-    return Subproblem(profile, loads, candidate)
+    return Subproblem(profile, type_weights(profile), loads, candidate)
 
 
 def zero(profile):
@@ -85,10 +87,15 @@ def test_single_supporter_forced_solution():
 
 def test_no_supporters_rejected(profile12):
     with pytest.raises(Exception):
-        Subproblem(profile12, zero(profile12), "ghost")
+        Subproblem(profile12, type_weights(profile12), zero(profile12), "ghost")
     short = LoadVector(values=(0, 0), seats_assigned=0)
     with pytest.raises(ValueError, match="length does not match"):
-        Subproblem(profile12, short, "a1")
+        Subproblem(profile12, type_weights(profile12), short, "a1")
+    # a1's supporters are types 0 and 1: without the check, two weights or
+    # four would be read as if they were the profile's three
+    for weights in (type_weights(profile12)[:2], type_weights(profile12) + [F(1)]):
+        with pytest.raises(ValueError, match="weight sequence length does not match profile"):
+            Subproblem(profile12, weights, zero(profile12), "a1")
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +392,7 @@ def assert_instance_is_the_subproblem(profile, loads, candidate):
     """The entries-only instance holds :class:`Subproblem`'s entries, the
     same objects in the same order, and both oracles solve it alike."""
     instance = oracle_instance(profile, loads, candidate)
-    sub = Subproblem(profile, loads, candidate)
+    sub = sub_for(profile, loads, candidate)
     assert type(instance) is OracleInstance
     assert instance.profile is profile and instance.candidate == candidate
     assert len(instance.entries) == len(sub.entries)
@@ -454,7 +461,7 @@ def test_oracle_instance_is_the_subproblem_on_hand_made_loads():
 def test_oracle_instance_is_refused_as_the_subproblem_is():
     profile = parse_profile("1 : a\n2 : b\n")
     loads = LoadVector.zero(profile)
-    for make in (Subproblem, oracle_instance):
+    for make in (sub_for, oracle_instance):
         with pytest.raises(UnknownCandidateError):
             make(profile, loads, "c")
         with pytest.raises(ValueError, match="load vector length does not match profile"):
@@ -481,7 +488,7 @@ def test_subset_oracle_carries_each_mask_s_members_in_index_order(monkeypatch):
     # three supporters that all reach level 1 from loads (0, 1, 1): the
     # subsets {0}, {0, 1}, {0, 2} and {0, 1, 2} tie at score 1
     tied = parse_profile("1 : z\n1 : z\n1 : z\n")
-    subs = [Subproblem(tied, LoadVector((0, F(1), F(1)), 1), "z")]
+    subs = [sub_for(tied, LoadVector((0, F(1), F(1)), 1), "z")]
     subs += skewed_subproblems(random.Random(20261022), 80)
     ties = 0
     for sub in subs:
@@ -524,7 +531,7 @@ def election_states(draw):
 @given(election_states())
 def test_three_solvers_agree(state):
     profile, loads, candidate = state
-    sub = Subproblem(profile, loads, candidate)
+    sub = sub_for(profile, loads, candidate)
     a = corrected_solution(sub).record()
     b = waterfill_solution(sub)
     c = subset_oracle(sub)
@@ -545,20 +552,20 @@ def test_three_solvers_agree(state):
 @settings(deadline=None, max_examples=80)
 @given(election_states())
 def test_subset_oracle_is_the_fraction_oracle(state):
-    assert_same_as_fraction_oracle(Subproblem(*state))
+    assert_same_as_fraction_oracle(sub_for(*state))
 
 
 @settings(deadline=None, max_examples=80)
 @given(election_states())
 def test_waterfill_is_the_fraction_waterfill(state):
-    assert_same_as_fraction_waterfill(Subproblem(*state))
+    assert_same_as_fraction_waterfill(sub_for(*state))
 
 
 @settings(deadline=None, max_examples=80)
 @given(election_states(), st.data())
 def test_waterfill_minimizes_over_random_feasible_points(state, data):
     profile, loads, candidate = state
-    sub = Subproblem(profile, loads, candidate)
+    sub = sub_for(profile, loads, candidate)
     best = waterfill_solution(sub)
     ticks = data.draw(
         st.lists(
@@ -581,7 +588,7 @@ def test_waterfill_minimizes_over_random_feasible_points(state, data):
 @given(election_states())
 def test_clamping_strictly_lowers_the_level(state):
     profile, loads, candidate = state
-    sub = Subproblem(profile, loads, candidate)
+    sub = sub_for(profile, loads, candidate)
     sol = corrected_solution(sub)
     if sol.corrected:
         assert sol.level < unconstrained_level(sub)
@@ -642,8 +649,8 @@ def test_merge_invariance_for_election_loads():
         values=(loads.values[0], loads.values[2]), seats_assigned=loads.seats_assigned
     )
     for name in profile.candidates:
-        orig = corrected_solution(Subproblem(profile, loads, name)).record()
-        comp = corrected_solution(Subproblem(merged, merged_loads, name)).record()
+        orig = corrected_solution(sub_for(profile, loads, name)).record()
+        comp = corrected_solution(sub_for(merged, merged_loads, name)).record()
         assert comp.level == orig.level
         assert comp.score == orig.score
         assert comp.x == (orig.x[0], orig.x[2])
@@ -661,8 +668,8 @@ def test_scaling_weights_scales_scores_inversely(state, c):
         values=tuple(r / c for r in loads.values),
         seats_assigned=loads.seats_assigned,
     )
-    base = corrected_solution(Subproblem(profile, loads, candidate)).record()
-    scaled = corrected_solution(Subproblem(scaled_profile, scaled_loads, candidate)).record()
+    base = corrected_solution(sub_for(profile, loads, candidate)).record()
+    scaled = corrected_solution(sub_for(scaled_profile, scaled_loads, candidate)).record()
     assert scaled.score == base.score / c
     assert scaled.x == tuple(xk / c for xk in base.x)
 
@@ -686,7 +693,7 @@ def skewed_subproblems(rng, profiles):
         )
         loads = LoadVector(values, rng.randint(0, 5))
         for name in profile.candidates:
-            yield Subproblem(profile, loads, name)
+            yield sub_for(profile, loads, name)
 
 
 def integer_subproblem(sub):
@@ -752,13 +759,11 @@ def test_share_lane_is_the_plain_clamp_loop():
         for k, _, r in sub.entries:
             values[k] = r
         loads = LoadVector(tuple(values), 0)
-        floats = Profile(
-            VoterType(float(t.weight), t.approvals) for t in sub.profile.types
-        )
+        floats = float_profile(sub.profile)
         float_loads = LoadVector(tuple(float(r) for r in values), 0)
         # float64 bits, and the exact values of the share lane
         for profile, at in ((floats, float_loads), (sub.profile, loads)):
-            share = Subproblem(profile, at, sub.candidate)
+            share = sub_for(profile, at, sub.candidate)
             assert repr(corrected_solution(share).record()) == repr(plain_clamp_loop(share))
         # the exact lane's integer solver
         want = plain_clamp_loop(sub)

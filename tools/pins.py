@@ -119,7 +119,8 @@ PINS = (
     # which must parse to the same reduced weights: the JSON's profile is
     # rendered from the parsed types, so both have sparse-seq's digest.
     # The same digests on 3.10.13, 3.11.7, 3.12.1 and 3.13. Each run takes
-    # about 0.15 s on 3.11.7 (2 CPUs), the group about 1.4 s.
+    # 0.17-0.28 s wall on 3.11.7 (2 shared CPUs), a float64 run as long as
+    # an exact one, and the group 1.5-2.3 s.
     Pin("sparse-seq", "sparse", _elect("seq-phragmen", "candidate", 60), "sparse",
         "ababdba8103aa107f6b201d0d45cfaa1a93f425dfebe0b47254d7c71a43d4606"),
     Pin("sparse-seq-tabs", "sparse", _elect("seq-phragmen", "candidate", 60, source="-"),
